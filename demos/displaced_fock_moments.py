@@ -4,7 +4,7 @@ The third-order correction to the detection bounds needs the distribution of
 the log-likelihood ratio, which lives on the joint photon statistics of a
 thermal state before and after displacement.  This demo pokes at the pieces:
 single transition probabilities, truncation control, and the certified
-double sum.
+third moment.
 """
 
 import math
@@ -37,17 +37,17 @@ for nb, xx in [(1.0, 0.0), (1.0, 1.0), (600.0, 60.0), (600.0, 600.0)]:
     print(f"truncation_radius(nb={nb:6.0f}, x={xx:6.0f}) = "
           f"{truncation_radius(nb, xx, policy)}")
 
-# The certified third moment: the captured-mass diagnostic makes truncation
-# bugs loud instead of silent.
+# The certified third moment, summed over the Skellam law of k - l: the
+# captured-mass diagnostic makes truncation bugs loud instead of silent.
 scenario = ThermalScenario(nb=600.0, eta=1.0, ns=600.0)
 result = third_moment(scenario, policy)
 print(f"\nT(nb=600, gamma=1) = {result.t:.9f}")
 print(f"captured probability mass = {result.captured_mass:.15f}")
 
-# The same joint distribution must reproduce D and V: a strong cross-check
-# of the entire Laguerre-recurrence machinery against the closed forms.
+# The same joint distribution, summed from Laguerre transition probabilities,
+# must reproduce D and V of the closed forms and T of the Skellam route.
 closed = thermal_closed_forms(scenario)
 oracle = spectral_oracle(scenario, policy)
 print(f"\nD: spectral sum {oracle.d:.12f}  closed form {closed.d:.12f}")
 print(f"V: spectral sum {oracle.v:.12f}  closed form {closed.v:.12f}")
-print(f"T: spectral sum {oracle.t:.12f}  direct sum  {result.t:.12f}")
+print(f"T: spectral sum {oracle.t:.12f}  Skellam law {result.t:.12f}")

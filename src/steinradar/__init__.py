@@ -1,10 +1,10 @@
 """Finite-size detection-error bounds for coherent-state target detection.
 
 The library covers the full pipeline: Gaussian-state relative-entropy
-quantities (D, V), the third absolute log-likelihood moment T via
-displaced-number-state sums, first/second/third-order bounds on the
-mis-detection probability in asymmetric hypothesis testing, the classical
-heterodyne Marcum-Q benchmark, and an SNR-scan driver with a CLI.
+quantities (D, V), the third absolute log-likelihood moment T from the
+Skellam law of the Fock-index difference, first/second/third-order bounds
+on the mis-detection probability in asymmetric hypothesis testing, the
+classical heterodyne Marcum-Q benchmark, and an SNR-scan driver with a CLI.
 """
 
 from .bounds import (

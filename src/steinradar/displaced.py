@@ -6,15 +6,22 @@ second order: the log-likelihood ratio between the two detection hypotheses
 is a function of k - l alone, and its third absolute central moment is the
 input to the Berry-Esseen-corrected bounds.
 
-The transition probabilities involve associated Laguerre polynomials whose
+third_moment uses the law of that difference directly: d = k - l is
+Skellam(x nb, x (nb+1)), a difference of independent Poissons, whose pmf is
+a ratio chain of scaled Bessel functions I_n.  Its support window is
+certified by a Chernoff bound that covers the cubic-weighted tail, so the
+cost is linear in the window width.
+
+spectral_oracle keeps an independent route through the transition
+probabilities.  These involve associated Laguerre polynomials whose
 binomial-sum definition cancels catastrophically at large argument, so every
 evaluation here runs on a three-term recurrence.  The public scalar
 transition_prob carries the raw recurrence with a running log scale factor;
-the heavy double sums (third_moment, spectral_oracle) carry the same
-recurrence conjugated into amplitude form A(n, m) = |<n+m|D|n>|, which keeps
-every value in [-1, 1] and vectorizes across all difference diagonals at
-once.  Truncation is certified by a captured-probability-mass diagnostic
-rather than trusted blindly.
+the double sum behind spectral_oracle carries the same recurrence conjugated
+into amplitude form A(n, m) = |<n+m|D|n>|, which keeps every value in
+[-1, 1] and vectorizes across all difference diagonals at once.  Both routes
+report their captured probability mass rather than trusting truncation
+blindly.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 
 from .errors import CapExceeded, MassDeficit
 from .gaussian import RelEntStats, ThermalScenario
+from .marcum import bessel_i0_scaled
 
 _LN_TINY = log(1e-250)       # seed floor for underflowed diagonal starts
 _RESCALE_AT = 1e100
@@ -356,17 +364,137 @@ class ThirdMomentResult(NamedTuple):
     captured_mass: float
 
 
-def _checked_masses(
-    s: ThermalScenario, policy: TruncationPolicy
-) -> tuple[np.ndarray, np.ndarray, float]:
-    x = s.eta * s.ns
-    d, mass = _difference_masses(s.nb, x, policy)
+def _captured_mass(mass: np.ndarray, nb: float, x: float, tail_tol: float) -> float:
     captured = math.fsum(mass)
-    if captured < 1.0 - 10.0 * policy.tail_tol:
+    if captured < 1.0 - 10.0 * tail_tol:
         raise MassDeficit(
-            f"captured mass {captured} < 1 - 10*tail_tol (nb={s.nb}, x={x})"
+            f"captured mass {captured} < 1 - 10*tail_tol (nb={nb}, x={x})"
         )
-    return d, mass, captured
+    return captured
+
+
+class _SkellamWindow(NamedTuple):
+    """Kept support [lo, hi] of d = k - l and certified bounds on what it
+    drops: the probability mass, and the mass weighted by |d - mean|^3."""
+
+    lo: int
+    hi: int
+    tail_mass: float
+    tail_cubic: float
+
+
+def _chernoff_ln_tail(m1: float, m2: float, a: float) -> tuple[float, float]:
+    """(ln bound on P(d >= a), optimal s) for d ~ Skellam(m1, m2), a > m1 - m2.
+
+    The bound is min_s exp(m1 (e^s - 1) + m2 (e^-s - 1) - s a), attained at
+    e^s = (a + r) / (2 m1) with r = sqrt(a^2 + 4 m1 m2); there the exponent
+    is r - m1 - m2 - s a, written without cancellation.
+    """
+    mean = m1 - m2
+    r = math.hypot(a, 2.0 * math.sqrt(m1 * m2))
+    a_plus_r = a + r if a >= 0.0 else 4.0 * m1 * m2 / (r - a)
+    s = log(a_plus_r / (2.0 * m1))
+    return (a - mean) * (a + mean) / (r + m1 + m2) - s * a, s
+
+
+def _tail_edge(m1: float, m2: float, ln_mass_tol: float,
+               ln_cubic_tol: float) -> tuple[int, float, float]:
+    """Smallest integer a above the mean of d ~ Skellam(m1, m2) whose upper
+    tail d >= a has certified mass <= e^ln_mass_tol and certified cubic
+    weight sum P(d) |d - mean|^3 <= e^ln_cubic_tol.
+
+    For d >= a > mean, |d - mean|^3 <= (3/(e t))^3 e^(t (d - mean)) for any
+    t > 0; with t = 3/(a - mean) <= s this turns the Chernoff bound C(a)
+    into (a - mean)^3 C(a).  Both conditions, and s (a - mean) >= 3, only
+    improve as a grows, so the edge is found by doubling and bisection.
+    Returns (a, mass bound, cubic bound).
+    """
+    mean = m1 - m2
+    base = math.floor(mean)           # base <= mean never qualifies
+
+    def bounds(a: int):
+        ln_c, s = _chernoff_ln_tail(m1, m2, a)
+        u = a - mean
+        if s * u < 3.0 or ln_c > ln_mass_tol or 3.0 * log(u) + ln_c > ln_cubic_tol:
+            return None
+        return exp(ln_c), u**3 * exp(ln_c)
+
+    lo, hi = 0, max(1, int(5.0 * math.sqrt(m1 + m2)))
+    while bounds(base + hi) is None:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bounds(base + mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return (base + hi, *bounds(base + hi))
+
+
+def _skellam_window(nb: float, x: float, policy: TruncationPolicy) -> _SkellamWindow:
+    """Certified support window of d = k - l ~ Skellam(x nb, x (nb+1)).
+
+    Each side drops at most tail_tol/4 of the mass and at most
+    tail_tol/4 * sigma^3 of the cubic weight, sigma^2 = x (2 nb + 1) being
+    the variance of d.  Since E|d - mean|^3 >= sigma^3 (Lyapunov), the
+    truncated T is low by at most tail_tol/2 relative.
+    """
+    m1, m2 = x * nb, x * (nb + 1.0)
+    ln_mass_tol = log(policy.tail_tol / 4.0)
+    ln_cubic_tol = ln_mass_tol + 1.5 * log(m1 + m2)
+    a, up_mass, up_cubic = _tail_edge(m1, m2, ln_mass_tol, ln_cubic_tol)
+    b, lo_mass, lo_cubic = _tail_edge(m2, m1, ln_mass_tol, ln_cubic_tol)
+    return _SkellamWindow(lo=1 - b, hi=a - 1, tail_mass=up_mass + lo_mass,
+                          tail_cubic=up_cubic + lo_cubic)
+
+
+# The backward recurrence starts where the Bessel ratios it skips would damp
+# a unit error below exp(-2 * _MILLER_LN_DAMP) by the window edge.
+_MILLER_LN_DAMP = 25.0
+
+
+def _skellam_masses(
+    nb: float, x: float, policy: TruncationPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probability masses of d = k - l under p(k, l), over a certified window.
+
+    d is Skellam(mu1, mu2) with mu1 = x nb, mu2 = x (nb+1), z = 2 sqrt(mu1 mu2):
+
+        P(d) = e^(z - mu1 - mu2) (mu1/mu2)^(d/2) e^-z I_|d|(z).
+
+    The ratios rho_n = I_n(z) / I_(n-1)(z) come from the Miller backward
+    recurrence rho_n = z / (2n + z rho_(n+1)), started past the window where
+    its error has died out (it is damped by ~rho^2 per step, and
+    rho_n ~ exp(-asinh(n/z))); e^-z I_0(z) fixes the absolute scale and
+    z - mu1 - mu2 = -x^2 / (sqrt(mu1) + sqrt(mu2))^2 avoids cancellation.
+    The masses are not renormalised, so their sum is a real diagnostic.
+    Returns (d, mass) for d in [lo, hi].
+    """
+    win = _skellam_window(nb, x, policy)
+    m1, m2 = x * nb, x * (nb + 1.0)
+    z = 2.0 * math.sqrt(m1 * m2)
+    n_hi = max(-win.lo, win.hi, 1)
+    n_start = n_hi + math.ceil(_MILLER_LN_DAMP / math.asinh(n_hi / z))
+    width = win.hi - win.lo + 1
+    if width > policy.k_max_cap or n_start > policy.k_max_cap:
+        raise CapExceeded(
+            f"support window [{win.lo}, {win.hi}] and Bessel recurrence start "
+            f"{n_start} exceed k_max_cap={policy.k_max_cap} "
+            f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})"
+        )
+
+    rho = np.empty(n_start + 1)
+    rho[0] = 1.0                      # so that cumsum(log(rho))[n] = ln(I_n / I_0)
+    r = 0.0
+    for n in range(n_start, 0, -1):
+        r = z / (2.0 * n + z * r)
+        rho[n] = r
+    ln_ratio = np.cumsum(np.log(rho[: n_hi + 1]))
+
+    ln_p0 = log(bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
+    d = np.arange(win.lo, win.hi + 1)
+    mass = np.exp(ln_p0 + ln_ratio[np.abs(d)] - 0.5 * log1p(1.0 / nb) * d)
+    return d, mass
 
 
 def third_moment(
@@ -374,15 +502,17 @@ def third_moment(
 ) -> ThirdMomentResult:
     """Third absolute moment T = sum p(k,l) |(k-l+x) ln(nb/(nb+1))|^3.
 
-    x = eta*ns is the displaced mean photon number.  The captured
-    probability mass is returned alongside and must exceed 1 - tail_tol;
-    below 1 - 10*tail_tol the sum is considered buggy and MassDeficit is
-    raised.
+    x = eta*ns is the displaced mean photon number.  T is summed over the
+    Skellam law of d = k - l on a window whose dropped share of T is
+    certified below tail_tol/2.  The captured probability mass is returned
+    alongside; below 1 - 10*tail_tol the sum is considered buggy and
+    MassDeficit is raised.
     """
     x = s.eta * s.ns
     if x == 0.0:
         return ThirdMomentResult(0.0, 1.0)
-    d, mass, captured = _checked_masses(s, policy)
+    d, mass = _skellam_masses(s.nb, x, policy)
+    captured = _captured_mass(mass, s.nb, x, policy.tail_tol)
     lt = log1p(1.0 / s.nb)
     u = np.abs((d + x) * lt)
     t = math.fsum(mass * u**3)
@@ -395,14 +525,16 @@ def spectral_oracle(
     """D, V, T as raw moments of the log-likelihood ratio ln(gamma_k/gamma_l).
 
     Uses ln(gamma_k / gamma_l) = (k - l) ln(nb/(nb+1)) under the same joint
-    distribution as third_moment, so it cross-checks the Gaussian
-    closed forms (first and second moments) and the direct third-moment
-    aggregation (same code path, different aggregation order).
+    distribution as third_moment, summed from the Laguerre transition
+    probabilities instead of the Skellam law, so it cross-checks the
+    Gaussian closed forms (first and second moments) and third_moment
+    along a fully independent route.
     """
     x = s.eta * s.ns
     if x == 0.0:
         return RelEntStats(d=0.0, v=0.0, t=0.0)
-    d, mass, _ = _checked_masses(s, policy)
+    d, mass = _difference_masses(s.nb, x, policy)
+    _captured_mass(mass, s.nb, x, policy.tail_tol)
     llr = -d * log1p(1.0 / s.nb)
     d1 = math.fsum(mass * llr)
     centered = llr - d1

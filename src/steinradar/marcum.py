@@ -167,8 +167,8 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
     complement series in the log domain, so there is no 1 - Q cancellation
     and the result stays finite when p_MD underflows double precision.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    if not (0.0 <= gamma < math.inf):
+        raise ValueError("gamma must be finite and >= 0")
     if not (0.0 < p_fa < 1.0):
         raise ValueError("p_fa must lie in (0, 1)")
     a = gamma

@@ -1,18 +1,18 @@
 """SNR scan assembling every curve of the detection-performance comparison.
 
-For each SNR on a dB grid: closed-form D and V, the third moment T by the
-displaced-Fock double sum, the finite-size brackets, their per-copy error
-exponents, and the classical heterodyne benchmark.  Rows are emitted as CSV
-or JSON; two runs with the same configuration produce byte-identical output
-at any worker count, since every row is computed in isolation and assembled
-in grid order.
+For each SNR on a dB grid: closed-form D and V, the third moment T from the
+Skellam law of the Fock-index difference, the finite-size brackets, their
+per-copy error exponents, and the classical heterodyne benchmark.  Rows are
+emitted as CSV or JSON; two runs with the same configuration produce
+byte-identical output at any worker count, since every row is computed in
+isolation and assembled in grid order.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
+import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import BERRY_ESSEEN_C, DetectionParams, error_exponent, refined_bracket
-from .displaced import ThirdMomentResult, TruncationPolicy, third_moment
+from .displaced import TruncationPolicy, third_moment
 from .errors import CapExceeded, MassDeficit, SteinRadarError
 from .gaussian import ThermalScenario, thermal_closed_forms
 from .marcum import heterodyne_log_pmd
@@ -52,6 +52,9 @@ class ScanConfig:
     def __post_init__(self):
         if self.points < 2:
             raise ValueError("points must be >= 2")
+        if not (math.isfinite(self.snr_db_min) and self.snr_db_max < 3080.0):
+            # beyond ~3082 dB the linear SNR 10^(snr_db/10) overflows a float
+            raise ValueError("snr_db_min must be finite and snr_db_max < 3080")
         if not (self.snr_db_min < self.snr_db_max):
             raise ValueError("snr_db_min must be < snr_db_max")
         if self.benchmark_m_convention not in (PER_COPY, TOTAL):
@@ -63,8 +66,8 @@ class ScanConfig:
         # Wrapped-type invariants fail fast here rather than mid-scan.
         DetectionParams(p_fa=self.p_fa, m=self.m, c=self.c)
         TruncationPolicy(tail_tol=self.tail_tol)
-        if not (self.nb > 0):
-            raise ValueError("nb must be > 0")
+        if not (0.0 < self.nb < math.inf):
+            raise ValueError("nb must be finite and > 0")
 
 
 # Fields that define the numbers; execution/presentation knobs are excluded
@@ -101,18 +104,12 @@ class ScanRow:
     eps_marcum: float
 
 
-@functools.lru_cache(maxsize=4096)
-def _cached_third_moment(nb: float, x: float, tail_tol: float) -> ThirdMomentResult:
-    scenario = ThermalScenario(nb=nb, eta=1.0, ns=x)
-    return third_moment(scenario, TruncationPolicy(tail_tol=tail_tol))
-
-
 def _compute_row(config: ScanConfig, snr_db: float) -> ScanRow:
     gamma = 10.0 ** (snr_db / 10.0)
     scenario = ThermalScenario(nb=config.nb, eta=1.0, ns=gamma * config.nb)
     params = DetectionParams(p_fa=config.p_fa, m=config.m, c=config.c)
     stats = thermal_closed_forms(scenario)
-    tm = _cached_third_moment(config.nb, scenario.eta * scenario.ns, config.tail_tol)
+    tm = third_moment(scenario, TruncationPolicy(tail_tol=config.tail_tol))
     bounds = refined_bracket(stats.with_t(tm.t), params)
     if config.benchmark_m_convention == PER_COPY:
         eps_marcum = -heterodyne_log_pmd(gamma, config.p_fa)
@@ -158,7 +155,8 @@ def run_scan(config: ScanConfig) -> list[ScanRow]:
 
     On a numerical failure (CapExceeded, MassDeficit) the scan aborts with
     the offending snr_db in the message, unless config.keep_partial is set,
-    in which case the failed rows are skipped with a warning each.
+    in which case the failed rows are skipped with a warning each; if every
+    row failed, SteinRadarError names them all.
     """
     grid = [float(s) for s in np.linspace(config.snr_db_min, config.snr_db_max, config.points)]
     if config.workers > 1:
@@ -176,6 +174,10 @@ def run_scan(config: ScanConfig) -> list[ScanRow]:
                 warnings.warn(f"scan point snr_db={snr_db:g} failed: {err}")
             else:
                 raise type(err)(f"scan point snr_db={snr_db:g} failed: {err}")
+    if not rows:
+        failed = ", ".join(f"snr_db={snr_db:g} ({type(err).__name__})"
+                           for snr_db, err in results)
+        raise SteinRadarError(f"every scan point failed: {failed}")
     return rows
 
 

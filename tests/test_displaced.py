@@ -1,6 +1,9 @@
 """Laguerre recurrences, transition probabilities, and the moment sums."""
 
 import math
+import os
+import subprocess
+import sys
 from math import exp, factorial, log, log1p, sqrt
 
 import numpy as np
@@ -23,7 +26,7 @@ from steinradar import (
     truncation_radius,
 )
 from steinradar import displaced as displaced_mod
-from steinradar.displaced import _difference_masses
+from steinradar.displaced import _difference_masses, _skellam_masses, _skellam_window
 
 from oracles import T_ORACLE_NB1_X1, laguerre_binomial, skellam_log_pmf
 
@@ -242,10 +245,10 @@ class TestThirdMoment:
 
     def test_mass_deficit_detected(self, monkeypatch):
         def half_masses(nb, x, policy):
-            d, mass = _difference_masses(nb, x, policy)
+            d, mass = _skellam_masses(nb, x, policy)
             return d, 0.5 * mass
 
-        monkeypatch.setattr(displaced_mod, "_difference_masses", half_masses)
+        monkeypatch.setattr(displaced_mod, "_skellam_masses", half_masses)
         with pytest.raises(MassDeficit):
             third_moment(ThermalScenario(nb=1.0, eta=1.0, ns=1.0))
 
@@ -298,6 +301,69 @@ class TestDifferenceLaw:
             got = mass[idx[dd]]
             want = exp(skellam_log_pmf(dd, x * nb, x * (nb + 1.0)))
             assert got == pytest.approx(want, rel=1e-9)
+
+
+class TestSkellamRoute:
+    # nb x gamma grid on which the Skellam T is held against the Laguerre route
+    GRID = [(nb, g) for nb in (0.1, 1.0, 10.0, 600.0) for g in (0.03, 1.0, 3.2)]
+
+    def test_masses_match_skellam_pmf(self):
+        cases = [
+            (600.0, 600.0, (-3000, -1200, -600, -300, 0, 300, 900, 2500)),
+            (3.0, 7.0, (-25, -10, -7, -2, 0, 3, 12)),
+        ]
+        for nb, x, points in cases:
+            d, mass = _skellam_masses(nb, x, TruncationPolicy())
+            idx = {int(v): i for i, v in enumerate(d)}
+            for dd in points:
+                want = exp(skellam_log_pmf(dd, x * nb, x * (nb + 1.0)))
+                assert mass[idx[dd]] == pytest.approx(want, rel=1e-9)
+
+    def test_matches_spectral_oracle(self):
+        for nb, gamma in self.GRID:
+            s = ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)
+            assert third_moment(s).t == pytest.approx(spectral_oracle(s).t, rel=1e-10)
+
+    def test_lyapunov(self):
+        for nb, gamma in self.GRID:
+            s = ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)
+            assert third_moment(s).t >= thermal_closed_forms(s).v ** 1.5
+
+    def test_dropped_tail_within_certified_bound(self):
+        # the whole pmf outside the window, from scipy's scaled Bessel
+        from scipy.special import ive
+
+        nb, x = 600.0, 1897.0
+        m1, m2 = x * nb, x * (nb + 1.0)
+        z = 2.0 * sqrt(m1 * m2)
+        win = _skellam_window(nb, x, TruncationPolicy())
+        reach = int(20.0 * sqrt(m1 + m2))
+        d = np.concatenate((np.arange(win.lo - reach, win.lo),
+                            np.arange(win.hi + 1, win.hi + reach + 1))).astype(float)
+        pmf = np.exp(0.5 * d * log(m1 / m2) + z - m1 - m2) * ive(np.abs(d), z)
+        dropped_mass = math.fsum(pmf)
+        dropped_cubic = math.fsum(pmf * np.abs(d + x) ** 3)
+        assert 0.0 < dropped_mass <= win.tail_mass <= TruncationPolicy().tail_tol / 2.0
+        assert 0.0 < dropped_cubic <= win.tail_cubic
+
+    def test_width_cap(self):
+        with pytest.raises(CapExceeded):
+            third_moment(ThermalScenario(nb=600.0, eta=1.0, ns=600.0),
+                         TruncationPolicy(k_max_cap=5000))
+
+    def test_runtime_imports_numpy_only(self):
+        code = (
+            "import sys\n"
+            "from steinradar import ThermalScenario, third_moment\n"
+            "third_moment(ThermalScenario(nb=600.0, eta=1.0, ns=600.0))\n"
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(displaced_mod.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.slow

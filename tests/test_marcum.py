@@ -142,3 +142,9 @@ class TestHeterodyne:
             heterodyne_log_pmd(1.0, 0.0)
         with pytest.raises(ValueError):
             heterodyne_log_pmd(1.0, 1.0)
+
+    def test_rejects_non_finite_snr(self):
+        # rejected up front, before the series loop can start
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                heterodyne_log_pmd(gamma, 1e-3)

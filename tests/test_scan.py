@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from steinradar import CapExceeded, ScanConfig, ScanRow, emit, run_scan
-from steinradar.scan import _ROW_FIELDS
+from steinradar import CapExceeded, ScanConfig, ScanRow, SteinRadarError, emit, run_scan
+from steinradar.scan import _ROW_FIELDS, main
 
 # cheap but nontrivial: nb=5 keeps the displaced sums tiny
 SMALL = dict(nb=5.0, m=100, points=5, snr_db_min=-10.0, snr_db_max=0.0, tail_tol=1e-8)
@@ -65,6 +65,13 @@ class TestConfig:
             ScanConfig(output_format="xml")
         with pytest.raises(ValueError):
             ScanConfig(workers=0)
+
+    def test_rejects_non_finite(self):
+        for kwargs in (dict(snr_db_max=math.inf), dict(snr_db_min=-math.inf),
+                       dict(snr_db_min=math.nan), dict(nb=math.inf), dict(nb=math.nan),
+                       dict(snr_db_max=4000.0)):  # 10^400 overflows a float
+            with pytest.raises(ValueError):
+                ScanConfig(**kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -126,19 +133,27 @@ class TestRunScan:
 
 
 class TestPartialFailure:
-    # the top of this range needs indices beyond k_max_cap at nb=50
-    FAILING = dict(nb=50.0, m=100, points=3, snr_db_min=-10.0, snr_db_max=37.0,
+    # at the top of this range the certified support window of k - l is
+    # wider than k_max_cap at nb=50
+    FAILING = dict(nb=50.0, m=100, points=3, snr_db_min=-10.0, snr_db_max=50.0,
                    tail_tol=1e-8)
 
     def test_abort_names_offending_point(self):
-        with pytest.raises(CapExceeded, match="snr_db=37"):
+        with pytest.raises(CapExceeded, match="snr_db=50"):
             run_scan(ScanConfig(**self.FAILING))
 
     def test_keep_partial_skips_and_warns(self):
-        with pytest.warns(UserWarning, match="snr_db=37"):
+        with pytest.warns(UserWarning, match="snr_db=50"):
             rows = run_scan(ScanConfig(**self.FAILING, keep_partial=True))
         assert len(rows) == 2
-        assert [r.snr_db for r in rows] == [-10.0, 13.5]
+        assert [r.snr_db for r in rows] == [-10.0, 20.0]
+
+    def test_keep_partial_all_failed_names_points(self):
+        cfg = ScanConfig(**dict(self.FAILING, snr_db_min=50.0, snr_db_max=60.0),
+                         keep_partial=True)
+        with pytest.warns(UserWarning):
+            with pytest.raises(SteinRadarError, match="snr_db=50 .*snr_db=55 .*snr_db=60 "):
+                run_scan(cfg)
 
 
 class TestEmit:
@@ -264,8 +279,25 @@ class TestCli:
         assert b"config error" in proc.stderr
 
     def test_numerical_failure_exit_3(self):
+        # -10 dB fits k_max_cap on the Skellam route; 0 dB is the first
+        # point whose certified window does not
         proc = run_cli("--nb", "20000", "--tail-tol", "1e-12", "--points", "2",
                        "--snr-db-min", "-10", "--snr-db-max", "0")
         assert proc.returncode == 3
         assert b"numerical failure" in proc.stderr
-        assert b"snr_db=-10" in proc.stderr
+        assert b"snr_db=0 " in proc.stderr
+
+    def test_non_finite_config_exit_2(self, capsys):
+        assert main(["--snr-db-max", "inf", "--points", "2"]) == 2
+        assert main(["--nb", "inf", "--points", "2"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_keep_partial_all_failed_exit_3(self, capsys):
+        with pytest.warns(UserWarning):
+            code = main(["--nb", "50", "--copies", "100", "--points", "2",
+                         "--snr-db-min", "50", "--snr-db-max", "60",
+                         "--tail-tol", "1e-8", "--keep-partial"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "snr_db=50 " in err and "snr_db=60 " in err
