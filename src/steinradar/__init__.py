@@ -19,14 +19,9 @@ from .bounds import (
     std_normal_cdf,
 )
 from .displaced import (
-    ThermalSpectrum,
     ThirdMomentResult,
     TruncationPolicy,
-    laguerre_assoc,
-    pochhammer_log,
-    rooney_bound,
     spectral_oracle,
-    szego_bound,
     third_moment,
     transition_prob,
     truncation_radius,
@@ -74,7 +69,6 @@ __all__ = [
     "SingularGibbs",
     "SteinRadarError",
     "ThermalScenario",
-    "ThermalSpectrum",
     "ThirdMomentResult",
     "TruncationPolicy",
     "bessel_i0_scaled",
@@ -84,21 +78,17 @@ __all__ = [
     "gibbs_matrix",
     "heterodyne_log_pmd",
     "inv_std_normal_cdf",
-    "laguerre_assoc",
     "lambda_bracket",
     "large_nb_expansion",
     "marcum_q",
-    "pochhammer_log",
     "refined_bracket",
     "rel_entropy",
     "rel_entropy_variance",
-    "rooney_bound",
     "run_scan",
     "scenario_states",
     "sigma_fn",
     "spectral_oracle",
     "std_normal_cdf",
-    "szego_bound",
     "symplectic_eigenvalues",
     "symplectic_form",
     "thermal_closed_forms",

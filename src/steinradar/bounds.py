@@ -12,6 +12,7 @@ range, and only the exponents are ever plotted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from math import exp, log, sqrt
 
@@ -36,8 +37,8 @@ class DetectionParams:
     def __post_init__(self):
         if not (0.0 < self.p_fa < 1.0):
             raise ValueError("p_fa must lie in (0, 1)")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        if not (isinstance(self.m, numbers.Integral) and 1 <= self.m <= 2**53):
+            raise ValueError("m must be an integer in [1, 2^53]")
         if not (0.0 < self.c <= BERRY_ESSEEN_C):
             raise ValueError(f"c must lie in (0, {BERRY_ESSEEN_C}]")
 
@@ -145,17 +146,16 @@ def refined_bracket(stats: RelEntStats, params: DetectionParams) -> MDBounds:
         raise DegenerateVariance("refined bracket requires v > 0")
     if stats.t is None:
         raise ValueError("refined bracket requires the third moment t")
-    if stats.t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not (0.0 <= stats.t < math.inf):
+        raise ValueError("t must be finite and >= 0")
     m = params.m
     sqrt_m = sqrt(m)
     ratio = params.c * stats.t / stats.v**1.5
     theta_u = params.p_fa - ratio / sqrt_m
     theta_l = params.p_fa + (ratio + 2.0) / sqrt_m
-    log_first = -m * stats.d
+    log_first = first_order_log_pmd(stats.d, params)
+    log_lambda_lower, log_lambda_upper = lambda_bracket(stats.d, stats.v, params)
     sqrt_mv = sqrt(m * stats.v)
-    log_lambda_upper = log_first - sqrt_mv * inv_std_normal_cdf(params.p_fa)
-    log_lambda_lower = log_lambda_upper - 2.0 * log(m)
 
     upper_valid = 0.0 < theta_u < 1.0
     lower_valid = 0.0 < theta_l < 1.0

@@ -12,16 +12,17 @@ a ratio chain of scaled Bessel functions I_n.  Its support window is
 certified by a Chernoff bound that covers the cubic-weighted tail, so the
 cost is linear in the window width.
 
-spectral_oracle keeps an independent route through the transition
-probabilities.  These involve associated Laguerre polynomials whose
-binomial-sum definition cancels catastrophically at large argument, so every
-evaluation here runs on a three-term recurrence.  The public scalar
-transition_prob carries the raw recurrence with a running log scale factor;
-the double sum behind spectral_oracle carries the same recurrence conjugated
-into amplitude form A(n, m) = |<n+m|D|n>|, which keeps every value in
-[-1, 1] and vectorizes across all difference diagonals at once.  Both routes
-report their captured probability mass rather than trusting truncation
-blindly.
+spectral_oracle is the independent cross-check: it sums D, V and T from the
+transition probabilities themselves.  These involve associated Laguerre
+polynomials whose binomial-sum definition cancels catastrophically at large
+argument, so every evaluation here runs on a three-term recurrence.  The
+public scalar transition_prob carries the raw recurrence with a running log
+scale factor; the double sum behind spectral_oracle carries the same
+recurrence conjugated into amplitude form A(n, m) = |<n+m|D|n>|, which keeps
+every value in [-1, 1] and vectorizes across all difference diagonals at
+once; truncation_radius gives the index cutoff for checking transition_prob
+rows.  Both routes report their captured probability mass rather than
+trusting truncation blindly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceeded, MassDeficit
+from .errors import CapExceeded, ConsistencyError, MassDeficit
 from .gaussian import RelEntStats, ThermalScenario
 from .marcum import bessel_i0_scaled
 
@@ -46,28 +47,6 @@ _SCALE_LO = 1e-150
 
 
 @dataclass(frozen=True)
-class ThermalSpectrum:
-    """Geometric photon-number spectrum of a thermal state with nb photons."""
-
-    nb: float
-
-    def __post_init__(self):
-        if not (self.nb > 0):
-            raise ValueError("nb must be > 0")
-
-    def weight(self, k: int) -> float:
-        """gamma_k = nb^k / (nb+1)^(k+1)."""
-        return exp(self.log_weight(k))
-
-    def log_weight(self, k: int) -> float:
-        return k * log(self.nb) - (k + 1) * log(self.nb + 1.0)
-
-    def tail(self, k: int) -> float:
-        """Mass above index k: sum_{j>k} gamma_j = (nb/(nb+1))^(k+1), exactly."""
-        return exp(-(k + 1) * log1p(1.0 / self.nb))
-
-
-@dataclass(frozen=True)
 class TruncationPolicy:
     """Requested bound on neglected probability mass and a hard index cap."""
 
@@ -75,35 +54,10 @@ class TruncationPolicy:
     k_max_cap: int = 200_000
 
     def __post_init__(self):
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ValueError("tail_tol must lie in (0, 1)")
+        if not (2.0**-52 <= self.tail_tol < 1.0):   # 2^-52 resolves unit mass
+            raise ValueError("tail_tol must lie in [2^-52, 1)")
         if self.k_max_cap < 1:
             raise ValueError("k_max_cap must be >= 1")
-
-
-def laguerre_assoc(n: int, m: float, x: float) -> float:
-    """Associated Laguerre polynomial L_n^(m)(x) by the three-term recurrence.
-
-    Equivalent to the binomial-coefficient sum but free of its alternating
-    cancellation.  Raises OverflowError if an intermediate exceeds the
-    representable range; callers needing large (n, x) should use the scaled
-    path inside transition_prob instead.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + m - x
-    for i in range(1, n):
-        prev, cur = cur, ((2.0 * i + 1.0 + m - x) * cur - (i + m) * prev) / (i + 1.0)
-        if not math.isfinite(cur):
-            raise OverflowError(
-                f"Laguerre recurrence overflowed at n={i + 1}, m={m}, x={x}"
-            )
-    return cur
 
 
 def transition_prob(k: int, l: int, x: float) -> float:
@@ -147,54 +101,6 @@ def transition_prob(k: int, l: int, x: float) -> float:
     if ln_p < -745.0:
         return 0.0
     return min(exp(ln_p), 1.0)
-
-
-def pochhammer_log(a: float, n: int) -> float:
-    """ln (a)_n = ln Gamma(a+n) - ln Gamma(a), for a > 0, n >= 0.
-
-    Small n runs the product sum directly: the lgamma difference loses
-    relative accuracy when n << a (absolute lgamma error ~ eps*|lgamma(a)|
-    dwarfs the small result).  Beyond the crossover the difference is good
-    to ~1e-12 relative for a + n up to 1e7.
-    """
-    if not (a > 0):
-        raise ValueError("a must be > 0")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0.0
-    if n <= 8192:
-        return math.fsum(log(a + i) for i in range(n))
-    return lgamma(a + n) - lgamma(a)
-
-
-def szego_bound(n: int, m: float, x: float) -> tuple[float, float]:
-    """Uniform Laguerre bound ((m+1)_n / n!) e^(x/2) for m, x >= 0.
-
-    Returns (value, ln value); the value saturates to inf when the log
-    exceeds the representable range.
-    """
-    if m < 0 or x < 0:
-        raise ValueError("requires m >= 0 and x >= 0")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    ln_b = pochhammer_log(m + 1.0, n) - lgamma(n + 1.0) + 0.5 * x
-    return (exp(ln_b) if ln_b < 709.0 else math.inf), ln_b
-
-
-def rooney_bound(n: int, m: float, x: float) -> float:
-    """Laguerre bound 2^(-m) q_n e^(x/2) for m <= -1/2, x >= 0.
-
-    q_n = sqrt((2n)!) / (2^(n+1/2) n!) is evaluated exactly in the log
-    domain, which never overflows; the large-n asymptotic (4 pi n)^(-1/4)
-    is therefore only a cross-check, not a fallback.
-    """
-    if m > -0.5:
-        raise ValueError("requires m <= -1/2")
-    if n < 0 or x < 0:
-        raise ValueError("requires n >= 0 and x >= 0")
-    ln_qn = 0.5 * lgamma(2.0 * n + 1.0) - (n + 0.5) * log(2.0) - lgamma(n + 1.0)
-    return exp(-m * log(2.0) + ln_qn + 0.5 * x)
 
 
 def _thermal_cutoff(nb: float, tail_tol: float) -> int:
@@ -470,9 +376,13 @@ def _skellam_masses(
     The masses are not renormalised, so their sum is a real diagnostic.
     Returns (d, mass) for d in [lo, hi].
     """
-    win = _skellam_window(nb, x, policy)
     m1, m2 = x * nb, x * (nb + 1.0)
     z = 2.0 * math.sqrt(m1 * m2)
+    if not m1 + m2 < float(policy.k_max_cap) ** 2:   # the window spans > 1 sigma
+        raise CapExceeded(f"Skellam variance {m1 + m2:g} exceeds k_max_cap^2 (nb={nb}, x={x})")
+    if z == 0.0:
+        raise ConsistencyError(f"Bessel argument 2 sqrt(mu1 mu2) underflows (nb={nb}, x={x})")
+    win = _skellam_window(nb, x, policy)
     n_hi = max(-win.lo, win.hi, 1)
     n_start = n_hi + math.ceil(_MILLER_LN_DAMP / math.asinh(n_hi / z))
     width = win.hi - win.lo + 1

@@ -91,9 +91,9 @@ class GaussianState:
 class ThermalScenario:
     """Physical parameters of the single-mode target-detection problem.
 
-    nb: mean thermal photons of the background (> 0).
+    nb: mean thermal photons of the background (> 0, with nb and 1/nb finite).
     eta: transmissivity of the target return, in [0, 1].
-    ns: mean signal photons of the probe (>= 0).
+    ns: mean signal photons of the probe (finite, >= 0).
     """
 
     nb: float
@@ -101,12 +101,12 @@ class ThermalScenario:
     ns: float
 
     def __post_init__(self):
-        if not (self.nb > 0):
-            raise ValueError("nb must be > 0 (the zero-background limit is singular)")
+        if not (0.0 < self.nb < math.inf and 1.0 / self.nb < math.inf):
+            raise ValueError("nb must be > 0 with nb and 1/nb finite (nb = 0 is singular)")
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError("eta must lie in [0, 1]")
-        if not (self.ns >= 0.0):
-            raise ValueError("ns must be >= 0")
+        if not (0.0 <= self.ns < math.inf):
+            raise ValueError("ns must be finite and >= 0")
 
     @property
     def snr(self) -> float:

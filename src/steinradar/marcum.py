@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from math import exp, lgamma, log, log1p, sqrt
 
+from .errors import CapExceeded
+
 
 @dataclass(frozen=True)
 class MarcumArgs:
@@ -160,12 +162,17 @@ def _logaddexp(u: float, v: float) -> float:
     return u + log1p(exp(v - u))
 
 
+# The heterodyne series peaks near term sqrt(a b) and ends soon after.
+_MAX_TERMS = 10**7
+
+
 def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
     """ln p_MD of the coherent-state + heterodyne receiver at SNR gamma.
 
     p_MD = P(sqrt(2 gamma), sqrt(-2 ln p_fa)) evaluated through the direct
     complement series in the log domain, so there is no 1 - Q cancellation
     and the result stays finite when p_MD underflows double precision.
+    Raises CapExceeded up front if the series would peak past _MAX_TERMS.
     """
     if not (0.0 <= gamma < math.inf):
         raise ValueError("gamma must be finite and >= 0")
@@ -173,6 +180,9 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
         raise ValueError("p_fa must lie in (0, 1)")
     a = gamma
     b = -log(p_fa)
+    if sqrt(a * b) > _MAX_TERMS:
+        raise CapExceeded(f"heterodyne series peaks past {_MAX_TERMS:g} terms "
+                          f"(gamma={gamma:g}, p_fa={p_fa:g})")
     ln_a = log(a) if a > 0.0 else -math.inf
     ln_b = log(b)
     ln_cum_a = 0.0 if a == 0.0 else _poisson_ln_pmf(a, ln_a, 0)
@@ -191,8 +201,8 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
             decline += 1
         if j >= j_min and decline >= 3 and term < total - 46.0:
             break
-        if j > 10**7:  # pragma: no cover - series always terminates far sooner
-            raise RuntimeError("heterodyne series failed to terminate")
+        if j > 2 * _MAX_TERMS:  # pragma: no cover - ends soon after the peak
+            raise CapExceeded(f"heterodyne series did not end by term {j}")
         if a > 0.0:
             ln_cum_a = _logaddexp(ln_cum_a, _poisson_ln_pmf(a, ln_a, j))
         j += 1

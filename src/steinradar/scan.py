@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BERRY_ESSEEN_C, DetectionParams, error_exponent, refined_bracket
 from .displaced import TruncationPolicy, third_moment
-from .errors import CapExceeded, MassDeficit, SteinRadarError
+from .errors import SteinRadarError
 from .gaussian import ThermalScenario, thermal_closed_forms
 from .marcum import heterodyne_log_pmd
 
@@ -52,9 +52,8 @@ class ScanConfig:
     def __post_init__(self):
         if self.points < 2:
             raise ValueError("points must be >= 2")
-        if not (math.isfinite(self.snr_db_min) and self.snr_db_max < 3080.0):
-            # beyond ~3082 dB the linear SNR 10^(snr_db/10) overflows a float
-            raise ValueError("snr_db_min must be finite and snr_db_max < 3080")
+        if not math.isfinite(self.snr_db_min):
+            raise ValueError("snr_db_min must be finite")
         if not (self.snr_db_min < self.snr_db_max):
             raise ValueError("snr_db_min must be < snr_db_max")
         if self.benchmark_m_convention not in (PER_COPY, TOTAL):
@@ -66,8 +65,12 @@ class ScanConfig:
         # Wrapped-type invariants fail fast here rather than mid-scan.
         DetectionParams(p_fa=self.p_fa, m=self.m, c=self.c)
         TruncationPolicy(tail_tol=self.tail_tol)
-        if not (0.0 < self.nb < math.inf):
-            raise ValueError("nb must be finite and > 0")
+        ThermalScenario(nb=self.nb, eta=1.0, ns=0.0)
+        # Rows scale 10^(snr_db/10) by nb and, for the total-M benchmark, by m.
+        factor = max(1.0, self.nb, self.m if self.benchmark_m_convention == TOTAL else 1)
+        if not self.snr_db_max / 10.0 + math.log10(factor) < 308.0:
+            raise ValueError(f"snr_db_max={self.snr_db_max:g} puts 10^(snr_db/10) * "
+                             f"{factor:g} beyond the float range")
 
 
 # Fields that define the numbers; execution/presentation knobs are excluded
@@ -76,13 +79,6 @@ _CONFIG_META_FIELDS = (
     "p_fa", "m", "nb", "snr_db_min", "snr_db_max", "points", "tail_tol", "c",
     "benchmark_m_convention",
 )
-
-_ROW_FIELDS = (
-    "snr_db", "gamma", "d", "v", "t", "captured_mass", "eps_first_order",
-    "eps_refined_upper", "eps_refined_lower", "upper_valid", "lower_valid",
-    "eps_lambda_upper", "eps_lambda_lower", "eps_marcum",
-)
-
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -102,6 +98,9 @@ class ScanRow:
     eps_lambda_upper: float
     eps_lambda_lower: float
     eps_marcum: float
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(ScanRow))
 
 
 def _compute_row(config: ScanConfig, snr_db: float) -> ScanRow:
@@ -146,14 +145,14 @@ def _compute_row(config: ScanConfig, snr_db: float) -> ScanRow:
 def _row_or_failure(config: ScanConfig, snr_db: float):
     try:
         return _compute_row(config, snr_db)
-    except (CapExceeded, MassDeficit) as err:
+    except SteinRadarError as err:
         return (snr_db, err)
 
 
 def run_scan(config: ScanConfig) -> list[ScanRow]:
     """All scan rows, ordered by snr_db ascending.
 
-    On a numerical failure (CapExceeded, MassDeficit) the scan aborts with
+    On a numerical failure (a SteinRadarError) the scan aborts with
     the offending snr_db in the message, unless config.keep_partial is set,
     in which case the failed rows are skipped with a warning each; if every
     row failed, SteinRadarError names them all.

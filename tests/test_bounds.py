@@ -179,6 +179,9 @@ class TestRefinedBracket:
     def test_missing_t(self):
         with pytest.raises(ValueError):
             refined_bracket(RelEntStats(d=1.0, v=1.0), FIG1)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                refined_bracket(RelEntStats(d=1.0, v=1.0, t=t), FIG1)
 
     def test_exponent_convergence_in_copies(self):
         # every bound's exponent approaches D within a C/sqrt(M) envelope,
@@ -245,3 +248,8 @@ class TestDetectionParams:
             DetectionParams(p_fa=0.5, m=100, c=0.5)
         with pytest.raises(ValueError):
             DetectionParams(p_fa=0.5, m=100, c=0.0)
+        with pytest.raises(ValueError):
+            DetectionParams(p_fa=0.5, m=2.5)
+        with pytest.raises(ValueError):
+            DetectionParams(p_fa=0.5, m=10**400)   # not representable as a float
+        assert DetectionParams(p_fa=0.5, m=np.int64(100)).m == 100

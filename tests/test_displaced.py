@@ -1,25 +1,22 @@
-"""Laguerre recurrences, transition probabilities, and the moment sums."""
+"""Transition probabilities, truncation, the Skellam route to T, and the
+Laguerre-sum spectral oracle it is checked against."""
 
 import math
 import os
 import subprocess
 import sys
-from math import exp, factorial, log, log1p, sqrt
+from math import exp, factorial, log, sqrt
 
 import numpy as np
 import pytest
 
 from steinradar import (
     CapExceeded,
+    ConsistencyError,
     MassDeficit,
     ThermalScenario,
-    ThermalSpectrum,
     TruncationPolicy,
-    laguerre_assoc,
-    pochhammer_log,
-    rooney_bound,
     spectral_oracle,
-    szego_bound,
     thermal_closed_forms,
     third_moment,
     transition_prob,
@@ -31,29 +28,6 @@ from steinradar.displaced import _difference_masses, _skellam_masses, _skellam_w
 from oracles import T_ORACLE_NB1_X1, laguerre_binomial, skellam_log_pmf
 
 
-class TestThermalSpectrum:
-    def test_weights_positive_decreasing(self):
-        spec = ThermalSpectrum(nb=2.0)
-        weights = [spec.weight(k) for k in range(50)]
-        assert all(w > 0 for w in weights)
-        assert all(a > b for a, b in zip(weights, weights[1:]))
-
-    def test_partial_sum_closed_form(self):
-        spec = ThermalSpectrum(nb=3.0)
-        for k_max in (0, 1, 5, 40):
-            partial = math.fsum(spec.weight(k) for k in range(k_max + 1))
-            assert partial == pytest.approx(1.0 - spec.tail(k_max), rel=1e-12)
-
-    def test_log_weight_consistent(self):
-        spec = ThermalSpectrum(nb=600.0)
-        for k in (0, 10, 5000):
-            assert log(spec.weight(k)) == pytest.approx(spec.log_weight(k), abs=1e-12)
-
-    def test_rejects_nonpositive_nb(self):
-        with pytest.raises(ValueError):
-            ThermalSpectrum(nb=0.0)
-
-
 class TestTruncationPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -62,32 +36,8 @@ class TestTruncationPolicy:
             TruncationPolicy(tail_tol=1.5)
         with pytest.raises(ValueError):
             TruncationPolicy(k_max_cap=0)
-
-
-class TestLaguerre:
-    def test_order_zero_is_one(self):
-        for m in (-2, 0, 3, 17):
-            for x in (0.0, 1.0, 55.5):
-                assert laguerre_assoc(0, m, x) == 1.0
-
-    def test_first_order(self):
-        assert laguerre_assoc(1, 0, 2.0) == -1.0
-
-    def test_spec_example_n2_m1(self):
-        assert laguerre_assoc(2, 1, 1.0) == pytest.approx(0.5, abs=1e-14)
-
-    def test_against_binomial_sum(self):
-        for n in (0, 1, 2, 3, 5, 8, 12):
-            for m in (0, 1, 2, 5, 9):
-                for x in (0.0, 0.25, 1.0, 3.5):
-                    want = laguerre_binomial(n, m, x)
-                    got = laguerre_assoc(n, m, x)
-                    assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-    def test_overflow_signaled(self):
-        # L_n^(m)(0) = C(n+m, n); C(6000, 3000) ~ e^4100 overflows long before
-        with pytest.raises(OverflowError):
-            laguerre_assoc(3000, 3000, 0.0)
+        with pytest.raises(ValueError):
+            TruncationPolicy(tail_tol=5e-324)   # tail_tol / 4 underflows to 0
 
 
 class TestTransitionProb:
@@ -98,6 +48,17 @@ class TestTransitionProb:
     def test_poisson_case(self):
         assert transition_prob(3, 0, 1.0) == pytest.approx(exp(-1.0) / 6.0, rel=1e-12)
         assert transition_prob(0, 3, 1.0) == pytest.approx(exp(-1.0) / 6.0, rel=1e-12)
+
+    def test_against_binomial_sum(self):
+        # P(n, n+m, x) = n!/(n+m)! x^m e^-x L_n^(m)(x)^2, with L from the
+        # alternating binomial sum (exact at these small n and x)
+        for n in (0, 1, 2, 3, 5, 8, 12):
+            for m in (0, 1, 2, 5, 9):
+                for x in (0.0, 0.25, 1.0, 3.5):
+                    lag = laguerre_binomial(n, m, x)
+                    want = factorial(n) / factorial(n + m) * x**m * exp(-x) * lag * lag
+                    got = transition_prob(n, n + m, x)
+                    assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_poisson_reduction_log_domain(self):
         for x in (0.5, 5.0, 50.0, 600.0):
@@ -147,61 +108,6 @@ class TestTransitionProb:
         assert p > 1e-12  # well inside the classically allowed band
 
 
-class TestBounds:
-    def test_szego_trivial(self):
-        value, ln_value = szego_bound(0, 3.0, 0.0)
-        assert value == 1.0 and ln_value == 0.0
-
-    def test_szego_tight_at_zero(self):
-        value, _ = szego_bound(2, 1.0, 0.0)
-        assert value == pytest.approx(3.0, rel=1e-14)
-        assert abs(laguerre_assoc(2, 1.0, 0.0)) == pytest.approx(3.0, rel=1e-14)
-
-    def test_szego_example(self):
-        value, _ = szego_bound(3, 2.0, 1.0)
-        assert value == pytest.approx(10.0 * exp(0.5), rel=1e-13)
-        assert abs(laguerre_assoc(3, 2.0, 1.0)) == pytest.approx(7.0 / 3.0, rel=1e-12)
-        assert abs(laguerre_assoc(3, 2.0, 1.0)) <= value
-
-    def test_szego_dominance_grid(self):
-        for n in (0, 1, 2, 3, 5, 10, 20, 50, 100, 200):
-            for m in (0, 1, 2, 5, 10, 25, 50):
-                for x in (0.0, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0):
-                    value, _ = szego_bound(n, float(m), x)
-                    assert abs(laguerre_assoc(n, m, x)) <= value * (1.0 + 1e-10)
-
-    def test_rooney_trivial(self):
-        assert rooney_bound(0, -0.5, 0.0) == pytest.approx(1.0, rel=1e-14)
-        assert rooney_bound(1, -1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_rooney_asymptotic_qn(self):
-        # bound = 2^(1/2) q_n at m=-1/2, x=0; q_n ~ (4 pi n)^(-1/4)
-        qn = rooney_bound(10**4, -0.5, 0.0) / sqrt(2.0)
-        assert qn == pytest.approx((4.0 * math.pi * 1e4) ** -0.25, rel=1e-4)
-
-    def test_rooney_domain(self):
-        with pytest.raises(ValueError):
-            rooney_bound(3, 0.0, 1.0)
-
-    def test_pochhammer(self):
-        assert pochhammer_log(2.5, 0) == 0.0
-        assert pochhammer_log(3.0, 4) == pytest.approx(log(360.0), rel=1e-14)
-        assert pochhammer_log(1.0, 5) == pytest.approx(log(120.0), rel=1e-14)
-
-    def test_pochhammer_large_shift_accuracy(self):
-        # n << a is the regime where a naive lgamma difference loses digits
-        a = 9999995.0
-        want = math.fsum(log(a + i) for i in range(5))
-        assert pochhammer_log(a, 5) == pytest.approx(want, rel=1e-13)
-
-    def test_pochhammer_route_seam(self):
-        # the direct-sum and lgamma-difference routes agree at the crossover
-        a = 1e6
-        left = pochhammer_log(a, 8192)
-        right = pochhammer_log(a, 8193) - log(a + 8192.0)
-        assert left == pytest.approx(right, rel=1e-12)
-
-
 class TestTruncationRadius:
     def test_pure_thermal_geometric(self):
         # smallest K with 2^-(K+1) <= 5e-11 is K = 34
@@ -242,6 +148,13 @@ class TestThirdMoment:
         a = third_moment(s)
         b = third_moment(s)
         assert a.t == b.t and a.captured_mass == b.captured_mass
+
+    def test_extreme_means_raise_library_errors(self):
+        # x nb underflows (Bessel argument z = 0), or x nb overflows
+        with pytest.raises(ConsistencyError):
+            third_moment(ThermalScenario(nb=1e-300, eta=1.0, ns=1e-300))
+        with pytest.raises(CapExceeded):
+            third_moment(ThermalScenario(nb=1e300, eta=1.0, ns=1e300))
 
     def test_mass_deficit_detected(self, monkeypatch):
         def half_masses(nb, x, policy):

@@ -69,6 +69,10 @@ class TestConstruction:
             ThermalScenario(nb=1.0, eta=1.5, ns=1.0)
         with pytest.raises(ValueError):
             ThermalScenario(nb=1.0, eta=0.5, ns=-1.0)
+        with pytest.raises(ValueError):
+            ThermalScenario(nb=1.0, eta=0.5, ns=math.inf)
+        with pytest.raises(ValueError):
+            ThermalScenario(nb=math.inf, eta=0.5, ns=1.0)
 
     def test_snr_accessor_exact(self):
         s = ThermalScenario(nb=3.0, eta=0.7, ns=11.0)

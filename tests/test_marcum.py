@@ -1,12 +1,13 @@
 """Scaled Bessel, dual-route Marcum Q, and the heterodyne benchmark."""
 
 import math
+import time
 from math import exp, log, log1p, sqrt
 
 import numpy as np
 import pytest
 
-from steinradar import MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
+from steinradar import CapExceeded, MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
 
 from oracles import (
     HET_LN_PMD_G10,
@@ -142,6 +143,13 @@ class TestHeterodyne:
             heterodyne_log_pmd(1.0, 0.0)
         with pytest.raises(ValueError):
             heterodyne_log_pmd(1.0, 1.0)
+
+    def test_huge_gamma_fails_fast(self):
+        # the series would peak near term sqrt(a b) ~ 1.7e7, past its cap
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            heterodyne_log_pmd(4e13, 1e-3)
+        assert time.perf_counter() - start < 0.1
 
     def test_rejects_non_finite_snr(self):
         # rejected up front, before the series loop can start

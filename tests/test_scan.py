@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -69,7 +70,8 @@ class TestConfig:
     def test_rejects_non_finite(self):
         for kwargs in (dict(snr_db_max=math.inf), dict(snr_db_min=-math.inf),
                        dict(snr_db_min=math.nan), dict(nb=math.inf), dict(nb=math.nan),
-                       dict(snr_db_max=4000.0)):  # 10^400 overflows a float
+                       dict(snr_db_max=4000.0),   # 10^400 overflows a float
+                       dict(snr_db_max=3079.0)):  # 10^307.9 * nb overflows
             with pytest.raises(ValueError):
                 ScanConfig(**kwargs)
 
@@ -290,7 +292,18 @@ class TestCli:
     def test_non_finite_config_exit_2(self, capsys):
         assert main(["--snr-db-max", "inf", "--points", "2"]) == 2
         assert main(["--nb", "inf", "--points", "2"]) == 2
+        assert main(["--snr-db-min", "3070", "--snr-db-max", "3079", "--points", "2"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_heterodyne_cap_exit_3(self, capsys):
+        # T fits at x ~ 1e4, but the benchmark series would peak past its cap
+        start = time.perf_counter()
+        code = main(["--nb", "1e-6", "--benchmark-m-convention", "total",
+                     "--snr-db-min", "99", "--snr-db-max", "100", "--points", "2"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "snr_db=99 " in err
 
     def test_keep_partial_all_failed_exit_3(self, capsys):
         with pytest.warns(UserWarning):
