@@ -6,6 +6,12 @@ p_MD = 1 - Q(sqrt(2 gamma), sqrt(-2 ln p_FA)).  Both Q and its complement
 are computed by their own positive-term series (no 1 - Q cancellation), and
 the mis-detection log-probability has a dedicated log-domain route that
 stays finite at large SNR.
+
+That route, heterodyne_log_pmd, sums its series in numpy blocks of at most
+_BLOCK terms, so its memory is O(_BLOCK) however far the series runs, and
+stops on an explicit bound on the remaining tail rather than on a count of
+declining terms.  marcum_q shares no code with it and serves as its
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import exp, lgamma, log, log1p, sqrt
+
+import numpy as np
 
 from .errors import CapExceeded
 
@@ -67,10 +75,6 @@ def bessel_i0_scaled(t: float) -> float:
         if term < s * 1e-18:
             break
     return s / sqrt(2.0 * math.pi * t)
-
-
-def _poisson_ln_pmf(mu: float, ln_mu: float, i: int) -> float:
-    return -mu + i * ln_mu - lgamma(i + 1.0)
 
 
 def _poisson_window(mu: float, lo: int, hi: int) -> list[float]:
@@ -152,18 +156,35 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     return min(math.fsum(q_terms), 1.0), min(math.fsum(p_terms), 1.0)
 
 
-def _logaddexp(u: float, v: float) -> float:
-    if u == -math.inf:
-        return v
-    if v == -math.inf:
-        return u
-    if u < v:
-        u, v = v, u
-    return u + log1p(exp(v - u))
-
-
-# The heterodyne series peaks near term sqrt(a b) and ends soon after.
+# The heterodyne series peaks near term max(b, sqrt(a b)); past _MAX_TERMS
+# it is refused up front.  It is summed in blocks of at most _BLOCK terms, so
+# memory stays O(_BLOCK) however long the series runs.
 _MAX_TERMS = 10**7
+_BLOCK = 1 << 16
+# ln of the dropped tail relative to the running total at which the series
+# stops: e^-46 ~ 1e-20, below the rounding of the sum.
+_LN_TAIL_TOL = -46.0
+
+# ln n! from an exact lgamma table below _STIRLING_FROM, which covers the
+# whole series up to gamma ~ 1e6 at p_fa = 1e-3, and the Stirling series
+# beyond, whose first omitted term 1/(1188 n^9) is below 1e-35 there.
+_STIRLING_FROM = 4096
+_LN_FACT_TABLE = np.array([lgamma(n + 1.0) for n in range(_STIRLING_FROM)])
+_HALF_LN_2PI = 0.5 * log(2.0 * math.pi)
+
+
+def _ln_factorial(lo: int, hi: int) -> np.ndarray:
+    """ln n! for n = lo, ..., hi - 1 (0 <= lo < hi)."""
+    if hi <= _STIRLING_FROM:
+        return _LN_FACT_TABLE[lo:hi]
+    x = np.arange(max(lo, _STIRLING_FROM), hi, dtype=float)
+    r = 1.0 / x
+    r2 = r * r
+    series = r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
+    out = (x + 0.5) * np.log(x) - x + _HALF_LN_2PI + series
+    if lo < _STIRLING_FROM:
+        out = np.concatenate((_LN_FACT_TABLE[lo:], out))
+    return out
 
 
 def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
@@ -172,6 +193,18 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
     p_MD = P(sqrt(2 gamma), sqrt(-2 ln p_fa)) evaluated through the direct
     complement series in the log domain, so there is no 1 - Q cancellation
     and the result stays finite when p_MD underflows double precision.
+    With a = gamma and b = -ln p_fa,
+
+        ln p_MD = logsumexp_{j >= 1} [ln Pois_b(j) + ln F_a(j - 1)],
+
+    F_a being the Poisson(a) cdf, built by a running log-sum-exp.  The
+    terms are evaluated in numpy blocks of at most _BLOCK, carrying ln F_a
+    and the total from block to block; the first block is sized from the
+    peak so that one usually suffices.  The sum stops on a certificate:
+    F_a(j)/F_a(j-1) <= 1 + a/j, so the term ratio t_(j+1)/t_j is at most
+    r_J = b (J + a) / (J (J + 1)) for every j >= J, and once r_J < 1 the
+    whole tail past J is at most t_J r_J / (1 - r_J), which must fall
+    below e^_LN_TAIL_TOL of the total.
     Raises CapExceeded up front if the series would peak past _MAX_TERMS.
     """
     if not (0.0 <= gamma < math.inf):
@@ -180,30 +213,36 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
         raise ValueError("p_fa must lie in (0, 1)")
     a = gamma
     b = -log(p_fa)
-    if sqrt(a * b) > _MAX_TERMS:
+    peak = max(b, sqrt(a * b))
+    if peak > _MAX_TERMS:
         raise CapExceeded(f"heterodyne series peaks past {_MAX_TERMS:g} terms "
                           f"(gamma={gamma:g}, p_fa={p_fa:g})")
-    ln_a = log(a) if a > 0.0 else -math.inf
+    ln_a = log(a) if a > 0.0 else 0.0
     ln_b = log(b)
-    ln_cum_a = 0.0 if a == 0.0 else _poisson_ln_pmf(a, ln_a, 0)
-    total = -math.inf
-    peak = -math.inf
-    j_min = int(b + 10.0 * sqrt(b) + 10.0)
-    decline = 0
-    j = 1
+    size = min(_BLOCK, int(peak + 12.0 * sqrt(peak)) + 64)
+    j0 = 1
     while True:
-        term = _poisson_ln_pmf(b, ln_b, j) + ln_cum_a
-        total = _logaddexp(total, term)
-        if term > peak:
-            peak = term
-            decline = 0
-        else:
-            decline += 1
-        if j >= j_min and decline >= 3 and term < total - 46.0:
-            break
-        if j > 2 * _MAX_TERMS:  # pragma: no cover - ends soon after the peak
-            raise CapExceeded(f"heterodyne series did not end by term {j}")
-        if a > 0.0:
-            ln_cum_a = _logaddexp(ln_cum_a, _poisson_ln_pmf(a, ln_a, j))
-        j += 1
-    return total
+        i = np.arange(j0 - 1, j0 + size)          # every j - 1 and the last j
+        ln_fact = _ln_factorial(j0 - 1, j0 + size)
+        terms = -b + i[1:] * ln_b - ln_fact[1:]    # ln Pois_b(j)
+        if a > 0.0:                                # else F_a = 1 for j >= 1
+            ln_pois_a = -a + i[:-1] * ln_a - ln_fact[:-1]    # ln Pois_a(j - 1)
+            if j0 > 1:                             # carry in ln F_a(j0 - 2)
+                ln_pois_a[0] = np.logaddexp(ln_cum_a, ln_pois_a[0])
+            ln_cum = np.logaddexp.accumulate(ln_pois_a)
+            ln_cum_a = ln_cum[-1]
+            terms += ln_cum
+        ln_t_last = terms[-1]
+        if j0 > 1:                                 # carry in the earlier blocks
+            terms[0] = np.logaddexp(total, terms[0])
+        # a sequential logaddexp: each step rounds relative to the running
+        # total, not to the largest term as a shifted sum of exps would
+        total = np.logaddexp.accumulate(terms)[-1]
+        last = j0 + size - 1
+        r = b * (last + a) / (last * (last + 1.0))
+        if r < 1.0 and ln_t_last + log(r) - log1p(-r) < total + _LN_TAIL_TOL:
+            return float(total)
+        j0 = last + 1
+        if j0 > 2 * _MAX_TERMS:  # pragma: no cover - the tail bound ends it first
+            raise CapExceeded(f"heterodyne series did not end by term {j0}")
+        size = _BLOCK

@@ -159,8 +159,12 @@ def run_scan(config: ScanConfig) -> list[ScanRow]:
     """
     grid = [float(s) for s in np.linspace(config.snr_db_min, config.snr_db_max, config.points)]
     if config.workers > 1:
+        # Four chunks per worker: one IPC round trip per chunk instead of per
+        # row, while rows whose cost rises with SNR still balance.
+        chunksize = -(-len(grid) // (4 * config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_row_or_failure, [config] * len(grid), grid))
+            results = list(pool.map(_row_or_failure, [config] * len(grid), grid,
+                                    chunksize=chunksize))
     else:
         results = [_row_or_failure(config, s) for s in grid]
     rows: list[ScanRow] = []

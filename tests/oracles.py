@@ -5,7 +5,10 @@ recompute_* functions below (kept runnable under the `slow` marker);
 quadratures use mpmath.quad on the defining integrals.  None of the oracle
 code shares an evaluation path with the library: Laguerre values come from
 the plain binomial sum, thermal relative entropies from truncated Fock-space
-sums, normal-CDF inverses from bisection.
+sums, normal-CDF inverses from bisection, the heterodyne ln p_MD from an
+mpmath series.  heterodyne_log_pmd_loop is the one deliberate exception: it
+keeps the per-term loop that the library's blocked series replaced, as the
+reference for doing the same arithmetic.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ MARCUM_P_1_2 = 0.7309879399640900033215
 # ln of the quadrature of the same integrand over [0, sqrt(-2 ln 1e-3)]
 # at x = sqrt(20)  (heterodyne mis-detection, gamma=10, p_fa=1e-3).
 HET_LN_PMD_G10 = -1.662271203909955071952
+
+# ln p_MD of the heterodyne receiver at gamma = 500 and 5e5, p_fa=1e-3 (the
+# two ends of the M*gamma range of a total-M scan at M=5000 over -10..20 dB),
+# from recompute_het_ln_pmd.
+HET_LN_PMD_G500 = -394.6916659893738692930847
+HET_LN_PMD_G5E5 = -496300.6060684678286103469
 
 # exp(-t) I0(t)
 I0E_1 = 0.4657596075936404365019
@@ -127,13 +136,53 @@ def skellam_log_pmf(d: int, mu_plus: float, mu_minus: float) -> float:
     return 0.5 * d * (log(mu_plus) - log(mu_minus)) + z - mu_plus - mu_minus + log(bess)
 
 
+def heterodyne_log_pmd_loop(gamma: float, p_fa: float) -> float:
+    """ln p_MD by the per-term log-domain loop the library's blocked numpy
+    series replaced: the same terms ln Pois_b(j) + ln F_a(j - 1), with lgamma
+    for every ln j! and a running logaddexp, stopped once the terms have
+    declined past the peak and fallen e^-46 below the total."""
+    from math import lgamma
+
+    def logaddexp(u, v):
+        if u == -math.inf:
+            return v
+        if v == -math.inf:
+            return u
+        if u < v:
+            u, v = v, u
+        return u + log1p(exp(v - u))
+
+    a, b = gamma, -log(p_fa)
+    ln_a = log(a) if a > 0.0 else -math.inf
+    ln_b = log(b)
+    ln_cum_a = 0.0 if a == 0.0 else -a
+    total = peak = -math.inf
+    j_min = int(b + 10.0 * math.sqrt(b) + 10.0)
+    decline = 0
+    j = 1
+    while True:
+        term = -b + j * ln_b - lgamma(j + 1.0) + ln_cum_a
+        total = logaddexp(total, term)
+        if term > peak:
+            peak, decline = term, 0
+        else:
+            decline += 1
+        if j >= j_min and decline >= 3 and term < total - 46.0:
+            return total
+        if a > 0.0:
+            ln_cum_a = logaddexp(ln_cum_a, -a + j * ln_a - lgamma(j + 1.0))
+        j += 1
+
+
 # --- slow recomputation of the frozen values ------------------------------
 
 def recompute_t_oracle(nb: float = 1.0, x: float = 1.0, k_max: int = 120, dps: int = 50):
     """Extended-precision direct double sum for T (and D, V, mass).
 
     Exact factorial ratios, binomial-sum Laguerre values, no recurrence or
-    banding shortcuts.  Returns (d, v, t, mass) as floats.
+    banding shortcuts.  P(k, l) depends on (min(k, l), |k - l|) alone, so
+    each of those probabilities is summed once and shared by (k, l) and
+    (l, k).  Returns (d, v, t, mass) as floats.
     """
     import mpmath as mp
 
@@ -141,19 +190,51 @@ def recompute_t_oracle(nb: float = 1.0, x: float = 1.0, k_max: int = 120, dps: i
         nb_, x_ = mp.mpf(nb), mp.mpf(x)
         lt = mp.log(nb_ / (nb_ + 1))
         ex = mp.e ** (-x_)
+        fact = [mp.mpf(factorial(i)) for i in range(k_max + 1)]
+        coef = [(-x_) ** j / fact[j] for j in range(k_max + 1)]   # (-x)^j / j!
+        prob = {}
+        for n in range(k_max + 1):
+            for m in range(k_max + 1 - n):
+                lag = mp.fdot([math.comb(n + m, n - j) for j in range(n + 1)], coef[: n + 1])
+                prob[n, m] = fact[n] / fact[n + m] * x_**m * ex * lag**2
         d = v = t = mass = mp.mpf(0)
         for k in range(k_max + 1):
             gk = nb_**k / (nb_ + 1) ** (k + 1)
             for l in range(k_max + 1):
-                n, m = min(k, l), abs(k - l)
-                lag = mp.mpf(0)
-                for j in range(n + 1):
-                    lag += mp.binomial(n + m, n - j) * (-x_) ** j / mp.factorial(j)
-                prob = mp.factorial(n) / mp.factorial(n + m) * x_**m * ex * lag**2
-                w = gk * prob
+                w = gk * prob[min(k, l), abs(k - l)]
                 u = (k - l + x_) * lt
                 mass += w
                 d += w * (k - l) * lt
                 v += w * u * u
                 t += w * abs(u) ** 3
         return float(d), float(v), float(t), float(mass)
+
+
+def recompute_het_ln_pmd(gamma: float, p_fa: float, dps: int = 50) -> float:
+    """ln p_MD of the heterodyne receiver by the complement series in mpmath.
+
+    p_MD = sum_{j>=1} Pois_b(j) P[Pois_a <= j-1], a = gamma, b = -ln p_fa,
+    with both Poisson pmfs carried by their multiplicative recurrences from
+    exp(-mu) in extended precision.  The sum runs a fixed 40 standard
+    deviations past the larger of the two peaks b and sqrt(a b); the last
+    term is checked to be negligible at the working precision.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = mp.mpf(gamma)
+        b = -mp.log(mp.mpf(p_fa))
+        peak = max(b, mp.sqrt(a * b))
+        n_terms = int(peak + 40 * mp.sqrt(peak)) + 200
+        pois_a = mp.exp(-a)           # Pois_a(j - 1)
+        pois_b = mp.exp(-b)           # Pois_b(j - 1)
+        cdf_a = total = term = mp.mpf(0)
+        for j in range(1, n_terms + 1):
+            cdf_a += pois_a
+            pois_b *= b / j
+            term = pois_b * cdf_a
+            total += term
+            pois_a *= a / j
+        if not term < total * mp.mpf(10) ** (-dps - 5):
+            raise ArithmeticError("heterodyne oracle series not converged")
+        return float(mp.log(total))

@@ -23,7 +23,12 @@ from steinradar import (
     truncation_radius,
 )
 from steinradar import displaced as displaced_mod
-from steinradar.displaced import _difference_masses, _skellam_masses, _skellam_window
+from steinradar.displaced import (
+    _difference_masses,
+    _skellam_masses,
+    _skellam_rounding,
+    _skellam_window,
+)
 
 from oracles import T_ORACLE_NB1_X1, laguerre_binomial, skellam_log_pmf
 
@@ -149,6 +154,16 @@ class TestThirdMoment:
         b = third_moment(s)
         assert a.t == b.t and a.captured_mass == b.captured_mass
 
+    def test_rounding_is_not_a_deficit(self):
+        # 1 - sum(mass) here is the masses' own rounding: 3.4e-15 at a
+        # tail_tol of 2.3e-16, and ~1.3e-9 at the default tail_tol for
+        # nb=1.5e-4 at 85 dB, both past 10*tail_tol
+        for nb, snr_db, tail_tol in ((600.0, 5.0, 2.3e-16), (1.5e-4, 85.0, 1e-10)):
+            s = ThermalScenario(nb=nb, eta=1.0, ns=nb * 10.0 ** (snr_db / 10.0))
+            res = third_moment(s, TruncationPolicy(tail_tol=tail_tol))
+            assert res.captured_mass < 1.0 - 10.0 * tail_tol
+            assert res.t >= thermal_closed_forms(s).v ** 1.5
+
     def test_extreme_means_raise_library_errors(self):
         # x nb underflows (Bessel argument z = 0), or x nb overflows
         with pytest.raises(ConsistencyError):
@@ -258,6 +273,18 @@ class TestSkellamRoute:
         dropped_cubic = math.fsum(pmf * np.abs(d + x) ** 3)
         assert 0.0 < dropped_mass <= win.tail_mass <= TruncationPolicy().tail_tol / 2.0
         assert 0.0 < dropped_cubic <= win.tail_cubic
+
+    def test_rounding_bound_covers_mass_error(self):
+        # at the finest tail_tol, |1 - sum| is the masses' rounding plus a
+        # dropped tail below 2^-53; the bound must cover it with room
+        policy = TruncationPolicy(tail_tol=2.0**-52)
+        for nb in (1e-6, 1.5e-4, 0.1, 10.0, 600.0):
+            for x in (1e-2, 1.0, 1e2, 1e4, 1e5):
+                if x * (2.0 * nb + 1.0) > 1e8:
+                    continue          # the window would pass k_max_cap
+                d, mass = _skellam_masses(nb, x, policy)
+                bound = _skellam_rounding(nb, x, d, mass)
+                assert abs(1.0 - math.fsum(mass)) <= bound / 4.0
 
     def test_width_cap(self):
         with pytest.raises(CapExceeded):

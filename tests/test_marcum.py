@@ -2,22 +2,28 @@
 
 import math
 import time
+import tracemalloc
 from math import exp, log, log1p, sqrt
 
 import numpy as np
 import pytest
 
 from steinradar import CapExceeded, MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
+from steinradar import marcum as marcum_mod
 
 from oracles import (
     HET_LN_PMD_G10,
+    HET_LN_PMD_G500,
+    HET_LN_PMD_G5E5,
     I0E_1,
     I0E_7_5,
     I0E_19,
     I0E_500,
     MARCUM_P_1_2,
     MARCUM_Q_1_2,
+    heterodyne_log_pmd_loop,
     marcum_quadrature,
+    recompute_het_ln_pmd,
 )
 
 
@@ -120,6 +126,23 @@ class TestHeterodyne:
     def test_reference_point(self):
         assert heterodyne_log_pmd(10.0, 1e-3) == pytest.approx(HET_LN_PMD_G10, rel=1e-8)
 
+    def test_large_gamma_frozen_oracles(self):
+        # the two ends of a total-M scan's M*gamma range at M=5000, -10..20 dB
+        assert heterodyne_log_pmd(500.0, 1e-3) == pytest.approx(HET_LN_PMD_G500, rel=1e-12)
+        assert heterodyne_log_pmd(5e5, 1e-3) == pytest.approx(HET_LN_PMD_G5E5, rel=1e-12)
+
+    def test_matches_per_term_loop(self):
+        # below 4096 terms the arithmetic is the loop's, term for term; past
+        # it ln j! comes from the Stirling series instead of lgamma
+        for p_fa in (1e-5, 1e-3, 0.1):
+            for gamma in np.concatenate(([0.0], np.logspace(-3, 6, 19))):
+                want = heterodyne_log_pmd_loop(float(gamma), p_fa)
+                got = heterodyne_log_pmd(float(gamma), p_fa)
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+        for gamma in (1e7, 1e8):
+            want = heterodyne_log_pmd_loop(gamma, 1e-3)
+            assert heterodyne_log_pmd(gamma, 1e-3) == pytest.approx(want, rel=1e-13)
+
     def test_matches_marcum_complement(self):
         for gamma in (0.1, 1.0, 5.0, 50.0):
             _, p = marcum_q(MarcumArgs(sqrt(2.0 * gamma), sqrt(-2.0 * log(1e-3))))
@@ -151,8 +174,31 @@ class TestHeterodyne:
             heterodyne_log_pmd(4e13, 1e-3)
         assert time.perf_counter() - start < 0.1
 
+    def test_cost_and_memory_near_cap(self):
+        # about 2.6e6 terms, 40 blocks: seconds for a per-term loop
+        start = time.perf_counter()
+        got = heterodyne_log_pmd(1e12, 1e-3)
+        assert time.perf_counter() - start < 2.0
+        assert math.isfinite(got) and got < -9.9e11
+        # memory stays O(block): unblocked, the arrays would take > 200 MB
+        tracemalloc.start()
+        try:
+            heterodyne_log_pmd(1e12, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * marcum_mod._BLOCK
+
     def test_rejects_non_finite_snr(self):
         # rejected up front, before the series loop can start
         for gamma in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 heterodyne_log_pmd(gamma, 1e-3)
+
+
+@pytest.mark.slow
+def test_recompute_frozen_heterodyne_oracles():
+    """Re-derive the frozen large-gamma ln p_MD values with mpmath."""
+    assert recompute_het_ln_pmd(500.0, 1e-3) == pytest.approx(HET_LN_PMD_G500, rel=1e-15)
+    assert recompute_het_ln_pmd(5e5, 1e-3) == pytest.approx(HET_LN_PMD_G5E5, rel=1e-15)
+    assert recompute_het_ln_pmd(10.0, 1e-3) == pytest.approx(HET_LN_PMD_G10, rel=1e-15)

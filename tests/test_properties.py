@@ -1,15 +1,22 @@
 """Hypothesis properties: the Skellam law against the closed forms, the
-Lyapunov bound on T, and the CLI exit-code contract on arbitrary input."""
+Lyapunov bound on T, the heterodyne exponent's monotonicity in SNR, and the
+CLI exit-code contract on arbitrary input."""
 
 import contextlib
 import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from steinradar import ThermalScenario, TruncationPolicy, thermal_closed_forms, third_moment
+from steinradar import (
+    ThermalScenario,
+    TruncationPolicy,
+    heterodyne_log_pmd,
+    thermal_closed_forms,
+    third_moment,
+)
 from steinradar.displaced import _skellam_masses
 from steinradar.scan import PER_COPY, TOTAL, main
 
@@ -39,18 +46,34 @@ def test_lyapunov(nb, gamma):
     assert third_moment(s).t >= thermal_closed_forms(s).v ** 1.5
 
 
+# Above gamma ~ 6e8 at p_fa = 1e-3 (3e8 at 1e-6) the heterodyne series runs
+# past its first block.
+snrs = st.floats(0.0, 1e9) | st.floats(5e8, 1e9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g1=snrs, g2=snrs, p_fa=st.sampled_from([1e-6, 1e-3]) | st.floats(1e-6, 0.5))
+def test_heterodyne_log_pmd_decreases_in_snr(g1, g2, p_fa):
+    lo, hi = sorted((g1, g2))
+    # a gap that moves ln p_MD by >= ~1e-11, far past its rounding (~1e-14
+    # absolute where p_MD is near 1, ~1e-16 relative elsewhere)
+    assume(hi - lo > 1e-6 * (1.0 + hi))
+    assert heterodyne_log_pmd(lo, p_fa) > heterodyne_log_pmd(hi, p_fa)
+
+
 def _floats_or_specials(lo, hi):
     return st.floats(lo, hi) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
 
 
-# Finite SNR draws stop at 60 dB, or start at 3000 dB where the config or T
-# rejects them at once: between, the heterodyne series may legitimately run
-# for seconds per row.  The worker count is pinned to 1, never drawn.
+# SNR draws span -100..3100 dB: a row costs at most about a second (the
+# heterodyne series near its 10^7-term cap), and past the float range the
+# config rejects the grid at once.  The worker count is pinned to 1, never
+# drawn.
 @settings(max_examples=60, deadline=None)
 @given(
     nb=_floats_or_specials(-1e3, 1e4) | st.floats(1e-320, 1e308),
-    snr_lo=_floats_or_specials(-100.0, 60.0),
-    snr_hi=_floats_or_specials(-100.0, 60.0) | st.floats(3000.0, 3100.0),
+    snr_lo=_floats_or_specials(-100.0, 3100.0),
+    snr_hi=_floats_or_specials(-100.0, 3100.0),
     points=st.integers(2, 4),
     tail_tol=_floats_or_specials(1e-20, 2.0),
     convention=st.sampled_from([PER_COPY, TOTAL]),

@@ -305,6 +305,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "snr_db=99 " in err
 
+    def test_tail_tol_near_floor_exit_0(self, capsys):
+        # the captured mass falls short of 1 - 10*tail_tol by rounding alone
+        assert main(["--tail-tol", "2.3e-16", "--points", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_keep_partial_all_failed_exit_3(self, capsys):
         with pytest.warns(UserWarning):
             code = main(["--nb", "50", "--copies", "100", "--points", "2",
