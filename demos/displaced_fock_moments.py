@@ -16,7 +16,6 @@ from steinradar import (
     thermal_closed_forms,
     third_moment,
     transition_prob,
-    truncation_radius,
 )
 
 # |<k|D|l>|^2 at displacement energy x: for l = 0 this is a Poisson law.
@@ -30,16 +29,19 @@ for k in range(5):
 print("\nP(7, 3, 2.5) =", transition_prob(7, 3, 2.5))
 print("P(3, 7, 2.5) =", transition_prob(3, 7, 2.5))
 
-# Truncation indices grow with background and displacement; the policy's
-# tail tolerance caps the neglected probability mass.
-policy = TruncationPolicy(tail_tol=1e-10)
-for nb, xx in [(1.0, 0.0), (1.0, 1.0), (600.0, 60.0), (600.0, 600.0)]:
-    print(f"truncation_radius(nb={nb:6.0f}, x={xx:6.0f}) = "
-          f"{truncation_radius(nb, xx, policy)}")
+# The policy's tail tolerance bounds the probability mass, and the share of
+# T, that the certified support window of k - l may drop: a tighter
+# tolerance widens the window.  A window past the index cap raises
+# CapExceeded instead of truncating silently.
+scenario = ThermalScenario(nb=600.0, eta=1.0, ns=600.0)
+print()
+for tol in (1e-4, 1e-10, 1e-15):
+    res = third_moment(scenario, TruncationPolicy(tail_tol=tol))
+    print(f"tail_tol={tol:.0e}: T = {res.t:.12f}, captured mass = {res.captured_mass:.16f}")
 
 # The certified third moment, summed over the Skellam law of k - l: the
 # captured-mass diagnostic makes truncation bugs loud instead of silent.
-scenario = ThermalScenario(nb=600.0, eta=1.0, ns=600.0)
+policy = TruncationPolicy(tail_tol=1e-10)
 result = third_moment(scenario, policy)
 print(f"\nT(nb=600, gamma=1) = {result.t:.9f}")
 print(f"captured probability mass = {result.captured_mass:.15f}")

@@ -24,7 +24,6 @@ from .displaced import (
     spectral_oracle,
     third_moment,
     transition_prob,
-    truncation_radius,
 )
 from .errors import (
     CapExceeded,
@@ -40,7 +39,6 @@ from .gaussian import (
     RelEntStats,
     ThermalScenario,
     gibbs_matrix,
-    large_nb_expansion,
     rel_entropy,
     rel_entropy_variance,
     scenario_states,
@@ -79,7 +77,6 @@ __all__ = [
     "heterodyne_log_pmd",
     "inv_std_normal_cdf",
     "lambda_bracket",
-    "large_nb_expansion",
     "marcum_q",
     "refined_bracket",
     "rel_entropy",
@@ -94,7 +91,6 @@ __all__ = [
     "thermal_closed_forms",
     "third_moment",
     "transition_prob",
-    "truncation_radius",
 ]
 
 __version__ = "0.1.0"

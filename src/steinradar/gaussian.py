@@ -144,7 +144,7 @@ def scenario_states(s: ThermalScenario) -> tuple[GaussianState, GaussianState]:
     return rho0, rho1
 
 
-def gibbs_matrix(state: GaussianState, eps_pure: float = PURE_MODE_EPS) -> np.ndarray:
+def gibbs_matrix(state: GaussianState) -> np.ndarray:
     """Gibbs matrix G = 2i*Omega*arccoth(2i*V*Omega) of a mixed Gaussian state.
 
     Evaluated by complex eigendecomposition of 2i*V*Omega with the scalar
@@ -153,13 +153,13 @@ def gibbs_matrix(state: GaussianState, eps_pure: float = PURE_MODE_EPS) -> np.nd
     RESIDUE_TOL in max-norm) and is symmetrized before return.
 
     Raises SingularGibbs when any symplectic eigenvalue comes within
-    eps_pure of 1/2: arccoth diverges on pure modes and a loud failure
+    PURE_MODE_EPS of 1/2: arccoth diverges on pure modes and a loud failure
     beats returning huge finite garbage.
     """
     nu = symplectic_eigenvalues(state.cm)
-    if nu[0] <= 0.5 + eps_pure:
+    if nu[0] <= 0.5 + PURE_MODE_EPS:
         raise SingularGibbs(
-            f"symplectic eigenvalue {nu[0]:.3g} within {eps_pure} of 1/2"
+            f"symplectic eigenvalue {nu[0]:.3g} within {PURE_MODE_EPS} of 1/2"
         )
     omega = state.omega
     arg = 2j * state.cm @ omega
@@ -241,9 +241,3 @@ def thermal_closed_forms(s: ThermalScenario) -> RelEntStats:
         v=gamma * s.nb * (2.0 * s.nb + 1.0) * lt * lt,
     )
 
-
-def large_nb_expansion(gamma: float) -> tuple[float, float]:
-    """Leading large-background approximations (D, V) ~= (gamma, 2*gamma)."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    return gamma, 2.0 * gamma

@@ -45,7 +45,6 @@ class ScanConfig:
     c: float = BERRY_ESSEEN_C
     benchmark_m_convention: str = PER_COPY
     output_format: str = "csv"
-    output_path: Optional[str] = None
     keep_partial: bool = False
     workers: int = 1
 
@@ -265,7 +264,6 @@ def main(argv=None) -> int:
             c=args.bek_c,
             benchmark_m_convention=args.benchmark_m_convention,
             output_format=args.format,
-            output_path=args.output,
             keep_partial=args.keep_partial,
             workers=args.workers,
         )
@@ -278,15 +276,15 @@ def main(argv=None) -> int:
     except SteinRadarError as err:
         print(f"steinradar-scan: numerical failure: {err}", file=sys.stderr)
         return 3
-    if config.output_path is None:
+    if args.output is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     else:
         try:
-            with open(config.output_path, "wb") as fh:
+            with open(args.output, "wb") as fh:
                 fh.write(payload)
         except OSError as err:
-            print(f"steinradar-scan: cannot write {config.output_path}: {err}",
+            print(f"steinradar-scan: cannot write {args.output}: {err}",
                   file=sys.stderr)
             return 1
     return 0

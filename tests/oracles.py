@@ -5,10 +5,11 @@ recompute_* functions below (kept runnable under the `slow` marker);
 quadratures use mpmath.quad on the defining integrals.  None of the oracle
 code shares an evaluation path with the library: Laguerre values come from
 the plain binomial sum, thermal relative entropies from truncated Fock-space
-sums, normal-CDF inverses from bisection, the heterodyne ln p_MD from an
-mpmath series.  heterodyne_log_pmd_loop is the one deliberate exception: it
-keeps the per-term loop that the library's blocked series replaced, as the
-reference for doing the same arithmetic.
+sums, normal-CDF inverses from bisection or from Newton steps on mpmath's
+CDF, the heterodyne ln p_MD from an mpmath series.  heterodyne_log_pmd_loop
+is the one deliberate exception: it keeps the per-term loop that the
+library's blocked series replaced, as the reference for doing the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -47,6 +48,18 @@ I0E_500 = 0.01784570650015316723654
 # of the mpmath CDF)
 INV_PHI_1E3 = -3.09023230616781354154
 INV_PHI_1E5 = -4.264890793922824628499
+
+# Phi^-1(p) at the exact binary value of each double p, from
+# recompute_inv_phi: the center, both shoulders, a deep tail on each side
+# and the far lower tail.
+INV_PHI_FROZEN = {
+    0.5 - 2.0**-26: -3.735167197333277888996032335e-08,
+    0.3: -0.5244005127080408159694543623,
+    0.75: 0.6744897501960817432022270145,
+    1e-3: -3.090232306167813535358004576,
+    1.0 - 1e-10: 6.361340889697421864155441787,
+    1e-300: -37.0470962993611992365470425,
+}
 
 # thermal closed forms at nb=600, gamma=1
 D_600_G1 = 0.9991675914367262547721
@@ -208,6 +221,27 @@ def recompute_t_oracle(nb: float = 1.0, x: float = 1.0, k_max: int = 120, dps: i
                 v += w * u * u
                 t += w * abs(u) ** 3
         return float(d), float(v), float(t), float(mass)
+
+
+def recompute_inv_phi(p: float, dps: int = 50) -> float:
+    """Phi^-1(p) by Newton steps on ln Phi(x) = ln q in mpmath, q = min(p, 1 - p).
+
+    ln Phi is concave, so Newton from the tail asymptote -sqrt(-2 ln q)
+    converges monotonically; the steps run until they fall below 10^-(dps+5)
+    relative.  p is taken at its exact binary value.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps + 10):
+        p_ = mp.mpf(p)
+        q = min(p_, 1 - p_)
+        x = -mp.sqrt(-2 * mp.log(q))
+        for _ in range(200):
+            step = (mp.log(mp.ncdf(x)) - mp.log(q)) * mp.ncdf(x) / mp.npdf(x)
+            x -= step
+            if abs(step) <= abs(x) * mp.mpf(10) ** (-dps - 5):
+                return float(x if p_ < 0.5 else -x)
+        raise ArithmeticError("inverse normal CDF oracle not converged")
 
 
 def recompute_het_ln_pmd(gamma: float, p_fa: float, dps: int = 50) -> float:

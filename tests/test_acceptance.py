@@ -48,7 +48,6 @@ from steinradar import (
     thermal_closed_forms,
     third_moment,
     transition_prob,
-    truncation_radius,
 )
 
 from oracles import MARCUM_Q_1_2, T_ORACLE_NB1_X1, bisect_inverse_cdf
@@ -81,7 +80,7 @@ def test_criterion_2_spectral_oracle_equivalence():
     """Fock-sum route reproduces D, V at 1e-6 and T at 1e-8 vs brute force."""
     start = time.perf_counter()
     cases = [(nb, g) for nb in (0.5, 1.0, 10.0) for g in (0.1, 1.0, 10.0)]
-    cases += [(600.0, 0.1), (600.0, 1.0)]  # within k_max_cap
+    cases += [(600.0, 0.1), (600.0, 1.0)]  # within K_MAX_CAP
     worst = 0.0
     for nb, gamma in cases:
         s = ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)

@@ -18,7 +18,14 @@ from steinradar import (
     std_normal_cdf,
 )
 
-from oracles import D_600_G1, INV_PHI_1E3, INV_PHI_1E5, V_600_G1, bisect_inverse_cdf
+from oracles import (
+    D_600_G1,
+    INV_PHI_1E3,
+    INV_PHI_1E5,
+    INV_PHI_FROZEN,
+    V_600_G1,
+    bisect_inverse_cdf,
+)
 
 FIG1 = DetectionParams(p_fa=1e-3, m=5000)
 
@@ -59,8 +66,12 @@ class TestInverseCdf:
             want = bisect_inverse_cdf(std_normal_cdf, eps)
             assert inv_std_normal_cdf(eps) == pytest.approx(want, abs=1e-8)
 
+    def test_frozen_mpmath_quantiles(self):
+        for p, want in INV_PHI_FROZEN.items():
+            assert inv_std_normal_cdf(p) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.3):
+        for bad in (0.0, 1.0, -0.2, 1.3, math.nan):
             with pytest.raises(ValueError):
                 inv_std_normal_cdf(bad)
 
@@ -253,3 +264,12 @@ class TestDetectionParams:
         with pytest.raises(ValueError):
             DetectionParams(p_fa=0.5, m=10**400)   # not representable as a float
         assert DetectionParams(p_fa=0.5, m=np.int64(100)).m == 100
+
+
+@pytest.mark.slow
+def test_recompute_frozen_inv_phi():
+    """Re-derive the frozen inverse-CDF quantiles in mpmath."""
+    from oracles import recompute_inv_phi
+
+    for p, want in INV_PHI_FROZEN.items():
+        assert recompute_inv_phi(p) == pytest.approx(want, rel=1e-15, abs=0.0)

@@ -20,14 +20,15 @@ from steinradar import (
     thermal_closed_forms,
     third_moment,
     transition_prob,
-    truncation_radius,
 )
 from steinradar import displaced as displaced_mod
 from steinradar.displaced import (
     _difference_masses,
+    _laguerre_rounding,
     _skellam_masses,
     _skellam_rounding,
     _skellam_window,
+    _thermal_cutoff,
 )
 
 from oracles import T_ORACLE_NB1_X1, laguerre_binomial, skellam_log_pmf
@@ -39,8 +40,6 @@ class TestTruncationPolicy:
             TruncationPolicy(tail_tol=0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(tail_tol=1.5)
-        with pytest.raises(ValueError):
-            TruncationPolicy(k_max_cap=0)
         with pytest.raises(ValueError):
             TruncationPolicy(tail_tol=5e-324)   # tail_tol / 4 underflows to 0
 
@@ -86,9 +85,13 @@ class TestTransitionProb:
             assert a == b  # mapped to identical (min, |diff|) evaluation
 
     def test_row_normalization(self):
+        # row l of |<k|D|l>|^2 is classically allowed up to
+        # k = (sqrt(x) + sqrt(l))^2 and decays past it like a Gaussian in
+        # sqrt(k) of width ~1/2, so 8 more units of sqrt(k) leave a tail
+        # far below the tolerance
         policy = TruncationPolicy()
         for x in (0.5, 5.0, 50.0, 600.0):
-            cutoff = truncation_radius(50.0, x, policy)
+            cutoff = math.ceil((sqrt(x) + sqrt(50.0) + 8.0) ** 2)
             for l in (0, 1, 3, 8, 21, 50):
                 total = math.fsum(transition_prob(k, l, x) for k in range(cutoff + 1))
                 assert abs(total - 1.0) < 10.0 * policy.tail_tol
@@ -114,20 +117,19 @@ class TestTransitionProb:
 
 
 class TestTruncationRadius:
+    """Rows of the spectral_oracle sweep: the thermal cutoff and the cap."""
+
     def test_pure_thermal_geometric(self):
         # smallest K with 2^-(K+1) <= 5e-11 is K = 34
-        assert truncation_radius(1.0, 0.0, TruncationPolicy()) == 34
+        assert _thermal_cutoff(1.0, 1e-10) == 34
 
     def test_loose_tolerance(self):
-        assert truncation_radius(1.0, 0.0, TruncationPolicy(tail_tol=0.5)) <= 1
-
-    def test_bright_scenario_scale(self):
-        k = truncation_radius(600.0, 600.0, TruncationPolicy())
-        assert 14243 <= k < 50000  # thermal part ~14.2e3 plus displaced widening
+        assert _thermal_cutoff(1.0, 0.5) <= 1
 
     def test_cap_exceeded(self):
+        # the thermal cutoff alone is ~4.7e5 rows, past K_MAX_CAP
         with pytest.raises(CapExceeded):
-            truncation_radius(2e4, 0.0, TruncationPolicy())
+            spectral_oracle(ThermalScenario(nb=2e4, eta=1.0, ns=2e4))
 
 
 class TestThirdMoment:
@@ -199,6 +201,26 @@ class TestSpectralOracle:
     def test_third_moment_same_distribution(self):
         s = ThermalScenario(nb=1.0, eta=1.0, ns=1.0)
         assert spectral_oracle(s).t == pytest.approx(third_moment(s).t, rel=1e-10)
+
+    def test_rounding_is_not_a_deficit(self):
+        # 1 - sum(mass) is 8.8e-14 and 2.5e-13 here, the sweep's own
+        # rounding, past 10*tail_tol
+        policy = TruncationPolicy(tail_tol=2.3e-16)
+        for nb, ns in ((600.0, 60.0), (0.1, 1000.0)):
+            s = ThermalScenario(nb=nb, eta=1.0, ns=ns)
+            stats = spectral_oracle(s, policy)
+            assert stats.t == pytest.approx(third_moment(s, policy).t, rel=1e-10)
+
+    def test_rounding_bound_covers_mass_error(self):
+        # at the finest tail_tol, |1 - sum| is the sweep's rounding plus a
+        # dropped tail below 2^-53; the allowance must cover it 3 times over
+        # (the worst case, nb=100 at SNR 30, has 0.33 of it)
+        policy = TruncationPolicy(tail_tol=2.0**-52)
+        for nb in (0.01, 0.1, 1.0, 10.0, 100.0):
+            for gamma in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0):
+                _, mass = _difference_masses(nb, gamma * nb, policy)
+                bound = _laguerre_rounding(nb, policy.tail_tol, mass)
+                assert abs(1.0 - math.fsum(mass)) <= bound / 3.0
 
     def test_moment_ordering_holder(self):
         # V <= T^(2/3) mass^(1/3) for the 2nd/3rd absolute central moments
@@ -281,15 +303,15 @@ class TestSkellamRoute:
         for nb in (1e-6, 1.5e-4, 0.1, 10.0, 600.0):
             for x in (1e-2, 1.0, 1e2, 1e4, 1e5):
                 if x * (2.0 * nb + 1.0) > 1e8:
-                    continue          # the window would pass k_max_cap
+                    continue          # the window would pass K_MAX_CAP
                 d, mass = _skellam_masses(nb, x, policy)
                 bound = _skellam_rounding(nb, x, d, mass)
                 assert abs(1.0 - math.fsum(mass)) <= bound / 4.0
 
     def test_width_cap(self):
+        # window [-5175750, -4824250]: past K_MAX_CAP, refused before any sum
         with pytest.raises(CapExceeded):
-            third_moment(ThermalScenario(nb=600.0, eta=1.0, ns=600.0),
-                         TruncationPolicy(k_max_cap=5000))
+            third_moment(ThermalScenario(nb=50.0, eta=1.0, ns=50e5))
 
     def test_runtime_imports_numpy_only(self):
         code = (

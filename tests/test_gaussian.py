@@ -12,7 +12,6 @@ from steinradar import (
     SingularGibbs,
     ThermalScenario,
     gibbs_matrix,
-    large_nb_expansion,
     rel_entropy,
     rel_entropy_variance,
     scenario_states,
@@ -228,18 +227,10 @@ class TestClosedForms:
 
 
 class TestLargeNbExpansion:
-    def test_values(self):
-        assert large_nb_expansion(0.0) == (0.0, 0.0)
-        assert large_nb_expansion(1.0) == (1.0, 2.0)
-        assert large_nb_expansion(0.1) == (0.1, 0.2)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            large_nb_expansion(-0.5)
-
     def test_within_a_tenth_percent_at_nb_600(self):
+        # at large nb, (D, V) -> (gamma, 2 gamma)
         for gamma in (0.1, 1.0, 10.0):
             stats = thermal_closed_forms(ThermalScenario(nb=600.0, eta=1.0, ns=gamma * 600.0))
-            d0, v0 = large_nb_expansion(gamma)
+            d0, v0 = gamma, 2.0 * gamma
             assert abs(stats.d - d0) / d0 < 1e-3
             assert abs(stats.v - v0) / v0 < 1e-3

@@ -20,7 +20,7 @@ from steinradar import (
 from steinradar.displaced import _skellam_masses
 from steinradar.scan import PER_COPY, TOTAL, main
 
-# Skellam windows stay far inside k_max_cap here, so an example costs ms.
+# Skellam windows stay far inside K_MAX_CAP here, so an example costs ms.
 nbs = st.floats(1e-2, 1e3)
 gammas = st.floats(1e-3, 10.0)
 

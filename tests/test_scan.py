@@ -136,7 +136,7 @@ class TestRunScan:
 
 class TestPartialFailure:
     # at the top of this range the certified support window of k - l is
-    # wider than k_max_cap at nb=50
+    # wider than K_MAX_CAP at nb=50
     FAILING = dict(nb=50.0, m=100, points=3, snr_db_min=-10.0, snr_db_max=50.0,
                    tail_tol=1e-8)
 
@@ -281,7 +281,7 @@ class TestCli:
         assert b"config error" in proc.stderr
 
     def test_numerical_failure_exit_3(self):
-        # -10 dB fits k_max_cap on the Skellam route; 0 dB is the first
+        # -10 dB fits K_MAX_CAP on the Skellam route; 0 dB is the first
         # point whose certified window does not
         proc = run_cli("--nb", "20000", "--tail-tol", "1e-12", "--points", "2",
                        "--snr-db-min", "-10", "--snr-db-max", "0")
