@@ -12,9 +12,7 @@ from .bounds import (
     DetectionParams,
     MDBounds,
     error_exponent,
-    first_order_log_pmd,
     inv_std_normal_cdf,
-    lambda_bracket,
     refined_bracket,
     std_normal_cdf,
 )
@@ -42,13 +40,9 @@ from .gaussian import (
     rel_entropy,
     rel_entropy_variance,
     scenario_states,
-    sigma_fn,
-    symplectic_eigenvalues,
-    symplectic_form,
     thermal_closed_forms,
 )
 from .marcum import MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
-from .scan import ScanConfig, ScanRow, emit, run_scan
 
 __all__ = [
     "BERRY_ESSEEN_C",
@@ -72,25 +66,32 @@ __all__ = [
     "bessel_i0_scaled",
     "emit",
     "error_exponent",
-    "first_order_log_pmd",
     "gibbs_matrix",
     "heterodyne_log_pmd",
     "inv_std_normal_cdf",
-    "lambda_bracket",
     "marcum_q",
     "refined_bracket",
     "rel_entropy",
     "rel_entropy_variance",
     "run_scan",
     "scenario_states",
-    "sigma_fn",
     "spectral_oracle",
     "std_normal_cdf",
-    "symplectic_eigenvalues",
-    "symplectic_form",
     "thermal_closed_forms",
     "third_moment",
     "transition_prob",
 ]
 
 __version__ = "0.1.0"
+
+# The scan driver loads on first use, so that importing the library does not
+# pull in argparse, json and the process pool, and `python -m steinradar.scan`
+# finds steinradar.scan not yet imported.
+_SCAN_NAMES = ("ScanConfig", "ScanRow", "emit", "run_scan")
+
+
+def __getattr__(name):
+    if name in _SCAN_NAMES:
+        from . import scan
+        return getattr(scan, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

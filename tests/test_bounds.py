@@ -11,12 +11,11 @@ from steinradar import (
     DetectionParams,
     RelEntStats,
     error_exponent,
-    first_order_log_pmd,
     inv_std_normal_cdf,
-    lambda_bracket,
     refined_bracket,
     std_normal_cdf,
 )
+from steinradar.bounds import first_order_log_pmd, lambda_bracket
 
 from oracles import (
     D_600_G1,

@@ -28,6 +28,7 @@ from steinradar.displaced import (
     _skellam_masses,
     _skellam_rounding,
     _skellam_window,
+    _sum,
     _thermal_cutoff,
 )
 
@@ -307,6 +308,19 @@ class TestSkellamRoute:
                 d, mass = _skellam_masses(nb, x, policy)
                 bound = _skellam_rounding(nb, x, d, mass)
                 assert abs(1.0 - math.fsum(mass)) <= bound / 4.0
+
+    def test_sum_equals_fsum_on_default_grid(self):
+        # every window the default scan sums (2,361 to 23,612 wide, all past
+        # the fsum switch): the masses and the T terms alike
+        nb = 600.0
+        lt = math.log1p(1.0 / nb)
+        for snr_db in np.linspace(-15.0, 5.0, 200):
+            x = 10.0 ** (snr_db / 10.0) * nb
+            d, mass = _skellam_masses(nb, x, TruncationPolicy())
+            assert len(mass) >= displaced_mod._FSUM_BELOW
+            cubic = mass * np.abs((d + x) * lt) ** 3
+            assert _sum(mass) == math.fsum(mass)
+            assert _sum(cubic) == math.fsum(cubic)
 
     def test_width_cap(self):
         # window [-5175750, -4824250]: past K_MAX_CAP, refused before any sum

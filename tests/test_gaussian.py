@@ -15,11 +15,9 @@ from steinradar import (
     rel_entropy,
     rel_entropy_variance,
     scenario_states,
-    sigma_fn,
-    symplectic_eigenvalues,
-    symplectic_form,
     thermal_closed_forms,
 )
+from steinradar.gaussian import sigma_fn, symplectic_eigenvalues, symplectic_form
 
 from oracles import D_600_G1, V_600_G1, thermal_fock_d, thermal_fock_v
 

@@ -1,23 +1,30 @@
 """Hypothesis properties: the Skellam law against the closed forms, the
-Lyapunov bound on T, the heterodyne exponent's monotonicity in SNR, and the
-CLI exit-code contract on arbitrary input."""
+Lyapunov bound on T, the window summation against math.fsum, the
+monotonicity in SNR of the bound exponents and of the heterodyne exponent,
+and the CLI exit-code contract on arbitrary input."""
 
 import contextlib
 import io
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from steinradar import (
+    DetectionParams,
     ThermalScenario,
     TruncationPolicy,
+    error_exponent,
     heterodyne_log_pmd,
+    inv_std_normal_cdf,
     thermal_closed_forms,
     third_moment,
 )
-from steinradar.displaced import _skellam_masses
+from steinradar.bounds import lambda_bracket
+from steinradar.displaced import _FSUM_BELOW, _skellam_masses, _sum
 from steinradar.scan import PER_COPY, TOTAL, main
 
 # Skellam windows stay far inside K_MAX_CAP here, so an example costs ms.
@@ -44,6 +51,78 @@ def test_skellam_mean_and_variance_reproduce_d_and_v(nb, gamma):
 def test_lyapunov(nb, gamma):
     s = ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)
     assert third_moment(s).t >= thermal_closed_forms(s).v ** 1.5
+
+
+def _exact_sum(values) -> Fraction:
+    """Exact sum of finite floats: each is an integer multiple of 2^-1074."""
+    total = 0
+    for v in values:
+        num, den = v.as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+    return Fraction(total, 1 << 1074)
+
+
+# Lengths on both sides of the fsum switch, magnitudes 10^lo..10^(lo+span)
+# within [1e-300, 1e3].
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 4096) | st.integers(0, 20_000), seed=st.integers(0, 2**32 - 1),
+       lo=st.floats(-300.0, 3.0), span=st.floats(0.0, 303.0), signed=st.booleans())
+@example(n=_FSUM_BELOW - 1, seed=0, lo=-3.0, span=3.0, signed=False)
+@example(n=_FSUM_BELOW, seed=0, lo=-3.0, span=3.0, signed=False)
+@example(n=_FSUM_BELOW, seed=1, lo=-300.0, span=303.0, signed=True)
+def test_sum_within_stated_bound_of_exact(n, seed, lo, span, signed):
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(lo, min(lo + span, 3.0), n)
+    if signed:
+        x *= rng.choice([-1.0, 1.0], n)
+    got = _sum(x)
+    want = math.fsum(x.tolist())
+    exact = _exact_sum(x.tolist())
+    u = Fraction(1, 2**53)
+    g = (n - 1) * u / (1 - (n - 1) * u)
+    assert abs(Fraction(got) - exact) <= u * abs(exact) + g * g * _exact_sum(np.abs(x).tolist())
+    if n < _FSUM_BELOW:
+        assert got == want
+    elif not signed:
+        assert abs(got - want) <= math.ulp(want)
+
+
+# eps_lambda = D + sqrt(V/M) Phi^-1(p_fa) = a g - b sqrt(g) in the SNR g, with
+# a = nb lt and b = -sqrt(nb (2nb+1) / M) lt Phi^-1(p_fa), lt = ln(1 + 1/nb).
+# For p_fa < 1/2 it falls to a single minimum at g* = b^2 / (4 a^2)
+# = Phi^-1(p_fa)^2 (2nb+1) / (4 M nb) and rises after; eps_first_order = D
+# rises everywhere.  SNRs are drawn 0..40 dB above or below g*.
+@settings(max_examples=80, deadline=None)
+@given(nb=st.floats(1e-2, 1e3), m=st.integers(1, 10**6),
+       p_fa=st.sampled_from([1e-6, 1e-3]) | st.floats(1e-6, 0.49),
+       db1=st.floats(0.0, 40.0), db2=st.floats(0.0, 40.0), above=st.booleans())
+def test_bound_exponents_monotone_in_snr(nb, m, p_fa, db1, db2, above):
+    params = DetectionParams(p_fa=p_fa, m=m)
+    q = inv_std_normal_cdf(p_fa)
+    g_star = q * q * (2.0 * nb + 1.0) / (4.0 * m * nb)
+    sign = 1.0 if above else -1.0
+    g1, g2 = sorted(g_star * 10.0 ** (sign * db / 10.0) for db in (db1, db2))
+    lt = math.log1p(1.0 / nb)
+    a = nb * lt
+    b = -math.sqrt(nb * (2.0 * nb + 1.0) / m) * lt * q
+    r1, r2 = math.sqrt(g1), math.sqrt(g2)
+    # f(g2) - f(g1) = (r2 - r1) (a (r1 + r2) - b); the rounding of each
+    # exponent is a few ulps of its largest term
+    gap = (r2 - r1) * (a * (r1 + r2) - b)
+    scale = a * g2 + b * r2 + 2.0 * math.log(m) / m
+    assume(abs(gap) > 1e-10 * scale)
+
+    def exponents(g):
+        stats = thermal_closed_forms(ThermalScenario(nb=nb, eta=1.0, ns=g * nb))
+        lower, upper = lambda_bracket(stats.d, stats.v, params)
+        return stats.d, error_exponent(upper, m), error_exponent(lower, m)
+
+    (first1, up1, low1), (first2, up2, low2) = exponents(g1), exponents(g2)
+    assert first1 < first2
+    if above:
+        assert up1 < up2 and low1 < low2
+    else:
+        assert up1 > up2 and low1 > low2
 
 
 # Above gamma ~ 6e8 at p_fa = 1e-3 (3e8 at 1e-6) the heterodyne series runs

@@ -5,12 +5,15 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from steinradar import CapExceeded, ScanConfig, ScanRow, SteinRadarError, emit, run_scan
 from steinradar.scan import _ROW_FIELDS, main
+
+DATA = Path(__file__).parent / "data"
 
 # cheap but nontrivial: nb=5 keeps the displaced sums tiny
 SMALL = dict(nb=5.0, m=100, points=5, snr_db_min=-10.0, snr_db_max=0.0, tail_tol=1e-8)
@@ -230,6 +233,12 @@ class TestDeterminism:
         parallel = ScanConfig(**SMALL, workers=2)
         assert emit(run_scan(serial), serial) == emit(run_scan(parallel), parallel)
 
+    def test_default_table_pinned(self, capsysbinary):
+        # the default `steinradar-scan --meta` table as committed; any changed
+        # byte is a changed result, to be made on purpose with this file
+        assert main(["--meta"]) == 0
+        assert capsysbinary.readouterr().out == (DATA / "default_scan_meta.csv").read_bytes()
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -272,6 +281,17 @@ class TestCli:
         proc = run_cli(*CLI_SMALL, "--meta")
         assert proc.returncode == 0
         assert proc.stdout.decode().startswith("# p_fa = ")
+
+    def test_module_form_warns_nothing(self):
+        # runpy warns when importing the package has already imported
+        # steinradar.scan; as an error, that warning would exit 1
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "steinradar.scan",
+             "--points", "2"],
+            capture_output=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert len(parse_csv(proc.stdout)) == 2
 
     def test_config_error_exit_2(self):
         proc = run_cli("--points", "1")
