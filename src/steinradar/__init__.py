@@ -84,7 +84,7 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The scan driver loads on first use, so that importing the library does not
+# The scan module loads on first use, so that importing the library does not
 # pull in argparse, json and the process pool, and `python -m steinradar.scan`
 # finds steinradar.scan not yet imported.
 _SCAN_NAMES = ("ScanConfig", "ScanRow", "emit", "run_scan")
