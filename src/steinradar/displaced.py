@@ -10,12 +10,14 @@ third_moment uses the law of that difference directly: d = k - l is
 Skellam(x nb, x (nb+1)), a difference of independent Poissons, whose pmf is
 a ratio chain of scaled Bessel functions I_n.  Its support window is
 certified by a Chernoff bound that covers the cubic-weighted tail, so the
-cost is linear in the window width.  Every sum over a window goes through
-_sum, a vectorised compensated summation within one ulp of math.fsum on
-nonnegative terms.
+cost is linear in the window width.  Its sums, and the captured-mass sum
+of both routes, go through _sum, a vectorised compensated summation within
+one ulp of math.fsum on nonnegative terms.
 
 spectral_oracle is the independent cross-check: it sums D, V and T from the
-transition probabilities themselves.  These involve associated Laguerre
+transition probabilities themselves, and adds them with math.fsum rather
+than _sum, so its moments share neither the masses nor the adder with
+third_moment.  The transition probabilities involve associated Laguerre
 polynomials whose binomial-sum definition cancels catastrophically at large
 argument, so every evaluation here runs on a three-term recurrence.  The
 public scalar transition_prob carries the raw recurrence with a running log
@@ -503,8 +505,8 @@ def spectral_oracle(
     _captured_mass(mass, s.nb, x, policy.tail_tol,
                    lambda: _laguerre_rounding(s.nb, policy.tail_tol, mass))
     llr = -d * log1p(1.0 / s.nb)
-    d1 = _sum(mass * llr)
+    d1 = math.fsum(mass * llr)
     centered = llr - d1
-    v = _sum(mass * centered**2)
-    t = _sum(mass * np.abs(centered) ** 3)
+    v = math.fsum(mass * centered**2)
+    t = math.fsum(mass * np.abs(centered) ** 3)
     return RelEntStats(d=d1, v=v, t=t)

@@ -1,14 +1,15 @@
 """Record the benchmark's results as BENCH_<workload>.json at the repo root.
 
-    python3 tools/bench_record.py [--seconds 35] [--seed 0] [WORKLOAD ...]
+    python3 tools/bench_record.py
 
-For each workload (all of perfbench/workloads.py by default) this runs
-perfbench/run.py once with --trace 0 and once with --trace 1, reads the
-records those runs leave in perfbench/out/, and writes:
+For every workload of BENCHMARK.json this runs perfbench/run.py for the
+benchmark's run_seconds at the default seed, once with --trace 0 and once
+with --trace 1, reads the records those runs leave in perfbench/out/, and
+writes:
 
-  end_to_end  wall_s, rows_per_s, setup_s and peak_rss_mb: the median and
-              the quartiles over the untraced run's repetitions, each
-              scaled to the reference host speed as run.py scales it
+  end_to_end  wall_s, rows_per_s, setup_s and peak_rss_mb: the untraced
+              run's own median, and the quartiles over its repetitions
+              scaled with run.py's helpers
   busy_s      the traced run's per-layer busy time (median over passes)
   host        nproc, Python and numpy versions, and the git hash measured,
               with whether src/ and perfbench/ differed from it
@@ -19,8 +20,8 @@ when every run passed its correctness checks, 1 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -30,39 +31,52 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 sys.path.insert(0, str(PERFBENCH))
-from workloads import WORKLOADS  # noqa: E402
+from run import scaled_wall, speed  # noqa: E402
+from workloads import DEFAULT_SEED  # noqa: E402
 
 
 def end_to_end_samples(record: dict) -> dict[str, list[float]]:
-    """Per-repetition values of the four end-to-end metrics, scaled by each
-    repetition's speed exactly as run.py scales its medians."""
+    """Per-repetition values of the four end-to-end metrics."""
     samples = record["samples"]
-    wall = [s["wall_s"] * s["speed"] for s in samples]
     return {
-        "wall_s": wall,
-        "rows_per_s": [s["rows"] / w for s, w in zip(samples, wall)],
-        "setup_s": [s["setup_s"] * s["speed"] for s in samples],
+        "wall_s": [scaled_wall(s) for s in samples],
+        "rows_per_s": [s["rows"] / scaled_wall(s) for s in samples],
+        "setup_s": [s["setup_s"] * speed(s) for s in samples],
         "peak_rss_mb": [s["peak_rss_mb"] for s in samples],
     }
 
 
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1,
-            "n": len(values)}
+def summary(median: float, values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
-def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def end_to_end(record: dict) -> dict:
+    """The record's medians with the quartiles of its samples.  The samples'
+    own median must be the record's: if run.py ever scales its medians in a
+    way the samples here do not follow, this stops rather than write
+    quartiles that disagree with the gate."""
+    out = {}
+    for metric, values in end_to_end_samples(record).items():
+        median = record["metrics"][metric]
+        if not math.isclose(statistics.median(values), median, rel_tol=1e-12):
+            raise SystemExit(f"bench_record: the samples' {metric} median "
+                             f"{statistics.median(values)!r} is not run.py's {median!r}")
+        out[metric] = summary(median, values)
+    return out
+
+
+def run(workload: str, seconds: float, trace: int) -> dict:
     """One perfbench run; its record, or SystemExit naming the failure."""
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(DEFAULT_SEED), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True,
     )
     if proc.returncode not in (0, 1):
         raise SystemExit(f"bench_record: run.py --workload {workload} --trace {trace} "
                          f"exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    stem = f"{workload}-seed{seed}-trace{trace}"
+    stem = f"{workload}-seed{DEFAULT_SEED}-trace{trace}"
     return json.loads((PERFBENCH / "out" / f"{stem}.json").read_text())
 
 
@@ -73,27 +87,22 @@ def tree_clean() -> bool:
     return proc.returncode == 0 and not proc.stdout.strip()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workloads", nargs="*", default=list(WORKLOADS))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=35.0)
-    args = parser.parse_args(argv)
-
+def main() -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     ok = True
-    for name in args.workloads:
-        timed = run(name, args.seed, args.seconds, 0)
-        traced = run(name, args.seed, args.seconds, 1)
+    for name in (w["name"] for w in benchmark["workloads"]):
+        timed = run(name, seconds, 0)
+        traced = run(name, seconds, 1)
         out = {
             "workload": name,
-            "seed": args.seed,
-            "seconds": args.seconds,
+            "seed": DEFAULT_SEED,
+            "seconds": seconds,
             "reps": timed["reps"],
             "passes": traced["passes"],
             "failed_share": {"trace0": timed["failed_share"],
                              "trace1": traced["failed_share"]},
-            "end_to_end": {metric: summary(values) for metric, values
-                           in end_to_end_samples(timed).items()},
+            "end_to_end": end_to_end(timed),
             "busy_s": {key[: -len(".busy_s")]: value
                        for key, value in traced["metrics"].items()
                        if key.endswith(".busy_s")},
