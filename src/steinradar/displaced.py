@@ -19,21 +19,23 @@ transition probabilities themselves, and adds them with math.fsum rather
 than _sum, so its moments share neither the masses nor the adder with
 third_moment.  The transition probabilities involve associated Laguerre
 polynomials whose binomial-sum definition cancels catastrophically at large
-argument, so every evaluation here runs on a three-term recurrence.  The
-public scalar transition_prob carries the raw recurrence with a running log
-scale factor; the double sum behind spectral_oracle carries the same
-recurrence conjugated into amplitude form A(n, m) = |<n+m|D|n>|, which keeps
-every value in [-1, 1] and vectorizes across all difference diagonals at
-once.  Both routes report their captured probability mass rather than
-trusting truncation blindly, and refuse any index past K_MAX_CAP.
+argument, so every evaluation here runs on a three-term recurrence, in
+amplitude form A(n, m) = |<n+m|D|n>|, which keeps every value in [-1, 1].
+One amplitude recurrence serves both: the public scalar transition_prob
+reads one diagonal of it, and the double sum behind spectral_oracle sweeps
+all difference diagonals at once, checking the probability mass it
+captures rather than trusting truncation blindly.  The sweep refuses any
+index past K_MAX_CAP.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import islice
 from math import exp, lgamma, log, log1p
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,8 +47,6 @@ _LN_TINY = log(1e-250)       # seed floor for underflowed diagonal starts
 _RESCALE_AT = 1e100
 _RESCALE_BY = 1e-150
 _LN_RESCALE = -log(_RESCALE_BY)
-_SCALE_HI = 1e150            # scalar-recurrence rescale thresholds
-_SCALE_LO = 1e-150
 K_MAX_CAP = 200_000          # hard cap on every summation index and window width
 _FSUM_BELOW = 512            # _sum: shorter arrays go to math.fsum over a list
 
@@ -91,47 +91,87 @@ def _sum(x: np.ndarray) -> float:
     return float(s[-1] + np.sum(e))
 
 
+def _amplitude_rows(x: float, m_lo: int, m_hi: int,
+                    n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Rows n = 0, 1, ..., max(n_max, 1) of the amplitudes
+    A(n, m) = |<n+m|D(beta)|n>| (up to sign), x = |beta|^2 > 0, on the
+    diagonals m = m_lo..m_hi.
+
+    Each row is (b, ls) with A(n, m) = b e^ls.  The recurrence
+
+        A(n+1, m) = [(2n+1+m-x) A(n, m) - sqrt(n(n+m)) A(n-1, m)]
+                    / sqrt((n+1)(n+m+1))
+
+    runs vectorized over the diagonals from the seeds
+    A(0, m) = e^(-x/2) x^(m/2) / sqrt(m!).  ls <= 0 absorbs seeds far below
+    the representable range, and every 16 rows the entries past _RESCALE_AT
+    are scaled down into ls, which then becomes a new array (so a consumer
+    may cache functions of it by identity).  The arrays are reused: read a
+    row before drawing the next.  CapExceeded if n_max + m_hi, which sizes
+    the tables, passes K_MAX_CAP.
+    """
+    if n_max + m_hi > K_MAX_CAP:
+        raise CapExceeded(f"required indices {n_max + m_hi} exceed K_MAX_CAP={K_MAX_CAP} (x={x})")
+    marr = np.arange(m_lo, m_hi + 1, dtype=np.float64)
+    lg = np.array([lgamma(m + 1.0) for m in range(m_lo, m_hi + 1)])
+    ln_a0 = -0.5 * x + 0.5 * marr * log(x) - 0.5 * lg
+    ls = np.where(ln_a0 < _LN_TINY, ln_a0 - _LN_TINY, 0.0)
+    b0 = np.exp(ln_a0 - ls)
+    b1 = b0 * (1.0 + marr - x) / np.sqrt(marr + 1.0)
+    yield b0, ls
+    yield b1, ls
+
+    jmax = n_max + m_hi + 2
+    sq = np.sqrt(np.arange(jmax + 1, dtype=np.float64))
+    rsq = np.zeros(jmax + 1)
+    rsq[1:] = 1.0 / sq[1:]
+    gr = np.zeros(jmax + 1)                    # gr[j] = sqrt(j / (j+1))
+    gr[:jmax] = sq[:jmax] * rsq[1 : jmax + 1]
+    t, t2 = np.empty(len(marr)), np.empty(len(marr))
+    for n in range(1, n_max):
+        np.add(marr, 2.0 * n + 1.0 - x, out=t)
+        t *= rsq[n + 1 + m_lo : n + 2 + m_hi]
+        t *= b1
+        t *= rsq[n + 1]
+        np.multiply(b0, gr[n + m_lo : n + 1 + m_hi], out=t2)
+        t2 *= gr[n]
+        t -= t2
+        b0, b1, t = b1, t, b0                  # b1 now holds row n+1
+        yield b1, ls
+        if (n & 15) == 0 and np.abs(b1).max() > _RESCALE_AT:
+            idx = np.abs(b1) > _RESCALE_AT
+            b1[idx] *= _RESCALE_BY
+            b0[idx] *= _RESCALE_BY
+            ls = ls.copy()
+            ls[idx] += _LN_RESCALE
+
+
 def transition_prob(k: int, l: int, x: float) -> float:
     """|<k|D(beta)|l>|^2 with x = |beta|^2, symmetric in k <-> l.
 
-    Assembled in log-magnitude form: ln(min!/max!), |k-l| ln x, -x and the
-    Laguerre recurrence carried with a running scale factor, so nothing
-    overflows for x up to ~1e5 and indices up to the truncation caps.
-    Returns 0.0 below the double-precision underflow threshold.
+    Row min(k, l) of _amplitude_rows on the single diagonal |k - l|, taken
+    in log form ln p = 2 (ln|b| + ls), so nothing overflows.  Returns 0.0
+    below the double-precision underflow threshold.  Two cases skip the
+    sweep: x = 0 (the Kronecker delta) and x >= 32 max(k, l) + 2980, where a
+    Chernoff bound puts p below e^-745.  ValueError unless k and l are
+    integers >= 0 and x is finite and >= 0; CapExceeded if the sweep would
+    pass K_MAX_CAP, that is if max(k, l) > K_MAX_CAP.
     """
-    if k < 0 or l < 0:
-        raise ValueError("Fock indices must be >= 0")
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    if not all(isinstance(i, numbers.Integral) and i >= 0 for i in (k, l)):
+        raise ValueError("Fock indices must be integers >= 0")
+    k, l = int(k), int(l)
+    if not (0.0 <= x < math.inf):
+        raise ValueError("x must be finite and >= 0")
     if x == 0.0:
         return 1.0 if k == l else 0.0
+    # With l >= k (symmetry) and N the photon number of D|l>, p <= 2^k E[2^-N]
+    # = 2^(k-l) e^(-x/2) L_l(-x/2) <= exp(sqrt(2 l x) - x/2) <= e^(-x/4) here.
+    if x >= 32 * max(k, l) + 2980:
+        return 0.0
     n, m = (k, l - k) if k <= l else (l, k - l)
-    scale = 0.0
-    prev = 1.0
-    cur = 1.0 + m - x
-    if n == 0:
-        cur = 1.0
-    else:
-        for i in range(1, n):
-            prev, cur = cur, ((2.0 * i + 1.0 + m - x) * cur - (i + m) * prev) / (i + 1.0)
-            a = abs(cur)
-            if a > _SCALE_HI or (0.0 < a < _SCALE_LO):
-                f = _SCALE_LO if a > _SCALE_HI else _SCALE_HI
-                cur *= f
-                prev *= f
-                scale -= log(f)
-    if cur == 0.0:
-        return 0.0
-    ln_p = (
-        lgamma(n + 1.0)
-        - lgamma(n + m + 1.0)
-        + m * log(x)
-        - x
-        + 2.0 * (log(abs(cur)) + scale)
-    )
-    if ln_p < -745.0:
-        return 0.0
-    return min(exp(ln_p), 1.0)
+    b, ls = next(islice(_amplitude_rows(x, m, m, n), n, None))
+    ln_p = 2.0 * (log(abs(b[0])) + ls[0]) if b[0] else -math.inf
+    return min(exp(ln_p), 1.0) if ln_p >= -745.0 else 0.0
 
 
 def _thermal_cutoff(nb: float, tail_tol: float) -> int:
@@ -179,13 +219,8 @@ def _difference_masses(
     Returns (d, mass) for d in [-m_hi, +m_hi].  mass[-m] sums
     gamma_n A(n, m)^2 over the thermal index n; mass[+m] is the same sum
     with thermal weight gamma_(n+m) = w^m gamma_n, an exact identity of the
-    geometric weights.  The amplitude recurrence
-
-        A(n+1, m) = [(2n+1+m-x) A(n, m) - sqrt(n(n+m)) A(n-1, m)]
-                    / sqrt((n+1)(n+m+1))
-
-    is swept once in n, vectorized over every diagonal m, with a per-diagonal
-    scale factor absorbing seeds far below the representable range.
+    geometric weights.  The amplitudes come from one _amplitude_rows sweep
+    over every diagonal of the band.
     """
     k_th = _thermal_cutoff(nb, policy.tail_tol)
     ltil = log1p(1.0 / nb)
@@ -205,62 +240,18 @@ def _difference_masses(
     amp = 1.5 * log(max((2.0 * k_th + 1.0) / (2.0 * nb + 1.0), 1.0))
     n_max = k_th + math.ceil(amp / -lnw)
 
-    if n_max + m_hi > K_MAX_CAP:
-        raise CapExceeded(
-            f"required indices {n_max + m_hi} exceed K_MAX_CAP={K_MAX_CAP} "
-            f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})"
-        )
-
-    mm = m_hi + 1
-    marr = np.arange(mm, dtype=np.float64)
-    lg = np.fromiter((lgamma(i + 1.0) for i in range(mm)), dtype=np.float64, count=mm)
-    lnx = log(x)
-    ln_a0 = -0.5 * x + 0.5 * marr * lnx - 0.5 * lg
-
-    # Scaled seeds: B = A / exp(ls); ls <= 0 absorbs deep underflow.
-    ls = np.where(ln_a0 < _LN_TINY, ln_a0 - _LN_TINY, 0.0)
-    b0 = np.exp(ln_a0 - ls)
-    b1 = b0 * (1.0 + marr - x) / np.sqrt(marr + 1.0)
-    exp2ls = np.exp(2.0 * ls)
-
-    jmax = n_max + m_hi + 2
-    sq = np.sqrt(np.arange(jmax + 1, dtype=np.float64))
-    rsq = np.zeros(jmax + 1)
-    rsq[1:] = 1.0 / sq[1:]
-    gr = np.zeros(jmax + 1)                    # gr[j] = sqrt(j / (j+1))
-    gr[:jmax] = sq[:jmax] * rsq[1 : jmax + 1]
-
     ln_g0 = -log(nb + 1.0)
-    acc = np.zeros(mm)
-    t = np.empty(mm)
-    t2 = np.empty(mm)
-
-    np.multiply(b0, b0, out=t)
-    t *= exp2ls
-    acc += t * exp(ln_g0)
-    np.multiply(b1, b1, out=t)
-    t *= exp2ls
-    acc += t * exp(ln_g0 + lnw)
-
-    for n in range(1, n_max):
-        np.add(marr, 2.0 * n + 1.0 - x, out=t)
-        t *= rsq[n + 1 : n + 2 + m_hi]
-        t *= b1
-        t *= rsq[n + 1]
-        np.multiply(b0, gr[n : n + 1 + m_hi], out=t2)
-        t2 *= gr[n]
-        t -= t2
-        b0, b1, t = b1, t, b0                  # b1 now holds A(n+1), scaled
-        np.multiply(b1, b1, out=t)
+    acc = np.zeros(m_hi + 1)
+    t = np.empty(m_hi + 1)
+    ls_seen = None
+    for n, (b, ls) in enumerate(_amplitude_rows(x, 0, m_hi, n_max)):
+        if ls is not ls_seen:
+            ls_seen, exp2ls = ls, np.exp(2.0 * ls)
+        np.multiply(b, b, out=t)
         t *= exp2ls
-        acc += t * exp(ln_g0 + (n + 1) * lnw)
-        if (n & 15) == 0 and np.abs(b1).max() > _RESCALE_AT:
-            idx = np.abs(b1) > _RESCALE_AT
-            b1[idx] *= _RESCALE_BY
-            b0[idx] *= _RESCALE_BY
-            ls[idx] += _LN_RESCALE
-            exp2ls[idx] = np.exp(2.0 * ls[idx])
+        acc += t * exp(ln_g0 + n * lnw)
 
+    marr = np.arange(m_hi + 1, dtype=np.float64)
     w = nb / (nb + 1.0)
     mass_plus = acc * np.power(w, marr)        # d = +m
     d = np.concatenate((-marr[:0:-1], marr)).astype(np.int64)

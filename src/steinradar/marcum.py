@@ -49,7 +49,7 @@ def bessel_i0_scaled(t: float) -> float:
     result is correct to machine epsilon), asymptotic series in 1/(8t)
     beyond, where its optimally-truncated remainder is below 1e-15.
     """
-    if t < 0:
+    if not (t >= 0.0):
         raise ValueError("t must be >= 0")
     if t < _I0_CROSSOVER:
         q = 0.25 * t * t

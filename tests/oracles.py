@@ -1,15 +1,16 @@
 """Independent oracles and frozen reference values for the test suite.
 
 Frozen constants were computed with mpmath at 50 significant digits via the
-recompute_* functions below (kept runnable under the `slow` marker);
+recompute_* functions below (kept runnable under the `slow` marker), except
+BE_SUP_FROZEN, which comes from scipy through skellam_normal_distance;
 quadratures use mpmath.quad on the defining integrals.  None of the oracle
 code shares an evaluation path with the library: Laguerre values come from
-the plain binomial sum, thermal relative entropies from truncated Fock-space
-sums, normal-CDF inverses from bisection or from Newton steps on mpmath's
-CDF, the heterodyne ln p_MD from an mpmath series.  heterodyne_log_pmd_loop
-is the one deliberate exception: it keeps the per-term loop that the
-library's blocked series replaced, as the reference for doing the same
-arithmetic.
+the plain binomial sum or mpmath.laguerre, thermal relative entropies from
+truncated Fock-space sums, normal-CDF inverses from bisection or from Newton
+steps on mpmath's CDF, the heterodyne ln p_MD from an mpmath series.
+heterodyne_log_pmd_loop is the one deliberate exception: it keeps the
+per-term loop that the library's blocked series replaced, as the reference
+for doing the same arithmetic.
 """
 
 from __future__ import annotations
@@ -59,6 +60,70 @@ INV_PHI_FROZEN = {
     1e-3: -3.090232306167813535358004576,
     1.0 - 1e-10: 6.361340889697421864155441787,
     1e-300: -37.0470962993611992365470425,
+}
+
+# |<k|D|l>|^2 at x = |beta|^2, from recompute_transition_prob: min(k, l)
+# from 30 to 3000, |k - l| in {5, 300}, x in {50, 600, 1e4}, every point of
+# that grid whose value exceeds 1e-300, both orientations of k and l.
+TP_FROZEN = {
+    (30, 35, 50.0): 8.146142308561950198735e-4,
+    (35, 30, 600.0): 9.038403195998414188198e-155,
+    (30, 330, 50.0): 1.766906573355059243479e-89,
+    (330, 30, 600.0): 4.590969127962906713666e-6,
+    (300, 305, 50.0): 2.469877037654663967374e-3,
+    (305, 300, 600.0): 5.529413601519162478782e-4,
+    (300, 600, 50.0): 1.093308660838727499967e-3,
+    (600, 300, 600.0): 3.847832653726930223449e-4,
+    (3000, 3005, 50.0): 4.602458219771206881603e-4,
+    (3005, 3000, 600.0): 3.567685774175824069674e-5,
+    (3000, 3005, 1e4): 1.388398173175440091769e-4,
+    (3300, 3000, 50.0): 6.545196998056748327537e-7,
+    (3000, 3300, 600.0): 2.059713985153097035545e-4,
+    (3300, 3000, 1e4): 1.547333485927450463907e-5,
+}
+
+# Lower bounds on sup |F_M - Phi| for the standardised M-copy law
+# Skellam(M x nb, M x (nb+1)) of the Fock-index difference, keyed by
+# (M, nb, x), from skellam_normal_distance over every lattice point within
+# 8 standard deviations.  The law depends on M x and nb alone, so grid
+# points sharing them share a value.
+BE_SUP_FROZEN = {
+    (1, 0.1, 1e-2): 0.5254389162676997,
+    (1, 0.1, 1.0): 0.2185424353679234,
+    (1, 0.1, 100.0): 0.02325940483186345,
+    (1, 1.0, 1e-2): 0.5034138994530016,
+    (1, 1.0, 1.0): 0.13276029737862866,
+    (1, 1.0, 100.0): 0.012800723406914571,
+    (1, 600.0, 1e-2): 0.05820026394568473,
+    (1, 600.0, 1.0): 0.005758035217562629,
+    (1, 600.0, 100.0): 0.0005757441564419041,
+    (10, 0.1, 1e-2): 0.5103999150208949,
+    (10, 0.1, 1.0): 0.07330200574906248,
+    (10, 0.1, 100.0): 0.007357500988862564,
+    (10, 1.0, 1e-2): 0.40682397250721203,
+    (10, 1.0, 1.0): 0.04061289193132828,
+    (10, 1.0, 100.0): 0.0040466223888473984,
+    (10, 600.0, 1e-2): 0.018223630711747374,
+    (10, 600.0, 1.0): 0.0018206799430208753,
+    (10, 600.0, 100.0): 0.00018206611781251825,
+    (100, 0.1, 1e-2): 0.2185424353679234,
+    (100, 0.1, 1.0): 0.02325940483186345,
+    (100, 0.1, 100.0): 0.0023267157777014935,
+    (100, 1.0, 1e-2): 0.13276029737862866,
+    (100, 1.0, 1.0): 0.012800723406914571,
+    (100, 1.0, 100.0): 0.0012796126002871389,
+    (100, 600.0, 1e-2): 0.005758035217562629,
+    (100, 600.0, 1.0): 0.0005757441564419041,
+    (100, 600.0, 100.0): 5.757435632264274e-05,
+    (5000, 0.1, 1e-2): 0.032882411640075326,
+    (5000, 0.1, 1.0): 0.0032904620712566057,
+    (5000, 0.1, 100.0): 0.00032904837244368546,
+    (5000, 1.0, 1e-2): 0.0181095368488966,
+    (5000, 1.0, 1.0): 0.0018096520549757966,
+    (5000, 1.0, 100.0): 0.00018096390642141635,
+    (5000, 600.0, 1e-2): 0.0008142260421424852,
+    (5000, 600.0, 1.0): 8.142243639697178e-05,
+    (5000, 600.0, 100.0): 8.14224359435567e-06,
 }
 
 # thermal closed forms at nb=600, gamma=1
@@ -149,6 +214,27 @@ def skellam_log_pmf(d: int, mu_plus: float, mu_minus: float) -> float:
     return 0.5 * d * (log(mu_plus) - log(mu_minus)) + z - mu_plus - mu_minus + log(bess)
 
 
+def skellam_normal_distance(mu1: float, mu2: float) -> float:
+    """Lower bound on sup_y |F(y) - Phi((y - mean) / sigma)| for the law F of
+    d ~ Skellam(mu1, mu2), mean = mu1 - mu2, sigma^2 = mu1 + mu2.
+
+    At each lattice point d within 8 sigma of the mean, with
+    z_d = (d - mean) / sigma, F jumps from F(d - 1) to F(d) while Phi passes
+    Phi(z_d); the largest of |F(d) - Phi(z_d)| and |F(d - 1) - Phi(z_d)| is
+    returned.  F is scipy.stats.skellam.cdf, whose cost per point grows with
+    the means (about 0.3 ms at mu1 + mu2 = 1e7).
+    """
+    import numpy as np
+    from scipy.special import ndtr
+    from scipy.stats import skellam
+
+    mean, sd = mu1 - mu2, math.sqrt(mu1 + mu2)
+    d = np.arange(math.ceil(mean - 8.0 * sd) - 1, math.floor(mean + 8.0 * sd) + 1)
+    f = skellam.cdf(d, mu1, mu2)          # f[i - 1] = F(d_i - 1)
+    phi = ndtr((d[1:] - mean) / sd)
+    return float(max(np.max(np.abs(f[1:] - phi)), np.max(np.abs(f[:-1] - phi))))
+
+
 def heterodyne_log_pmd_loop(gamma: float, p_fa: float) -> float:
     """ln p_MD by the per-term log-domain loop the library's blocked numpy
     series replaced: the same terms ln Pois_b(j) + ln F_a(j - 1), with lgamma
@@ -221,6 +307,20 @@ def recompute_t_oracle(nb: float = 1.0, x: float = 1.0, k_max: int = 120, dps: i
                 v += w * u * u
                 t += w * abs(u) ** 3
         return float(d), float(v), float(t), float(mass)
+
+
+def recompute_transition_prob(k: int, l: int, x: float, dps: int = 50) -> float:
+    """|<k|D|l>|^2 = n!/(n+m)! x^m e^-x L_n^(m)(x)^2, n = min(k, l),
+    m = |k - l|, with mpmath.laguerre (a hypergeometric series whose
+    cancellation mpmath detects and absorbs by raising its precision)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        n, m = min(k, l), abs(k - l)
+        x_ = mp.mpf(x)
+        lag = mp.laguerre(n, m, x_)
+        ln_scale = mp.loggamma(n + 1) - mp.loggamma(n + m + 1) + m * mp.log(x_) - x_
+        return float(mp.exp(ln_scale) * lag**2)
 
 
 def recompute_inv_phi(p: float, dps: int = 50) -> float:

@@ -7,17 +7,22 @@ import numpy as np
 import pytest
 
 from steinradar import (
+    BERRY_ESSEEN_C,
     DegenerateVariance,
     DetectionParams,
     RelEntStats,
+    ThermalScenario,
     error_exponent,
     inv_std_normal_cdf,
     refined_bracket,
     std_normal_cdf,
+    thermal_closed_forms,
+    third_moment,
 )
 from steinradar.bounds import first_order_log_pmd, lambda_bracket
 
 from oracles import (
+    BE_SUP_FROZEN,
     D_600_G1,
     INV_PHI_1E3,
     INV_PHI_1E5,
@@ -263,6 +268,38 @@ class TestDetectionParams:
         with pytest.raises(ValueError):
             DetectionParams(p_fa=0.5, m=10**400)   # not representable as a float
         assert DetectionParams(p_fa=0.5, m=np.int64(100)).m == 100
+
+
+class TestBerryEsseenStep:
+    """The refined bracket replaces the law of the M-copy log-likelihood by
+    Phi plus the slack C T / (V^(3/2) sqrt(M)).  That law is exactly
+    -ln(1 + 1/nb) times Skellam(M x nb, M x (nb+1)), so the Berry-Esseen
+    inequality can be checked against it with the library's T and V: a T
+    too small or a V too large shows as a distance past the slack."""
+
+    def test_slack_covers_exact_law(self):
+        # BE_SUP_FROZEN holds lower bounds on sup |F_M - Phi| from
+        # scipy.stats.skellam.cdf; the tightest point, M=5000, nb=0.1,
+        # x=0.01, uses 0.53 of its slack
+        for (m, nb, x), dist in BE_SUP_FROZEN.items():
+            s = ThermalScenario(nb=nb, eta=1.0, ns=x)
+            v = thermal_closed_forms(s).v
+            slack = BERRY_ESSEEN_C * third_moment(s).t / (v**1.5 * sqrt(m))
+            assert dist <= slack
+
+
+@pytest.mark.slow
+def test_recompute_frozen_be_distances():
+    """Re-derive BE_SUP_FROZEN with scipy.stats.skellam.cdf at every grid
+    point whose law has variance <= 1e6 (about half a second).  The five
+    points past it cost 1 s to minutes each and were computed once with
+    the same function."""
+    from oracles import skellam_normal_distance
+
+    for (m, nb, x), dist in BE_SUP_FROZEN.items():
+        mu1, mu2 = m * x * nb, m * x * (nb + 1.0)
+        if mu1 + mu2 <= 1e6:
+            assert skellam_normal_distance(mu1, mu2) == pytest.approx(dist, rel=1e-6)
 
 
 @pytest.mark.slow

@@ -23,6 +23,7 @@ from steinradar import (
 )
 from steinradar import displaced as displaced_mod
 from steinradar.displaced import (
+    K_MAX_CAP,
     _difference_masses,
     _laguerre_rounding,
     _skellam_masses,
@@ -32,7 +33,7 @@ from steinradar.displaced import (
     _thermal_cutoff,
 )
 
-from oracles import T_ORACLE_NB1_X1, laguerre_binomial, skellam_log_pmf
+from oracles import TP_FROZEN, T_ORACLE_NB1_X1, laguerre_binomial, skellam_log_pmf
 
 
 class TestTruncationPolicy:
@@ -109,6 +110,25 @@ class TestTransitionProb:
             transition_prob(-1, 0, 1.0)
         with pytest.raises(ValueError):
             transition_prob(0, 0, -1.0)
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                transition_prob(1, 2, x)
+        for k, l in ((2.5, 1), (1, 2.5), (2.0, 1)):
+            with pytest.raises(ValueError):
+                transition_prob(k, l, 1.0)
+        # numpy integers are indices like any other
+        assert transition_prob(np.int64(7), np.uint8(3), 2.5) == transition_prob(7, 3, 2.5)
+
+    def test_frozen_mpmath_values(self):
+        # rows where the recurrence runs 30 to 3000 steps, off two diagonals
+        for (k, l, x), want in TP_FROZEN.items():
+            assert transition_prob(k, l, x) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    def test_far_past_the_band_is_zero(self):
+        # x far past (sqrt(k) + sqrt(l))^2: p underflows, and is 0.0 rather
+        # than the NaN of an overflowed recurrence
+        for k, l, x in ((1000, 1000, 1e13), (10, 10, 1e300), (3, 5, 1.7e308)):
+            assert transition_prob(k, l, x) == 0.0
 
     def test_survives_extreme_arguments(self):
         # the scaled path is contract-bound up to x ~ 1e5 and huge indices
@@ -131,6 +151,10 @@ class TestTruncationRadius:
         # the thermal cutoff alone is ~4.7e5 rows, past K_MAX_CAP
         with pytest.raises(CapExceeded):
             spectral_oracle(ThermalScenario(nb=2e4, eta=1.0, ns=2e4))
+        # transition_prob runs the same sweep, on one diagonal
+        for k, l in ((K_MAX_CAP + 1, 0), (0, K_MAX_CAP + 1), (10**400, 0)):
+            with pytest.raises(CapExceeded):
+                transition_prob(k, l, 1.0)
 
 
 class TestThirdMoment:
@@ -340,6 +364,15 @@ class TestSkellamRoute:
                               text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.slow
+def test_recompute_frozen_transition_probs():
+    """Re-derive TP_FROZEN with mpmath.laguerre (well under a second)."""
+    from oracles import recompute_transition_prob
+
+    for (k, l, x), want in TP_FROZEN.items():
+        assert recompute_transition_prob(k, l, x) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.slow

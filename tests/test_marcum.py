@@ -46,8 +46,10 @@ class TestBesselI0Scaled:
             )
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bessel_i0_scaled(-1.0)
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                bessel_i0_scaled(t)
+        assert bessel_i0_scaled(math.inf) == 0.0   # the limit, not a reject
 
 
 class TestMarcumArgs:
