@@ -23,9 +23,10 @@ argument, so every evaluation here runs on a three-term recurrence, in
 amplitude form A(n, m) = |<n+m|D|n>|, which keeps every value in [-1, 1].
 One amplitude recurrence serves both: the public scalar transition_prob
 reads one diagonal of it, and the double sum behind spectral_oracle sweeps
-all difference diagonals at once, checking the probability mass it
-captures rather than trusting truncation blindly.  The sweep refuses any
-index past K_MAX_CAP.
+the diagonals |d| of third_moment's certified window at once, so both
+routes sum over one support, checking the probability mass it captures
+against a derived rounding allowance rather than trusting truncation
+blindly.  The sweep refuses any index past K_MAX_CAP.
 """
 
 from __future__ import annotations
@@ -181,94 +182,64 @@ def _thermal_cutoff(nb: float, tail_tol: float) -> int:
     return max(k, 0)
 
 
-def _ln_pair_bound(n: int, m: int, lnx: float) -> float:
-    # Szego-bound estimate of the pair probability: C(n+m, n) x^m / m!
-    return lgamma(n + m + 1.0) - lgamma(n + 1.0) - 2.0 * lgamma(m + 1.0) + m * lnx
-
-
-def _band_halfwidth(x: float, k_ref: int, ln_target: float) -> int:
-    """Smallest diagonal offset m beyond which the Szego-bound tail at row
-    k_ref stays below exp(ln_target), with the consecutive-term ratio <= 1/2
-    so the geometric remainder is controlled."""
-    lnx = log(x)
-
-    def ok(m: int) -> bool:
-        ratio = (k_ref + m + 1.0) / (m + 1.0) * x / (m + 1.0)
-        return ratio <= 0.5 and _ln_pair_bound(k_ref, m, lnx) <= ln_target
-
-    m = 1
-    while not ok(m):
-        m *= 2
-        if m > 10**9:  # pragma: no cover - tail target always reachable
-            raise CapExceeded("diagonal band solve diverged")
-    lo, hi = m // 2, m
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _sweep_rows(nb: float, tail_tol: float) -> int:
+    """Rows n_max of the _difference_masses sweep: the thermal cutoff plus a
+    margin, since the cubic weights amplify the n > k_th tail by roughly
+    ((2 k_th + 1) / (2 nb + 1))^(3/2)."""
+    k_th = _thermal_cutoff(nb, tail_tol)
+    amp = 1.5 * log(max((2.0 * k_th + 1.0) / (2.0 * nb + 1.0), 1.0))
+    return k_th + math.ceil(amp / log1p(1.0 / nb))
 
 
 def _difference_masses(
     nb: float, x: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probability masses of the difference d = k - l under p(k, l).
+    """Probability masses of the difference d = k - l under p(k, l), over
+    the certified window of _skellam_window, the same support third_moment
+    sums over.
 
-    Returns (d, mass) for d in [-m_hi, +m_hi].  mass[-m] sums
-    gamma_n A(n, m)^2 over the thermal index n; mass[+m] is the same sum
-    with thermal weight gamma_(n+m) = w^m gamma_n, an exact identity of the
-    geometric weights.  The amplitudes come from one _amplitude_rows sweep
-    over every diagonal of the band.
+    Returns (d, mass) for d in [lo, hi].  The mass at d = -m sums
+    gamma_n A(n, m)^2 over the thermal rows n < _sweep_rows; at d = +m it is
+    the same sum with thermal weight gamma_(n+m) = w^m gamma_n, an exact
+    identity of the geometric weights.  The amplitudes come from one
+    _amplitude_rows sweep over the diagonals m = |d| of the window.
     """
-    k_th = _thermal_cutoff(nb, policy.tail_tol)
-    ltil = log1p(1.0 / nb)
-
-    # Band target: dropped diagonals carry cubic weights |(d+x) ln(..)|^3, so
-    # shift the mass target by the worst weight (twice, to a fixed point) and
-    # a flat safety factor.
-    ln_base = log(policy.tail_tol / 4.0) - log(100.0)
-    m_hi = _band_halfwidth(x, k_th, ln_base)
-    wmargin = 3.0 * log(max(1.0, ltil * (x + m_hi + 1.0)))
-    m_hi = _band_halfwidth(x, k_th, ln_base - wmargin)
-
-    # Thermal-side margin: the cubic weights amplify the n > k_th tail by
-    # roughly ((2K+1)/(2nb+1))^(3/2); extend the sweep to push that back
-    # below the mass target.
-    lnw = -ltil
-    amp = 1.5 * log(max((2.0 * k_th + 1.0) / (2.0 * nb + 1.0), 1.0))
-    n_max = k_th + math.ceil(amp / -lnw)
-
+    win = _skellam_window(nb, x, policy)
+    m_lo, m_hi = max(0, -win.hi), max(-win.lo, win.hi)
+    lnw = -log1p(1.0 / nb)
     ln_g0 = -log(nb + 1.0)
-    acc = np.zeros(m_hi + 1)
-    t = np.empty(m_hi + 1)
+    acc = np.zeros(m_hi - m_lo + 1)
+    t = np.empty_like(acc)
     ls_seen = None
-    for n, (b, ls) in enumerate(_amplitude_rows(x, 0, m_hi, n_max)):
+    rows = _amplitude_rows(x, m_lo, m_hi, _sweep_rows(nb, policy.tail_tol))
+    for n, (b, ls) in enumerate(rows):
         if ls is not ls_seen:
             ls_seen, exp2ls = ls, np.exp(2.0 * ls)
         np.multiply(b, b, out=t)
         t *= exp2ls
         acc += t * exp(ln_g0 + n * lnw)
 
-    marr = np.arange(m_hi + 1, dtype=np.float64)
-    w = nb / (nb + 1.0)
-    mass_plus = acc * np.power(w, marr)        # d = +m
-    d = np.concatenate((-marr[:0:-1], marr)).astype(np.int64)
-    mass = np.concatenate((acc[:0:-1], mass_plus))
+    d = np.arange(win.lo, win.hi + 1)
+    mass = acc[np.abs(d) - m_lo] * np.power(nb / (nb + 1.0), np.maximum(d, 0))
     return d, mass
 
 
-def _laguerre_rounding(nb: float, tail_tol: float, mass: np.ndarray) -> float:
-    """Rounding allowance for the sum of _difference_masses' masses.
+def _laguerre_rounding(nb: float, x: float, tail_tol: float,
+                       d: np.ndarray, mass: np.ndarray) -> float:
+    """Bound on the rounding error of the sum of _difference_masses' masses.
 
-    Each mass takes one recurrence step per row of the sweep (about k_th
-    rows) and the sum runs over every diagonal of the window, so the
-    rounding grows with the sweep length: eps (k_th + window).  At
-    tail_tol = 2^-52, over nb in [0.01, 600] and SNR in [0.01, 30], the
-    observed |1 - sum| stayed within 0.33 of this allowance.
+    The seed ln A(0, m) = -x/2 + (m/2) ln x - ln(m!)/2 is built from parts
+    of size at most S_m = (x + m (|ln x| + ln(m+1))) / 2, so its exponential
+    is off by a relative eps S_m; each of the n_max = _sweep_rows rows adds
+    a recurrence step and an accumulation, about eps each, and the thermal
+    weights and w^d a few eps more.  Squared into a probability, mass_d is
+    thus off by a relative 2 eps (S_|d| + n_max + 4) at most, and the sum by
+    that weighted by mass.
     """
-    return 2.0**-52 * (_thermal_cutoff(nb, tail_tol) + len(mass))
+    m = np.abs(d).astype(np.float64)
+    size = 0.5 * (x + m * (abs(log(x)) + np.log(m + 1.0)))
+    n_max = _sweep_rows(nb, tail_tol)
+    return 2.0 * 2.0**-52 * float(np.sum(mass * (size + n_max + 4.0)))
 
 
 class ThirdMomentResult(NamedTuple):
@@ -360,9 +331,15 @@ def _skellam_window(nb: float, x: float, policy: TruncationPolicy) -> _SkellamWi
     Each side drops at most tail_tol/4 of the mass and at most
     tail_tol/4 * sigma^3 of the cubic weight, sigma^2 = x (2 nb + 1) being
     the variance of d.  Since E|d - mean|^3 >= sigma^3 (Lyapunov), the
-    truncated T is low by at most tail_tol/2 relative.
+    truncated T is low by at most tail_tol/2 relative.  CapExceeded if the
+    variance reaches K_MAX_CAP^2, where one sigma alone passes K_MAX_CAP;
+    ConsistencyError if mu1 mu2 underflows (no Bessel argument 2 sqrt(mu1 mu2)).
     """
     m1, m2 = x * nb, x * (nb + 1.0)
+    if not m1 + m2 < float(K_MAX_CAP) ** 2:
+        raise CapExceeded(f"Skellam variance {m1 + m2:g} exceeds K_MAX_CAP^2 (nb={nb}, x={x})")
+    if m1 * m2 == 0.0:
+        raise ConsistencyError(f"Bessel argument 2 sqrt(mu1 mu2) underflows (nb={nb}, x={x})")
     ln_mass_tol = log(policy.tail_tol / 4.0)
     ln_cubic_tol = ln_mass_tol + 1.5 * log(m1 + m2)
     a, up_mass, up_cubic = _tail_edge(m1, m2, ln_mass_tol, ln_cubic_tol)
@@ -422,12 +399,8 @@ def _skellam_masses(
     Returns (d, mass) for d in [lo, hi].
     """
     m1, m2 = x * nb, x * (nb + 1.0)
-    z = 2.0 * math.sqrt(m1 * m2)
-    if not m1 + m2 < float(K_MAX_CAP) ** 2:   # the window spans > 1 sigma
-        raise CapExceeded(f"Skellam variance {m1 + m2:g} exceeds K_MAX_CAP^2 (nb={nb}, x={x})")
-    if z == 0.0:
-        raise ConsistencyError(f"Bessel argument 2 sqrt(mu1 mu2) underflows (nb={nb}, x={x})")
     win = _skellam_window(nb, x, policy)
+    z = 2.0 * math.sqrt(m1 * m2)
     n_hi = max(-win.lo, win.hi, 1)
     n_start = n_hi + math.ceil(_MILLER_LN_DAMP / math.asinh(n_hi / z))
     width = win.hi - win.lo + 1
@@ -494,7 +467,7 @@ def spectral_oracle(
         return RelEntStats(d=0.0, v=0.0, t=0.0)
     d, mass = _difference_masses(s.nb, x, policy)
     _captured_mass(mass, s.nb, x, policy.tail_tol,
-                   lambda: _laguerre_rounding(s.nb, policy.tail_tol, mass))
+                   lambda: _laguerre_rounding(s.nb, x, policy.tail_tol, d, mass))
     llr = -d * log1p(1.0 / s.nb)
     d1 = math.fsum(mass * llr)
     centered = llr - d1

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
+import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -49,8 +51,8 @@ class ScanConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.points < 2:
-            raise ValueError("points must be >= 2")
+        if not (isinstance(self.points, numbers.Integral) and self.points >= 2):
+            raise ValueError("points must be an integer >= 2")
         if not math.isfinite(self.snr_db_min):
             raise ValueError("snr_db_min must be finite")
         if not (self.snr_db_min < self.snr_db_max):
@@ -59,8 +61,8 @@ class ScanConfig:
             raise ValueError(f"benchmark_m_convention must be '{PER_COPY}' or '{TOTAL}'")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output format must be 'csv' or 'json'")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
+            raise ValueError("workers must be an integer >= 1")
         # Wrapped-type invariants fail fast here rather than mid-scan.
         DetectionParams(p_fa=self.p_fa, m=self.m, c=self.c)
         TruncationPolicy(tail_tol=self.tail_tol)
@@ -157,11 +159,14 @@ def run_scan(config: ScanConfig) -> list[ScanRow]:
     row failed, SteinRadarError names them all.
     """
     grid = [float(s) for s in np.linspace(config.snr_db_min, config.snr_db_max, config.points)]
-    if config.workers > 1:
+    # The pool forks all its workers up front, so it gets no more than there
+    # are rows or CPUs.
+    workers = min(config.workers, len(grid), os.cpu_count() or 1)
+    if workers > 1:
         # Four chunks per worker: one IPC round trip per chunk instead of per
         # row, while rows whose cost rises with SNR still balance.
-        chunksize = -(-len(grid) // (4 * config.workers))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        chunksize = -(-len(grid) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_row_or_failure, [config] * len(grid), grid,
                                     chunksize=chunksize))
     else:

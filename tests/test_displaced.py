@@ -192,11 +192,13 @@ class TestThirdMoment:
             assert res.t >= thermal_closed_forms(s).v ** 1.5
 
     def test_extreme_means_raise_library_errors(self):
-        # x nb underflows (Bessel argument z = 0), or x nb overflows
-        with pytest.raises(ConsistencyError):
-            third_moment(ThermalScenario(nb=1e-300, eta=1.0, ns=1e-300))
-        with pytest.raises(CapExceeded):
-            third_moment(ThermalScenario(nb=1e300, eta=1.0, ns=1e300))
+        # x nb underflows (Bessel argument z = 0), or x nb overflows; the
+        # spectral oracle reads the same window, so it refuses the same inputs
+        for route in (third_moment, spectral_oracle):
+            with pytest.raises(ConsistencyError):
+                route(ThermalScenario(nb=1e-300, eta=1.0, ns=1e-300))
+            with pytest.raises(CapExceeded):
+                route(ThermalScenario(nb=1e300, eta=1.0, ns=1e300))
 
     def test_mass_deficit_detected(self, monkeypatch):
         def half_masses(nb, x, policy):
@@ -239,13 +241,24 @@ class TestSpectralOracle:
     def test_rounding_bound_covers_mass_error(self):
         # at the finest tail_tol, |1 - sum| is the sweep's rounding plus a
         # dropped tail below 2^-53; the allowance must cover it 3 times over
-        # (the worst case, nb=100 at SNR 30, has 0.33 of it)
+        # (the worst case, nb=0.01 at x=3e3, has 0.24 of it)
         policy = TruncationPolicy(tail_tol=2.0**-52)
-        for nb in (0.01, 0.1, 1.0, 10.0, 100.0):
-            for gamma in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0):
-                _, mass = _difference_masses(nb, gamma * nb, policy)
-                bound = _laguerre_rounding(nb, policy.tail_tol, mass)
-                assert abs(1.0 - math.fsum(mass)) <= bound / 3.0
+        cases = [(nb, gamma * nb) for nb in (0.01, 0.1, 1.0, 10.0, 100.0)
+                 for gamma in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0)]
+        cases += [(nb, x) for nb in (0.01, 1.0, 10.0) for x in (3e3, 1e4)]
+        for nb, x in cases:
+            d, mass = _difference_masses(nb, x, policy)
+            bound = _laguerre_rounding(nb, x, policy.tail_tol, d, mass)
+            assert abs(1.0 - math.fsum(mass)) <= bound / 3.0
+
+    def test_bright_displacement_matches_closed_forms(self):
+        # x = 1e5: the certified window spans diagonals ~9e4 to ~1.1e5
+        for nb in (1e-6, 0.1, 1.0):
+            s = ThermalScenario(nb=nb, eta=1.0, ns=1e5)
+            closed = thermal_closed_forms(s)
+            got = spectral_oracle(s)
+            assert got.d == pytest.approx(closed.d, rel=1e-6)
+            assert got.v == pytest.approx(closed.v, rel=1e-6)
 
     def test_moment_ordering_holder(self):
         # V <= T^(2/3) mass^(1/3) for the 2nd/3rd absolute central moments

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from steinradar import CapExceeded, ScanConfig, ScanRow, SteinRadarError, emit, run_scan
+from steinradar import scan as scan_mod
 from steinradar.scan import _ROW_FIELDS, main
 
 DATA = Path(__file__).parent / "data"
@@ -69,6 +70,14 @@ class TestConfig:
             ScanConfig(output_format="xml")
         with pytest.raises(ValueError):
             ScanConfig(workers=0)
+        # np.linspace and the pool need integers; numpy integers are fine
+        for bad in (2.5, np.float64(3.0)):
+            with pytest.raises(ValueError):
+                ScanConfig(points=bad)
+            with pytest.raises(ValueError):
+                ScanConfig(workers=bad)
+        cfg = ScanConfig(points=np.int64(3), workers=np.int32(2))
+        assert (cfg.points, cfg.workers) == (3, 2)
 
     def test_rejects_non_finite(self):
         for kwargs in (dict(snr_db_max=math.inf), dict(snr_db_min=-math.inf),
@@ -232,6 +241,30 @@ class TestDeterminism:
         serial = ScanConfig(**SMALL, workers=1)
         parallel = ScanConfig(**SMALL, workers=2)
         assert emit(run_scan(serial), serial) == emit(run_scan(parallel), parallel)
+
+    def test_pool_no_larger_than_grid(self, monkeypatch):
+        # the pool forks every worker at once, so it must not outnumber rows
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", SerialPool)
+        small = dict(SMALL, points=3)
+        wide = ScanConfig(**small, workers=10**6)
+        serial = ScanConfig(**small)
+        assert emit(run_scan(wide), wide) == emit(run_scan(serial), serial)
+        assert max(asked, default=1) <= 3
 
     def test_default_table_pinned(self, capsysbinary):
         # the default `steinradar-scan --meta` table as committed; any changed
