@@ -72,6 +72,11 @@ class ScanConfig:
         if not self.snr_db_max / 10.0 + math.log10(factor) < 308.0:
             raise ValueError(f"snr_db_max={self.snr_db_max:g} puts 10^(snr_db/10) * "
                              f"{factor:g} beyond the float range")
+        # numpy scalars pass the checks above; emit writes plain numbers
+        for name in ("p_fa", "nb", "snr_db_min", "snr_db_max", "tail_tol", "c"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("m", "points", "workers"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 # Fields that define the numbers; execution/presentation knobs are excluded

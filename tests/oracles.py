@@ -2,10 +2,12 @@
 
 Frozen constants were computed with mpmath at 50 significant digits via the
 recompute_* functions below (kept runnable under the `slow` marker), except
-BE_SUP_FROZEN, which comes from scipy through skellam_normal_distance;
+T_ORACLE_NB1P5E4_85DB, at 30 digits, and BE_SUP_FROZEN, which comes from
+scipy through skellam_normal_distance;
 quadratures use mpmath.quad on the defining integrals.  None of the oracle
 code shares an evaluation path with the library: Laguerre values come from
-the plain binomial sum or mpmath.laguerre, thermal relative entropies from
+the plain binomial sum or mpmath.laguerre, Skellam masses from an mpmath
+Miller recurrence anchored at mpmath.besseli, thermal relative entropies from
 truncated Fock-space sums, normal-CDF inverses from bisection or from Newton
 steps on mpmath's CDF, the heterodyne ln p_MD from an mpmath series.
 heterodyne_log_pmd_loop is the one deliberate exception: it keeps the
@@ -125,6 +127,13 @@ BE_SUP_FROZEN = {
     (5000, 600.0, 1.0): 8.142243639697178e-05,
     (5000, 600.0, 100.0): 8.14224359435567e-06,
 }
+
+# T summed exactly over third_moment's certified window [-49148, -45742] at
+# nb = 1.5e-4, 85 dB (x = eta*ns = 1.5e-4 * 10**8.5), default tail_tol, from
+# recompute_t_skellam at dps 30 (dps 50 agrees to every digit of the double).
+# The masses' exponent there is built from parts of size ~2e5, so this
+# checks their rounding, not the truncation.
+T_ORACLE_NB1P5E4_85DB = 11258873237.239769
 
 # thermal closed forms at nb=600, gamma=1
 D_600_G1 = 0.9991675914367262547721
@@ -307,6 +316,47 @@ def recompute_t_oracle(nb: float = 1.0, x: float = 1.0, k_max: int = 120, dps: i
                 v += w * u * u
                 t += w * abs(u) ** 3
         return float(d), float(v), float(t), float(mass)
+
+
+def recompute_t_skellam(nb: float, x: float, lo: int, hi: int,
+                        dps: int = 30) -> tuple[float, float]:
+    """T and the probability mass of d = k - l ~ Skellam(x nb, x (nb+1)) over
+    the window lo <= d <= hi, in mpmath.
+
+    P(d) = e^-(mu1+mu2) (mu1/mu2)^(d/2) I_|d|(z), z = 2 sqrt(mu1 mu2), with
+    I_0(z) from mpmath.besseli and I_n/I_0 = y_n/y_0 from Miller's linear
+    recurrence y_(n-1) = (2n/z) y_n + y_(n+1), y_(N+1) = 0, y_N = 1, started
+    where the ratios past the window damp its start error below e^-80 (so
+    far below the working precision).  nb and x are taken at their exact
+    binary values.  Returns (T, mass) as floats.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        nb_, x_ = mp.mpf(nb), mp.mpf(x)
+        mu1, mu2 = x_ * nb_, x_ * (nb_ + 1)
+        z = 2 * mp.sqrt(mu1 * mu2)
+        n_hi = max(abs(lo), abs(hi))
+        n_lo = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+        n_start, damp = n_hi, mp.mpf(0)
+        while damp < 40:
+            n_start += 1
+            damp += mp.asinh(n_start / z)
+        y_next, y = mp.mpf(0), mp.mpf(1)
+        kept = {}
+        for n in range(n_start, 0, -1):
+            if n_lo <= n <= n_hi:
+                kept[n] = y
+            y_next, y = y, 2 * n / z * y + y_next
+        i0 = mp.besseli(0, z)
+        kept[0] = y
+        lt = mp.log1p(1 / nb_)
+        t = mass = mp.mpf(0)
+        for d in range(lo, hi + 1):
+            p = mp.exp(-mu1 - mu2 - d * lt / 2) * i0 * kept[abs(d)] / y
+            mass += p
+            t += p * abs((d + x_) * lt) ** 3
+        return float(t), float(mass)
 
 
 def recompute_transition_prob(k: int, l: int, x: float, dps: int = 50) -> float:

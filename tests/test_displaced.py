@@ -33,7 +33,13 @@ from steinradar.displaced import (
     _thermal_cutoff,
 )
 
-from oracles import TP_FROZEN, T_ORACLE_NB1_X1, laguerre_binomial, skellam_log_pmf
+from oracles import (
+    T_ORACLE_NB1_X1,
+    T_ORACLE_NB1P5E4_85DB,
+    TP_FROZEN,
+    laguerre_binomial,
+    skellam_log_pmf,
+)
 
 
 class TestTruncationPolicy:
@@ -182,10 +188,10 @@ class TestThirdMoment:
         assert a.t == b.t and a.captured_mass == b.captured_mass
 
     def test_rounding_is_not_a_deficit(self):
-        # 1 - sum(mass) here is the masses' own rounding: 3.4e-15 at a
-        # tail_tol of 2.3e-16, and ~1.3e-9 at the default tail_tol for
-        # nb=1.5e-4 at 85 dB, both past 10*tail_tol
-        for nb, snr_db, tail_tol in ((600.0, 5.0, 2.3e-16), (1.5e-4, 85.0, 1e-10)):
+        # 1 - sum(mass) here is the masses' own rounding: 3.3e-15 at a
+        # tail_tol of 2.3e-16, and ~2.0e-10 at a tail_tol of 1e-12 for
+        # nb=1.5e-4 at 90 dB, both past 10*tail_tol
+        for nb, snr_db, tail_tol in ((600.0, 5.0, 2.3e-16), (1.5e-4, 90.0, 1e-12)):
             s = ThermalScenario(nb=nb, eta=1.0, ns=nb * 10.0 ** (snr_db / 10.0))
             res = third_moment(s, TruncationPolicy(tail_tol=tail_tol))
             assert res.captured_mass < 1.0 - 10.0 * tail_tol
@@ -334,6 +340,13 @@ class TestSkellamRoute:
         assert 0.0 < dropped_mass <= win.tail_mass <= TruncationPolicy().tail_tol / 2.0
         assert 0.0 < dropped_cubic <= win.tail_cubic
 
+    def test_small_nb_against_frozen_oracle(self):
+        # nb=1.5e-4 at 85 dB: the masses' exponent is built from parts of
+        # ~2e5, whose rounding (not the truncation: the oracle sums the same
+        # window) is what this holds to 1e-10
+        s = ThermalScenario(nb=1.5e-4, eta=1.0, ns=1.5e-4 * 10.0 ** (85.0 / 10.0))
+        assert third_moment(s).t == pytest.approx(T_ORACLE_NB1P5E4_85DB, rel=1e-10)
+
     def test_rounding_bound_covers_mass_error(self):
         # at the finest tail_tol, |1 - sum| is the masses' rounding plus a
         # dropped tail below 2^-53; the bound must cover it with room
@@ -386,6 +399,20 @@ def test_recompute_frozen_transition_probs():
 
     for (k, l, x), want in TP_FROZEN.items():
         assert recompute_transition_prob(k, l, x) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.slow
+def test_recompute_frozen_small_nb_t():
+    """Re-derive T_ORACLE_NB1P5E4_85DB with an mpmath Miller recurrence (under a second)."""
+    from oracles import recompute_t_skellam
+
+    nb = 1.5e-4
+    x = nb * 10.0 ** (85.0 / 10.0)
+    win = _skellam_window(nb, x, TruncationPolicy())
+    assert (win.lo, win.hi) == (-49148, -45742)
+    t, mass = recompute_t_skellam(nb, x, win.lo, win.hi)
+    assert t == pytest.approx(T_ORACLE_NB1P5E4_85DB, rel=1e-15)
+    assert 1.0 - win.tail_mass <= mass <= 1.0
 
 
 @pytest.mark.slow

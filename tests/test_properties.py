@@ -1,5 +1,6 @@
 """Hypothesis properties: the Skellam law against the closed forms, the
-Lyapunov bound on T, the window summation against math.fsum, the
+Lyapunov bound on T, the blocked Bessel-ratio recurrence against the scalar
+loop, the window summation against math.fsum, the
 monotonicity in SNR of the bound exponents and of the heterodyne exponent,
 and the CLI exit-code contract on arbitrary input."""
 
@@ -7,6 +8,7 @@ import contextlib
 import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,17 @@ from steinradar import (
     third_moment,
 )
 from steinradar.bounds import lambda_bracket
-from steinradar.displaced import _FSUM_BELOW, _skellam_masses, _sum
+from steinradar import displaced as displaced_mod
+from steinradar.displaced import (
+    _BLOCKED_FROM,
+    _FSUM_BELOW,
+    K_MAX_CAP,
+    _bessel_ln_ratios,
+    _miller_block,
+    _miller_start,
+    _skellam_masses,
+    _sum,
+)
 from steinradar.scan import PER_COPY, TOTAL, main
 
 # Skellam windows stay far inside K_MAX_CAP here, so an example costs ms.
@@ -51,6 +63,39 @@ def test_skellam_mean_and_variance_reproduce_d_and_v(nb, gamma):
 def test_lyapunov(nb, gamma):
     s = ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)
     assert third_moment(s).t >= thermal_closed_forms(s).v ** 1.5
+
+
+def _ln_ratio_bound(z: float, ln_ratio: np.ndarray, ell: int) -> np.ndarray:
+    """The rounding bound _bessel_ln_ratios states, at block length ell:
+    eps (k_n |L_n| + 4 (n + ell) + D_n), k_n = ceil(n / ell) + 1,
+    D_n = 2 / (1 - exp(-2 asinh(n / z))), and L_0 = 0 exactly."""
+    n = np.arange(len(ln_ratio), dtype=np.float64)
+    damped = 2.0 / -np.expm1(-2.0 * np.arcsinh(np.maximum(n, 1.0) / z))
+    bound = 2.0**-52 * ((np.ceil(n / ell) + 1.0) * np.abs(ln_ratio) + 4.0 * (n + ell) + damped)
+    bound[0] = 0.0
+    return bound
+
+
+# z over 1e-8..1e7 and recurrences up to ~1e5 steps, on both sides of the
+# switch; the example is nb=1e-6, x=1e5, where 2N/z ~ 1e3 caps the block
+# length (85, against sqrt(N/8) = 113) so that the blocks stay finite.
+@settings(max_examples=40, deadline=None)
+@given(z=st.floats(-8.0, 7.0).map(lambda e: 10.0**e),
+       n_hi=st.integers(1, 400) | st.integers(1, 40_000))
+@example(z=200.000099999975, n_hi=102_483)
+def test_blocked_bessel_ln_ratios_match_scalar_loop(z, n_hi):
+    n_start = _miller_start(z, n_hi)
+    assume(n_start <= 120_000)
+    with mock.patch.object(displaced_mod, "_BLOCKED_FROM", 0):
+        ell = _miller_block(z, n_start)
+        blocked = _bessel_ln_ratios(z, n_hi, n_start)
+    with mock.patch.object(displaced_mod, "_BLOCKED_FROM", K_MAX_CAP + 1):
+        loop = _bessel_ln_ratios(z, n_hi, n_start)
+    got = _bessel_ln_ratios(z, n_hi, n_start)
+    assert np.array_equal(got, blocked if n_start >= _BLOCKED_FROM else loop)
+    assert np.all(np.isfinite(blocked)) and np.all(np.isfinite(loop))
+    bound = _ln_ratio_bound(z, loop, ell) + _ln_ratio_bound(z, loop, 1)
+    assert np.all(np.abs(blocked - loop) <= bound)
 
 
 def _exact_sum(values) -> Fraction:

@@ -229,6 +229,15 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit([], ScanConfig(**SMALL))
 
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_numpy_scalars_emit_as_plain_numbers(self, rows, output_format):
+        # the library accepts numpy scalars; they must not reach json.dumps
+        # (TypeError on int64) or the meta lines (np.float64(5.0))
+        plain = ScanConfig(**SMALL, output_format=output_format)
+        as_numpy = ScanConfig(**{k: np.float64(v) if isinstance(v, float) else np.int64(v)
+                                 for k, v in SMALL.items()}, output_format=output_format)
+        assert emit(rows, as_numpy, meta=True) == emit(rows, plain, meta=True)
+
 
 class TestDeterminism:
     def test_two_runs_identical_bytes(self):
