@@ -367,11 +367,10 @@ def _miller_block(z: float, n_start: int) -> int:
     vectorised steps against the n_start / l block edges.  Within a block the
     values grow by at most (1 + 2N/z)^l, N < 2 n_start the rounded-up start,
     and the stitching ratio adds at most z/2 < e^25 (the variance cap bounds
-    z), so l is capped at 650 / ln(1 + 4 n_start/z) to stay finite; with
-    n_start <= K_MAX_CAP and z >= 2 sqrt(5e-324) that cap is at least 1."""
+    z), so l is capped at 650 / ln(1 + 4 n_start/z) to stay finite."""
     if n_start < _BLOCKED_FROM:
         return 1
-    return min(math.isqrt(n_start // 8), int(650.0 / log1p(4.0 * n_start / z)))
+    return max(1, min(math.isqrt(n_start // 8), int(650.0 / log1p(4.0 * n_start / z))))
 
 
 def _bessel_ln_ratios(z: float, n_hi: int, n_start: int) -> np.ndarray:
