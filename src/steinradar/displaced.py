@@ -27,8 +27,11 @@ One amplitude recurrence serves both: the public scalar transition_prob
 reads one diagonal of it, and the double sum behind spectral_oracle sweeps
 the diagonals |d| of third_moment's certified window at once, so both
 routes sum over one support, checking the probability mass it captures
-against a derived rounding allowance rather than trusting truncation
-blindly.  The sweep refuses any index past K_MAX_CAP.
+against a derived rounding allowance, on both sides of 1, rather than
+trusting truncation blindly.  The sweep runs in blocks of 16 rows, with
+the recurrence coefficients built per block as tables from sliding-window
+views, so a row costs three ufunc calls and a block joins the mass sums in
+one matrix-vector product.  It refuses any index past K_MAX_CAP.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import islice
 from math import exp, lgamma, log, log1p
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceeded, ConsistencyError, MassDeficit
 from .gaussian import RelEntStats, ThermalScenario
@@ -50,6 +53,7 @@ _LN_TINY = log(1e-250)       # seed floor for underflowed diagonal starts
 _RESCALE_AT = 1e100
 _RESCALE_BY = 1e-150
 _LN_RESCALE = -log(_RESCALE_BY)
+_BLOCK_ROWS = 16             # _amplitude_rows: rows per block, and the rescale period
 K_MAX_CAP = 200_000          # hard cap on every summation index and window width
 _FSUM_BELOW = 512            # _sum: shorter arrays go to math.fsum over a list
 
@@ -98,20 +102,24 @@ def _amplitude_rows(x: float, m_lo: int, m_hi: int,
                     n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Rows n = 0, 1, ..., max(n_max, 1) of the amplitudes
     A(n, m) = |<n+m|D(beta)|n>| (up to sign), x = |beta|^2 > 0, on the
-    diagonals m = m_lo..m_hi.
+    diagonals m = m_lo..m_hi, in consecutive blocks of up to _BLOCK_ROWS rows.
 
-    Each row is (b, ls) with A(n, m) = b e^ls.  The recurrence
+    Each block is (blk, ls) with A(n, m) = blk[j, m - m_lo] e^ls[m - m_lo]
+    for its j-th row.  The recurrence
 
-        A(n+1, m) = [(2n+1+m-x) A(n, m) - sqrt(n(n+m)) A(n-1, m)]
-                    / sqrt((n+1)(n+m+1))
+        A(n+1, m) = alpha(n, m) A(n, m) - beta(n, m) A(n-1, m),
+        alpha = (m+2n+1-x) / sqrt((n+1)(n+m+1)),
+        beta = sqrt(n(n+m) / ((n+1)(n+m+1)))
 
     runs vectorized over the diagonals from the seeds
-    A(0, m) = e^(-x/2) x^(m/2) / sqrt(m!).  ls <= 0 absorbs seeds far below
-    the representable range, and every 16 rows the entries past _RESCALE_AT
-    are scaled down into ls, which then becomes a new array (so a consumer
-    may cache functions of it by identity).  The arrays are reused: read a
-    row before drawing the next.  CapExceeded if n_max + m_hi, which sizes
-    the tables, passes K_MAX_CAP.
+    A(0, m) = e^(-x/2) x^(m/2) / sqrt(m!).  Per block, alpha and beta are
+    built as tables from sliding-window views of 1/sqrt(j), sqrt(j/(j+1))
+    and j + m_lo + 1 - x (stepping 2 a row), with no gathers, so each row
+    costs three ufunc calls into a row buffer.  ls <= 0 absorbs seeds far
+    below the representable range, and at each block end the entries past
+    _RESCALE_AT are scaled down into ls, then a new array (so a consumer may
+    cache functions of it by identity).  The buffer is reused: read a block
+    before drawing the next.  CapExceeded if n_max + m_hi passes K_MAX_CAP.
     """
     if n_max + m_hi > K_MAX_CAP:
         raise CapExceeded(f"required indices {n_max + m_hi} exceed K_MAX_CAP={K_MAX_CAP} (x={x})")
@@ -119,34 +127,41 @@ def _amplitude_rows(x: float, m_lo: int, m_hi: int,
     lg = np.array([lgamma(m + 1.0) for m in range(m_lo, m_hi + 1)])
     ln_a0 = -0.5 * x + 0.5 * marr * log(x) - 0.5 * lg
     ls = np.where(ln_a0 < _LN_TINY, ln_a0 - _LN_TINY, 0.0)
-    b0 = np.exp(ln_a0 - ls)
-    b1 = b0 * (1.0 + marr - x) / np.sqrt(marr + 1.0)
-    yield b0, ls
-    yield b1, ls
+    buf = np.empty((_BLOCK_ROWS + 2, len(marr)))     # rows n-1, n, then the block
+    buf[0] = np.exp(ln_a0 - ls)
+    buf[1] = buf[0] * (1.0 + marr - x) / np.sqrt(marr + 1.0)
 
-    jmax = n_max + m_hi + 2
+    jmax, n_last = n_max + m_hi + 2, max(n_max, 1)
+    coef = np.zeros((3, max(jmax + 1, 2 * n_last + len(marr))))
+    rsq, gr, v = coef                          # 1/sqrt(j), sqrt(j / (j+1)), j + m_lo + 1 - x
     sq = np.sqrt(np.arange(jmax + 1, dtype=np.float64))
-    rsq = np.zeros(jmax + 1)
-    rsq[1:] = 1.0 / sq[1:]
-    gr = np.zeros(jmax + 1)                    # gr[j] = sqrt(j / (j+1))
+    rsq[1 : jmax + 1] = 1.0 / sq[1:]
     gr[:jmax] = sq[:jmax] * rsq[1 : jmax + 1]
-    t, t2 = np.empty(len(marr)), np.empty(len(marr))
-    for n in range(1, n_max):
-        np.add(marr, 2.0 * n + 1.0 - x, out=t)
-        t *= rsq[n + 1 + m_lo : n + 2 + m_hi]
-        t *= b1
-        t *= rsq[n + 1]
-        np.multiply(b0, gr[n + m_lo : n + 1 + m_hi], out=t2)
-        t2 *= gr[n]
-        t -= t2
-        b0, b1, t = b1, t, b0                  # b1 now holds row n+1
-        yield b1, ls
-        if (n & 15) == 0 and np.abs(b1).max() > _RESCALE_AT:
-            idx = np.abs(b1) > _RESCALE_AT
-            b1[idx] *= _RESCALE_BY
-            b0[idx] *= _RESCALE_BY
-            ls = ls.copy()
-            ls[idx] += _LN_RESCALE
+    v[:] = np.arange(len(v), dtype=np.float64) + (m_lo + 1.0 - x)
+    rsq_w, gr_w, v_w = sliding_window_view(coef, len(marr), axis=1)   # rsq_w[j] = rsq[j : j+width]
+    v_w = v_w[::2]                             # v_w[n] = m + 2n + 1 - x over the diagonals
+    (alpha, beta), t = np.empty((2, _BLOCK_ROWS, len(marr))), np.empty(len(marr))
+    n, first, k = 1, 0, _BLOCK_ROWS - 2
+    while True:                                # the block holds rows n+1..n+k
+        k = min(k, n_last - n)
+        a, bt = alpha[:k], beta[:k]
+        np.multiply(v_w[n : n + k], rsq_w[n + 1 + m_lo : n + 1 + m_lo + k], out=a)
+        a *= rsq[n + 1 : n + 1 + k, None]
+        np.multiply(gr_w[n + m_lo : n + m_lo + k], gr[n : n + k, None], out=bt)
+        for j in range(k):
+            np.multiply(a[j], buf[j + 1], out=buf[j + 2])
+            np.multiply(bt[j], buf[j], out=t)
+            buf[j + 2] -= t
+        yield buf[first : k + 2], ls
+        n += k
+        if n == n_last:
+            return
+        buf[:2] = buf[k : k + 2]
+        first, k = 2, _BLOCK_ROWS
+        if np.abs(buf[1], out=t).max() > _RESCALE_AT:
+            idx = t > _RESCALE_AT
+            buf[:2] *= np.where(idx, _RESCALE_BY, 1.0)
+            ls = ls + np.where(idx, _LN_RESCALE, 0.0)
 
 
 def transition_prob(k: int, l: int, x: float) -> float:
@@ -172,8 +187,10 @@ def transition_prob(k: int, l: int, x: float) -> float:
     if x >= 32 * max(k, l) + 2980:
         return 0.0
     n, m = (k, l - k) if k <= l else (l, k - l)
-    b, ls = next(islice(_amplitude_rows(x, m, m, n), n, None))
-    ln_p = 2.0 * (log(abs(b[0])) + ls[0]) if b[0] else -math.inf
+    for blk, ls in _amplitude_rows(x, m, m, n):
+        pass                                   # row n ends the last block (n = 0: row 1 does)
+    b = blk[-2 if n == 0 else -1, 0]
+    ln_p = 2.0 * (log(abs(b)) + ls[0]) if b else -math.inf
     return min(exp(ln_p), 1.0) if ln_p >= -745.0 else 0.0
 
 
@@ -201,25 +218,27 @@ def _difference_masses(
     sums over.
 
     Returns (d, mass) for d in [lo, hi].  The mass at d = -m sums
-    gamma_n A(n, m)^2 over the thermal rows n < _sweep_rows; at d = +m it is
-    the same sum with thermal weight gamma_(n+m) = w^m gamma_n, an exact
+    gamma_n A(n, m)^2 over the thermal rows n <= _sweep_rows; at d = +m it
+    is the same sum with thermal weight gamma_(n+m) = w^m gamma_n, an exact
     identity of the geometric weights.  The amplitudes come from one
-    _amplitude_rows sweep over the diagonals m = |d| of the window.
+    _amplitude_rows sweep over the diagonals m = |d| of the window, and each
+    block of rows joins the sum in one step, as the product of its thermal
+    weights with its squared amplitudes.
     """
     win = _skellam_window(nb, x, policy)
     m_lo, m_hi = max(0, -win.hi), max(-win.lo, win.hi)
-    lnw = -log1p(1.0 / nb)
-    ln_g0 = -log(nb + 1.0)
+    n_max = _sweep_rows(nb, policy.tail_tol)
+    g = np.exp(-log(nb + 1.0) - log1p(1.0 / nb) * np.arange(max(n_max, 1) + 1))
     acc = np.zeros(m_hi - m_lo + 1)
-    t = np.empty_like(acc)
-    ls_seen = None
-    rows = _amplitude_rows(x, m_lo, m_hi, _sweep_rows(nb, policy.tail_tol))
-    for n, (b, ls) in enumerate(rows):
+    sq = np.empty((_BLOCK_ROWS, len(acc)))
+    n, ls_seen = 0, None
+    for blk, ls in _amplitude_rows(x, m_lo, m_hi, n_max):
         if ls is not ls_seen:
             ls_seen, exp2ls = ls, np.exp(2.0 * ls)
-        np.multiply(b, b, out=t)
-        t *= exp2ls
-        acc += t * exp(ln_g0 + n * lnw)
+        k = len(blk)
+        np.multiply(blk, blk, out=sq[:k])
+        acc += (g[n : n + k] @ sq[:k]) * exp2ls
+        n += k
 
     d = np.arange(win.lo, win.hi + 1)
     mass = acc[np.abs(d) - m_lo] * np.power(nb / (nb + 1.0), np.maximum(d, 0))
@@ -253,12 +272,15 @@ class ThirdMomentResult(NamedTuple):
 
 def _captured_mass(mass: np.ndarray, nb: float, x: float, tail_tol: float,
                    rounding: Callable[[], float]) -> float:
-    """Sum of the masses; MassDeficit if it falls below 1 - 10*tail_tol.
+    """Sum of the masses; MassDeficit if it falls below 1 - 10*tail_tol,
+    ConsistencyError if it passes 1.
 
     The sum is _sum's, within one ulp of the correctly rounded one.
-    `rounding`, called only when the sum falls short, bounds the error the
-    masses carry from their own evaluation; a shortfall within it is not a
-    deficit.
+    `rounding`, called only when the sum falls short or passes 1, bounds the
+    error the masses carry from their own evaluation.  A shortfall within it
+    is not a deficit; truncation only ever drops mass, so an excess beyond
+    it is a bug, such as masses counted twice.  Both routes' allowances are
+    at least 8 eps of the mass, so a smaller excess never calls `rounding`.
     """
     captured = _sum(mass)
     floor = 1.0 - 10.0 * tail_tol
@@ -266,6 +288,8 @@ def _captured_mass(mass: np.ndarray, nb: float, x: float, tail_tol: float,
         raise MassDeficit(
             f"captured mass {captured} < 1 - 10*tail_tol (nb={nb}, x={x})"
         )
+    if captured - 1.0 > 8.0 * 2.0**-52 and captured - 1.0 > rounding():
+        raise ConsistencyError(f"captured mass {captured} > 1 past rounding (nb={nb}, x={x})")
     return captured
 
 
@@ -532,7 +556,7 @@ def third_moment(
     that truncation allowance.  The captured probability mass is returned
     alongside; below 1 - 10*tail_tol, by more than the rounding the masses
     carry (_skellam_rounding), the sum is considered buggy and MassDeficit
-    is raised.
+    is raised, and above 1 by more than that rounding, ConsistencyError.
     """
     x = s.eta * s.ns
     if x == 0.0:

@@ -10,8 +10,8 @@ stays finite at large SNR.
 That route, heterodyne_log_pmd, sums its series in numpy blocks of at most
 _BLOCK terms, so its memory is O(_BLOCK) however far the series runs, and
 stops on an explicit bound on the remaining tail rather than on a count of
-declining terms.  marcum_q shares no code with it and serves as its
-independent cross-check.
+declining terms.  marcum_q, on numpy arrays too (running products and
+compensated prefix sums), shares no code with it: its independent check.
 """
 
 from __future__ import annotations
@@ -77,29 +77,31 @@ def bessel_i0_scaled(t: float) -> float:
     return s / sqrt(2.0 * math.pi * t)
 
 
-def _poisson_window(mu: float, lo: int, hi: int) -> list[float]:
+def _poisson_window(mu: float, lo: int, hi: int) -> np.ndarray:
     """Poisson pmf over [lo, hi], normalized to unit mass on the window.
 
     Values come from the exact multiplicative recurrence outward from the
-    mode, so no log-domain cancellation enters even at mu ~ 1e12; the
-    window is chosen wide enough that the outside mass is ~e^-70.
+    mode, running products of mu/i upward and (i+1)/mu downward, so no
+    log-domain cancellation enters even at mu ~ 1e12; the window is chosen
+    wide enough that the outside mass is ~e^-70.
     """
-    size = hi - lo + 1
-    if mu == 0.0:
-        return [1.0 if i == 0 else 0.0 for i in range(lo, hi + 1)]
-    raw = [0.0] * size
-    i0 = min(max(int(mu), lo), hi)
+    raw = np.zeros(hi - lo + 1)
+    i0 = min(max(int(mu), lo), hi)             # mu = 0: i0 = lo = 0, raw[1:] = 0
     raw[i0 - lo] = 1.0
-    cur = 1.0
-    for i in range(i0 + 1, hi + 1):
-        cur *= mu / i
-        raw[i - lo] = cur
-    cur = 1.0
-    for i in range(i0 - 1, lo - 1, -1):
-        cur *= (i + 1) / mu
-        raw[i - lo] = cur
-    total = math.fsum(raw)
-    return [r / total for r in raw]
+    raw[i0 - lo + 1 :] = np.multiply.accumulate(mu / np.arange(i0 + 1, hi + 1, dtype=np.float64))
+    raw[: i0 - lo][::-1] = np.multiply.accumulate(np.arange(i0, lo, -1, dtype=np.float64) / mu)
+    return raw / math.fsum(raw.tolist())
+
+
+def _cdf(pmf: np.ndarray) -> np.ndarray:
+    """[0, P(<= lo), ..., P(<= hi)] for a pmf over [lo, hi]: running sums plus
+    the running sum of each step's rounding error, recovered exactly by TwoSum
+    (as in Ogita, Rump & Oishi's Sum2), each within about an ulp of exact."""
+    s = np.add.accumulate(pmf)
+    bb = s[1:] - s[:-1]
+    e = (s[:-1] - (s[1:] - bb)) + (pmf[1:] - bb)
+    s[1:] += np.cumsum(e)
+    return np.concatenate(([0.0], s))
 
 
 def marcum_q(args: MarcumArgs) -> tuple[float, float]:
@@ -110,50 +112,25 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
         P = sum_j Pois_b(j) * P[Pois_a <= j-1]
     (the second is the first with the summation order swapped), so both are
     positive-term series sharing the same Poisson building blocks and
-    q + p = 1 holds to the truncation tails.
+    q + p = 1 holds to the truncation tails.  Each Poisson only matters
+    inside its own window; each cdf is a compensated prefix sum over it,
+    read at the other window's indices as 0 below its window and as its
+    last entry above, and each series is summed by math.fsum.
     """
     a = 0.5 * args.x * args.x
     b = 0.5 * args.y * args.y
     if b == 0.0:
         return 1.0, 0.0
 
-    # Each Poisson only matters inside its own bulk; iterate over the union
-    # of the two windows and carry the cumulative sums across the gap
-    # (below a bulk the cumulative is 0 to double precision, above it 1).
     def window(mu):
         half = 12.0 * sqrt(mu + 1.0) + 60.0
         return max(0, int(mu - half)), int(mu + half)
 
-    lo_a, hi_a = window(a)
-    lo_b, hi_b = window(b)
-    pa_win = _poisson_window(a, lo_a, hi_a)
-    pb_win = _poisson_window(b, lo_b, hi_b)
-    (lo1, hi1), (lo2, hi2) = sorted([(lo_a, hi_a), (lo_b, hi_b)])
-    if hi1 >= lo2:
-        spans = [(lo1, max(hi1, hi2))]
-    else:
-        spans = [(lo1, hi1), (lo2, hi2)]
-
-    # compensated cumulative streams keep the long sums at round-off
-    cum_a = carry_a = 0.0   # P[Pois_a <= i-1] entering iteration i
-    cum_b = carry_b = 0.0   # P[Pois_b <= i] after adding pb_i
-    q_terms = []
-    p_terms = []
-    for lo, hi in spans:
-        for i in range(lo, hi + 1):
-            pa = pa_win[i - lo_a] if lo_a <= i <= hi_a else 0.0
-            pb = pb_win[i - lo_b] if lo_b <= i <= hi_b else 0.0
-            p_terms.append(pb * cum_a)
-            y = pa + carry_a
-            t = cum_a + y
-            carry_a = y - (t - cum_a)
-            cum_a = t
-            y = pb + carry_b
-            t = cum_b + y
-            carry_b = y - (t - cum_b)
-            cum_b = t
-            q_terms.append(pa * cum_b)
-    return min(math.fsum(q_terms), 1.0), min(math.fsum(p_terms), 1.0)
+    (lo_a, hi_a), (lo_b, hi_b) = window(a), window(b)
+    pa, pb = _poisson_window(a, lo_a, hi_a), _poisson_window(b, lo_b, hi_b)
+    cdf_b = _cdf(pb)[np.clip(np.arange(lo_a - lo_b + 1, hi_a - lo_b + 2), 0, len(pb))]
+    cdf_a = _cdf(pa)[np.clip(np.arange(lo_b - lo_a, hi_b - lo_a + 1), 0, len(pa))]
+    return min(math.fsum((pa * cdf_b).tolist()), 1.0), min(math.fsum((pb * cdf_a).tolist()), 1.0)
 
 
 # The heterodyne series peaks near term max(b, sqrt(a b)); past _MAX_TERMS

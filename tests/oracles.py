@@ -10,9 +10,10 @@ the plain binomial sum or mpmath.laguerre, Skellam masses from an mpmath
 Miller recurrence anchored at mpmath.besseli, thermal relative entropies from
 truncated Fock-space sums, normal-CDF inverses from bisection or from Newton
 steps on mpmath's CDF, the heterodyne ln p_MD from an mpmath series.
-heterodyne_log_pmd_loop is the one deliberate exception: it keeps the
-per-term loop that the library's blocked series replaced, as the reference
-for doing the same arithmetic.
+heterodyne_log_pmd_loop and difference_masses_rowwise are the deliberate
+exceptions: they keep the per-term loop and the one-row-at-a-time Laguerre
+recurrence that the library's blocked code replaced, as references for
+doing the same arithmetic.
 """
 
 from __future__ import annotations
@@ -280,6 +281,60 @@ def heterodyne_log_pmd_loop(gamma: float, p_fa: float) -> float:
         if a > 0.0:
             ln_cum_a = logaddexp(ln_cum_a, -a + j * ln_a - lgamma(j + 1.0))
         j += 1
+
+
+def difference_masses_rowwise(nb: float, x: float, tail_tol: float):
+    """The masses of displaced._difference_masses, by the recurrence it ran
+    before its rows were blocked: one numpy step per row, each row's squared
+    amplitudes added to the sum with their thermal weight as they come.
+
+    Same window, rows, seeds, floor and rescale rule (entries past 1e100,
+    checked every 16 rows, scaled by 1e-150 into a per-diagonal log scale)
+    as the library.  Returns (d, mass, rescales, floored): the number of
+    rescales and of seeds that started at the floor, so a test can show
+    that it exercised both.
+    """
+    import numpy as np
+
+    from steinradar import TruncationPolicy
+    from steinradar.displaced import _skellam_window, _sweep_rows
+
+    ln_tiny, rescale_at, rescale_by = log(1e-250), 1e100, 1e-150
+    win = _skellam_window(nb, x, TruncationPolicy(tail_tol=tail_tol))
+    m_lo, m_hi = max(0, -win.hi), max(-win.lo, win.hi)
+    n_max = _sweep_rows(nb, tail_tol)
+    marr = np.arange(m_lo, m_hi + 1, dtype=np.float64)
+    lg = np.array([math.lgamma(m + 1.0) for m in range(m_lo, m_hi + 1)])
+    ln_a0 = -0.5 * x + 0.5 * marr * log(x) - 0.5 * lg
+    ls = np.where(ln_a0 < ln_tiny, ln_a0 - ln_tiny, 0.0)
+    floored, rescales = int(np.count_nonzero(ls)), 0
+    b0 = np.exp(ln_a0 - ls)
+    b1 = b0 * (1.0 + marr - x) / np.sqrt(marr + 1.0)
+    jmax = n_max + m_hi + 2
+    sq = np.sqrt(np.arange(jmax + 1, dtype=np.float64))
+    rsq = np.zeros(jmax + 1)
+    rsq[1:] = 1.0 / sq[1:]
+    gr = np.zeros(jmax + 1)                    # gr[j] = sqrt(j / (j+1))
+    gr[:jmax] = sq[:jmax] * rsq[1 : jmax + 1]
+    lnw, ln_g0 = -log1p(1.0 / nb), -log(nb + 1.0)
+    exp2ls = np.exp(2.0 * ls)
+    acc = b0 * b0 * exp2ls * exp(ln_g0) + b1 * b1 * exp2ls * exp(ln_g0 + lnw)
+    for n in range(1, n_max):
+        t = (marr + (2.0 * n + 1.0 - x)) * rsq[n + 1 + m_lo : n + 2 + m_hi] * b1 * rsq[n + 1]
+        t -= b0 * gr[n + m_lo : n + 1 + m_hi] * gr[n]
+        b0, b1 = b1, t
+        acc += b1 * b1 * exp2ls * exp(ln_g0 + (n + 1) * lnw)
+        if (n & 15) == 0 and np.abs(b1).max() > rescale_at:
+            idx = np.abs(b1) > rescale_at
+            b1[idx] *= rescale_by
+            b0[idx] *= rescale_by
+            ls = ls.copy()
+            ls[idx] -= log(rescale_by)
+            exp2ls = np.exp(2.0 * ls)
+            rescales += 1
+    d = np.arange(win.lo, win.hi + 1)
+    mass = acc[np.abs(d) - m_lo] * np.power(nb / (nb + 1.0), np.maximum(d, 0))
+    return d, mass, rescales, floored
 
 
 # --- slow recomputation of the frozen values ------------------------------

@@ -37,6 +37,7 @@ from oracles import (
     T_ORACLE_NB1_X1,
     T_ORACLE_NB1P5E4_85DB,
     TP_FROZEN,
+    difference_masses_rowwise,
     laguerre_binomial,
     skellam_log_pmf,
 )
@@ -215,6 +216,16 @@ class TestThirdMoment:
         with pytest.raises(MassDeficit):
             third_moment(ThermalScenario(nb=1.0, eta=1.0, ns=1.0))
 
+    def test_mass_excess_detected(self, monkeypatch):
+        # truncation only drops mass, so a sum of 2 is a bug, not rounding
+        def double_masses(nb, x, policy):
+            d, mass = _skellam_masses(nb, x, policy)
+            return d, 2.0 * mass
+
+        monkeypatch.setattr(displaced_mod, "_skellam_masses", double_masses)
+        with pytest.raises(ConsistencyError):
+            third_moment(ThermalScenario(nb=1.0, eta=1.0, ns=1.0))
+
 
 class TestSpectralOracle:
     def test_zero_snr(self):
@@ -256,6 +267,32 @@ class TestSpectralOracle:
             d, mass = _difference_masses(nb, x, policy)
             bound = _laguerre_rounding(nb, x, policy.tail_tol, d, mass)
             assert abs(1.0 - math.fsum(mass)) <= bound / 3.0
+
+    def test_mass_excess_detected(self, monkeypatch):
+        def double_masses(nb, x, policy):
+            d, mass = _difference_masses(nb, x, policy)
+            return d, 2.0 * mass
+
+        monkeypatch.setattr(displaced_mod, "_difference_masses", double_masses)
+        with pytest.raises(ConsistencyError):
+            spectral_oracle(ThermalScenario(nb=1.0, eta=1.0, ns=1.0))
+
+    def test_blocked_sweep_matches_rowwise_reference(self):
+        # the blocked rows against the one-row-at-a-time recurrence: nb=600
+        # starts thousands of diagonals at the seed floor and rescales them
+        # hundreds of times; nb <= 1 at x = 1e4 to 1e5 runs few, wide rows
+        policy = TruncationPolicy()
+        rescaled = floored = 0
+        for nb, x in ((600.0, 60.0), (600.0, 600.0), (600.0, 6e3), (1.0, 1e4),
+                      (1.0, 1e5), (0.1, 1e5), (1e-3, 1e4), (10.0, 3.0)):
+            d_ref, want, rescales, floors = difference_masses_rowwise(nb, x, policy.tail_tol)
+            d, mass = _difference_masses(nb, x, policy)
+            assert np.array_equal(d, d_ref)
+            bound = _laguerre_rounding(nb, x, policy.tail_tol, d, mass)
+            assert math.fsum(np.abs(mass - want)) <= bound
+            rescaled += rescales > 0
+            floored += floors > 0
+        assert rescaled >= 3 and floored >= 3
 
     def test_bright_displacement_matches_closed_forms(self):
         # x = 1e5: the certified window spans diagonals ~9e4 to ~1.1e5

@@ -109,6 +109,23 @@ class TestMarcumQ:
             assert abs(q + p - 1.0) < 1e-12
             assert 0.0 <= q <= 1.0 and 0.0 <= p <= 1.0
 
+    def test_against_scipy_skellam(self):
+        # a third, independent oracle: with a = x^2/2 and b = y^2/2,
+        # Q = P(Pois_a - Pois_b >= 0) and P = P(Pois_a - Pois_b <= -1), over
+        # the per-copy and total-M arguments of the perfbench crosscheck grid
+        # (nb = 10, -15 to 5 dB, p_fa = 1e-3, M = 5000) and random (x, y)
+        from scipy.stats import skellam
+
+        y = sqrt(-2.0 * log(1e-3))
+        gammas = 10.0 ** (np.linspace(-15.0, 5.0, 200) / 10.0)
+        args = [(sqrt(2.0 * g * m), y) for g in gammas for m in (1.0, 5000.0)]
+        args += [tuple(xy) for xy in np.random.default_rng(13).uniform(0.0, 30.0, (300, 2))]
+        for x, y in args:
+            q, p = marcum_q(MarcumArgs(float(x), float(y)))
+            a, b = 0.5 * x * x, 0.5 * y * y
+            assert abs(q - float(skellam.sf(-1, a, b))) <= 1e-14
+            assert abs(p - float(skellam.cdf(-1, a, b))) <= 1e-14
+
     def test_monotone_in_threshold_and_signal(self):
         # 1e-13 headroom: the pmf building blocks carry ~1e-14 round-off
         ys = np.linspace(0.0, 12.0, 25)
@@ -149,6 +166,18 @@ class TestHeterodyne:
         for gamma in (0.1, 1.0, 5.0, 50.0):
             _, p = marcum_q(MarcumArgs(sqrt(2.0 * gamma), sqrt(-2.0 * log(1e-3))))
             assert heterodyne_log_pmd(gamma, 1e-3) == pytest.approx(log(p), rel=1e-10)
+
+    def test_matches_scipy_skellam_logcdf(self):
+        # p_MD = P(Pois_gamma - Pois_b <= -1) with b = -ln p_fa.  At
+        # gamma = 0.5, ln p_MD = -0.0069 carries the series' absolute
+        # rounding of about eps*b: against recompute_het_ln_pmd the library
+        # is 4.6e-14 off there and scipy 2.5e-14, so 1e-13 between them
+        from scipy.stats import skellam
+
+        b = -log(1e-3)
+        for gamma, rel in ((0.5, 1e-13), (3.0, 1e-14), (10.0, 1e-14)):
+            want = float(skellam.logcdf(-1, gamma, b))
+            assert heterodyne_log_pmd(gamma, 1e-3) == pytest.approx(want, rel=rel, abs=0.0)
 
     def test_strictly_decreasing_in_snr(self):
         gammas = np.logspace(-3, 2, 50)
