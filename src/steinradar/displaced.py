@@ -212,18 +212,26 @@ def _sweep_rows(nb: float, tail_tol: float) -> int:
 
 def _difference_masses(
     nb: float, x: float, policy: TruncationPolicy
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[], float]]:
     """Probability masses of the difference d = k - l under p(k, l), over
     the certified window of _skellam_window, the same support third_moment
     sums over.
 
-    Returns (d, mass) for d in [lo, hi].  The mass at d = -m sums
-    gamma_n A(n, m)^2 over the thermal rows n <= _sweep_rows; at d = +m it
-    is the same sum with thermal weight gamma_(n+m) = w^m gamma_n, an exact
-    identity of the geometric weights.  The amplitudes come from one
+    Returns (d, mass, rounding) for d in [lo, hi].  The mass at d = -m sums
+    gamma_n A(n, m)^2 over the thermal rows n <= n_max = _sweep_rows; at
+    d = +m it is the same sum with thermal weight gamma_(n+m) = w^m gamma_n,
+    an exact identity of the geometric weights.  The amplitudes come from one
     _amplitude_rows sweep over the diagonals m = |d| of the window, and each
     block of rows joins the sum in one step, as the product of its thermal
     weights with its squared amplitudes.
+
+    rounding() bounds the rounding error of the sum of the masses: the seed
+    ln A(0, m) = -x/2 + (m/2) ln x - ln(m!)/2 is built from parts of size at
+    most S_m = (x + m (|ln x| + ln(m+1))) / 2, so its exponential is off by a
+    relative eps S_m; each of the n_max rows adds a recurrence step and an
+    accumulation, about eps each, and the thermal weights and w^d a few eps
+    more.  Squared into a probability, mass_d is thus off by a relative
+    2 eps (S_|d| + n_max + 4) at most, and the sum by that weighted by mass.
     """
     win = _skellam_window(nb, x, policy)
     m_lo, m_hi = max(0, -win.hi), max(-win.lo, win.hi)
@@ -242,25 +250,13 @@ def _difference_masses(
 
     d = np.arange(win.lo, win.hi + 1)
     mass = acc[np.abs(d) - m_lo] * np.power(nb / (nb + 1.0), np.maximum(d, 0))
-    return d, mass
 
+    def rounding() -> float:
+        m = np.abs(d).astype(np.float64)
+        size = 0.5 * (x + m * (abs(log(x)) + np.log(m + 1.0)))
+        return 2.0 * 2.0**-52 * float(np.sum(mass * (size + n_max + 4.0)))
 
-def _laguerre_rounding(nb: float, x: float, tail_tol: float,
-                       d: np.ndarray, mass: np.ndarray) -> float:
-    """Bound on the rounding error of the sum of _difference_masses' masses.
-
-    The seed ln A(0, m) = -x/2 + (m/2) ln x - ln(m!)/2 is built from parts
-    of size at most S_m = (x + m (|ln x| + ln(m+1))) / 2, so its exponential
-    is off by a relative eps S_m; each of the n_max = _sweep_rows rows adds
-    a recurrence step and an accumulation, about eps each, and the thermal
-    weights and w^d a few eps more.  Squared into a probability, mass_d is
-    thus off by a relative 2 eps (S_|d| + n_max + 4) at most, and the sum by
-    that weighted by mass.
-    """
-    m = np.abs(d).astype(np.float64)
-    size = 0.5 * (x + m * (abs(log(x)) + np.log(m + 1.0)))
-    n_max = _sweep_rows(nb, tail_tol)
-    return 2.0 * 2.0**-52 * float(np.sum(mass * (size + n_max + 4.0)))
+    return d, mass, rounding
 
 
 class ThirdMomentResult(NamedTuple):
@@ -476,40 +472,9 @@ def _skellam_ln_p0(x: float, m1: float, m2: float) -> float:
     return log(bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
 
 
-def _skellam_rounding(nb: float, x: float, d: np.ndarray, mass: np.ndarray) -> float:
-    """Bound on the rounding error of the sum of _skellam_masses' masses.
-
-    ln mass_d = ln P(0) + L_|d| - h d, with L_n = ln(I_n / I_0) from
-    _bessel_ln_ratios and h = ln(1 + 1/nb) / 2.  With l that recurrence's
-    block length, L_n is within eps (k_n |L_n| + 4 (n + l) + D_n) of exact,
-    k_n = ceil(n / l) + 1 and D_n its damped rounding from above (see
-    _bessel_ln_ratios).  Every partial sum formed on the way is at most
-    S_d = |ln P(0)| + |L_|d|| + h |d| in size (the log-ratios share a sign),
-    so the two additions and the product that assemble the exponent round
-    by at most eps S_d each, and its exponential and h add a few eps more.
-    mass_d is thus off by a relative eps ((k_|d| + 2) S_d + 4 (|d| + l + 2)
-    + D_|d|) at most, and the sum by that weighted by mass.  For the scalar
-    loop (l = 1), k_|d| = |d| + 1 counts its cumulative sum of log-ratios;
-    in blocks, the ceil(|d| / l) block scales summed take their place.  Over
-    random nb in [1e-8, 1e7] and x in [1e-3, 1e6] the observed |1 - sum|
-    stayed below 1/8 of this bound.
-    """
-    m1, m2 = x * nb, x * (nb + 1.0)
-    ln_p0 = _skellam_ln_p0(x, m1, m2)
-    z = 2.0 * math.sqrt(m1 * m2)
-    n = np.abs(d)
-    ell = _miller_block(z, _miller_start(z, max(int(n.max()), 1)))
-    drift = 0.5 * log1p(1.0 / nb) * d
-    ln_mass = np.log(np.maximum(mass, np.finfo(float).tiny))
-    size = abs(ln_p0) + np.abs(ln_mass - ln_p0 + drift) + np.abs(drift)
-    damped = 2.0 / -np.expm1(-2.0 * np.arcsinh(np.maximum(n, 1) / z))
-    per_mass = (-(-n // ell) + 3.0) * size + 4.0 * (n + ell + 2.0) + np.where(n > 0, damped, 0.0)
-    return 2.0**-52 * float(np.sum(mass * per_mass))
-
-
 def _skellam_masses(
     nb: float, x: float, policy: TruncationPolicy
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[], float]]:
     """Probability masses of d = k - l under p(k, l), over a certified window.
 
     d is Skellam(mu1, mu2) with mu1 = x nb, mu2 = x (nb+1), z = 2 sqrt(mu1 mu2):
@@ -522,7 +487,24 @@ def _skellam_masses(
     in blocks when it is long; e^-z I_0(z) fixes the absolute scale and
     z - mu1 - mu2 = -x^2 / (sqrt(mu1) + sqrt(mu2))^2 avoids cancellation.
     The masses are not renormalised, so their sum is a real diagnostic.
-    Returns (d, mass) for d in [lo, hi].
+    Returns (d, mass, rounding) for d in [lo, hi].
+
+    rounding() bounds the rounding error of the sum of the masses.  Here
+    ln mass_d = ln P(0) + L_|d| - h d, with L_n = ln(I_n / I_0) and
+    h = ln(1 + 1/nb) / 2.  With l the recurrence's block length, L_n is
+    within eps (k_n |L_n| + 4 (n + l) + D_n) of exact, k_n = ceil(n / l) + 1
+    and D_n its damped rounding from above (see _bessel_ln_ratios).  Every
+    partial sum formed on the way is at most S_d = |ln P(0)| + |L_|d|| + h |d|
+    in size (the log-ratios share a sign), so the two additions and the
+    product that assemble the exponent round by at most eps S_d each, and
+    its exponential and h add a few eps more.  mass_d is thus off by a
+    relative eps ((k_|d| + 2) S_d + 4 (|d| + l + 2) + D_|d|) at most, and the
+    sum by that weighted by mass.  For the scalar loop (l = 1), k_|d| =
+    |d| + 1 counts its cumulative sum of log-ratios; in blocks, the
+    ceil(|d| / l) block scales summed take their place.  |L_|d|| is read back
+    as |ln mass_d - ln P(0) + h d|, so no array but d and mass outlives the
+    call.  Over random nb in [1e-8, 1e7] and x in [1e-3, 1e6] the observed
+    |1 - sum| stayed below 1/8 of this bound.
     """
     m1, m2 = x * nb, x * (nb + 1.0)
     win = _skellam_window(nb, x, policy)
@@ -539,9 +521,21 @@ def _skellam_masses(
 
     ln_ratio = _bessel_ln_ratios(z, n_hi, n_start)
     ln_p0 = _skellam_ln_p0(x, m1, m2)
+    h = 0.5 * log1p(1.0 / nb)
     d = np.arange(win.lo, win.hi + 1)
-    mass = np.exp(ln_p0 + ln_ratio[np.abs(d)] - 0.5 * log1p(1.0 / nb) * d)
-    return d, mass
+    mass = np.exp(ln_p0 + ln_ratio[np.abs(d)] - h * d)
+
+    def rounding() -> float:
+        n = np.abs(d)
+        ell = _miller_block(z, n_start)
+        drift = h * d
+        ln_mass = np.log(np.maximum(mass, np.finfo(float).tiny))
+        size = abs(ln_p0) + np.abs(ln_mass - ln_p0 + drift) + np.abs(drift)
+        damped = np.where(n > 0, 2.0 / -np.expm1(-2.0 * np.arcsinh(np.maximum(n, 1) / z)), 0.0)
+        per_mass = (-(-n // ell) + 3.0) * size + 4.0 * (n + ell + 2.0) + damped
+        return 2.0**-52 * float(np.sum(mass * per_mass))
+
+    return d, mass, rounding
 
 
 def third_moment(
@@ -555,15 +549,15 @@ def third_moment(
     captured mass) go through _sum, which adds at most one ulp against
     that truncation allowance.  The captured probability mass is returned
     alongside; below 1 - 10*tail_tol, by more than the rounding the masses
-    carry (_skellam_rounding), the sum is considered buggy and MassDeficit
-    is raised, and above 1 by more than that rounding, ConsistencyError.
+    carry (as _skellam_masses bounds it), the sum is considered buggy and
+    MassDeficit is raised, and above 1 by more than that rounding,
+    ConsistencyError.
     """
     x = s.eta * s.ns
     if x == 0.0:
         return ThirdMomentResult(0.0, 1.0)
-    d, mass = _skellam_masses(s.nb, x, policy)
-    captured = _captured_mass(mass, s.nb, x, policy.tail_tol,
-                              lambda: _skellam_rounding(s.nb, x, d, mass))
+    d, mass, rounding = _skellam_masses(s.nb, x, policy)
+    captured = _captured_mass(mass, s.nb, x, policy.tail_tol, rounding)
     lt = log1p(1.0 / s.nb)
     u = np.abs((d + x) * lt)
     t = _sum(mass * u**3)
@@ -584,9 +578,8 @@ def spectral_oracle(
     x = s.eta * s.ns
     if x == 0.0:
         return RelEntStats(d=0.0, v=0.0, t=0.0)
-    d, mass = _difference_masses(s.nb, x, policy)
-    _captured_mass(mass, s.nb, x, policy.tail_tol,
-                   lambda: _laguerre_rounding(s.nb, x, policy.tail_tol, d, mass))
+    d, mass, rounding = _difference_masses(s.nb, x, policy)
+    _captured_mass(mass, s.nb, x, policy.tail_tol, rounding)
     llr = -d * log1p(1.0 / s.nb)
     d1 = math.fsum(mass * llr)
     centered = llr - d1

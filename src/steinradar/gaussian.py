@@ -152,18 +152,18 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
     spectrum.  The reassembled matrix must be real (imaginary residue below
     RESIDUE_TOL in max-norm) and is symmetrized before return.
 
-    Raises SingularGibbs when any symplectic eigenvalue comes within
-    PURE_MODE_EPS of 1/2: arccoth diverges on pure modes and a loud failure
-    beats returning huge finite garbage.
+    Raises SingularGibbs when any symplectic eigenvalue nu (the spectrum of
+    2i*V*Omega is +/-2 nu) comes within PURE_MODE_EPS of 1/2: arccoth diverges
+    on pure modes and a loud failure beats returning huge finite garbage.
     """
-    nu = symplectic_eigenvalues(state.cm)
-    if nu[0] <= 0.5 + PURE_MODE_EPS:
-        raise SingularGibbs(
-            f"symplectic eigenvalue {nu[0]:.3g} within {PURE_MODE_EPS} of 1/2"
-        )
     omega = state.omega
     arg = 2j * state.cm @ omega
     vals, vecs = np.linalg.eig(arg)
+    nu_min = 0.5 * np.abs(vals).min()
+    if nu_min <= 0.5 + PURE_MODE_EPS:
+        raise SingularGibbs(
+            f"symplectic eigenvalue {nu_min:.3g} within {PURE_MODE_EPS} of 1/2"
+        )
     acoth = 0.5 * np.log((vals + 1.0) / (vals - 1.0))
     g = 2j * omega @ (vecs * acoth) @ np.linalg.inv(vecs)
     residue = np.abs(g.imag).max()

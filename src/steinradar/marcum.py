@@ -188,13 +188,15 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
         raise ValueError("gamma must be finite and >= 0")
     if not (0.0 < p_fa < 1.0):
         raise ValueError("p_fa must lie in (0, 1)")
+    if gamma == 0.0:
+        return log1p(-p_fa)                        # p_MD = 1 - p_fa exactly
     a = gamma
     b = -log(p_fa)
     peak = max(b, sqrt(a * b))
     if peak > _MAX_TERMS:
         raise CapExceeded(f"heterodyne series peaks past {_MAX_TERMS:g} terms "
                           f"(gamma={gamma:g}, p_fa={p_fa:g})")
-    ln_a = log(a) if a > 0.0 else 0.0
+    ln_a = log(a)
     ln_b = log(b)
     size = min(_BLOCK, int(peak + 12.0 * sqrt(peak)) + 64)
     j0 = 1
@@ -202,13 +204,12 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
         i = np.arange(j0 - 1, j0 + size)          # every j - 1 and the last j
         ln_fact = _ln_factorial(j0 - 1, j0 + size)
         terms = -b + i[1:] * ln_b - ln_fact[1:]    # ln Pois_b(j)
-        if a > 0.0:                                # else F_a = 1 for j >= 1
-            ln_pois_a = -a + i[:-1] * ln_a - ln_fact[:-1]    # ln Pois_a(j - 1)
-            if j0 > 1:                             # carry in ln F_a(j0 - 2)
-                ln_pois_a[0] = np.logaddexp(ln_cum_a, ln_pois_a[0])
-            ln_cum = np.logaddexp.accumulate(ln_pois_a)
-            ln_cum_a = ln_cum[-1]
-            terms += ln_cum
+        ln_pois_a = -a + i[:-1] * ln_a - ln_fact[:-1]        # ln Pois_a(j - 1)
+        if j0 > 1:                                 # carry in ln F_a(j0 - 2)
+            ln_pois_a[0] = np.logaddexp(ln_cum_a, ln_pois_a[0])
+        ln_cum = np.logaddexp.accumulate(ln_pois_a)
+        ln_cum_a = ln_cum[-1]
+        terms += ln_cum
         ln_t_last = terms[-1]
         if j0 > 1:                                 # carry in the earlier blocks
             terms[0] = np.logaddexp(total, terms[0])

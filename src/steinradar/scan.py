@@ -231,70 +231,58 @@ def emit(rows: list[ScanRow], config: ScanConfig, meta: bool = False) -> bytes:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Each config flag's dest is its ScanConfig field, and an absent one keeps its default.
     parser = argparse.ArgumentParser(
         prog="steinradar-scan",
         description="Sweep SNR and tabulate finite-size detection-error "
         "exponents against the heterodyne benchmark.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--pfa", type=float, default=1e-3, help="false-alarm probability")
-    parser.add_argument("--copies", type=int, default=5000, help="number of copies M")
-    parser.add_argument("--nb", type=float, default=600.0, help="background thermal photons")
-    parser.add_argument("--snr-db-min", type=float, default=-15.0)
-    parser.add_argument("--snr-db-max", type=float, default=5.0)
-    parser.add_argument("--points", type=int, default=200)
-    parser.add_argument("--tail-tol", type=float, default=1e-10,
+    parser.add_argument("--pfa", dest="p_fa", type=float, help="false-alarm probability")
+    parser.add_argument("--copies", dest="m", type=int, help="number of copies M")
+    parser.add_argument("--nb", type=float, help="background thermal photons")
+    parser.add_argument("--snr-db-min", type=float)
+    parser.add_argument("--snr-db-max", type=float)
+    parser.add_argument("--points", type=int)
+    parser.add_argument("--tail-tol", type=float,
                         help="neglected probability mass per scan point")
-    parser.add_argument("--bek-c", type=float, default=BERRY_ESSEEN_C,
-                        help="Berry-Esseen constant")
+    parser.add_argument("--bek-c", dest="c", type=float, help="Berry-Esseen constant")
     parser.add_argument("--benchmark-m-convention", choices=[PER_COPY, TOTAL],
-                        default=PER_COPY,
                         help="how M enters the heterodyne benchmark exponent")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--output", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", dest="output_format", choices=["csv", "json"])
+    parser.add_argument("--output", help="output path (default: stdout)")
     parser.add_argument("--meta", action="store_true",
                         help="embed the config as CSV comment lines")
     parser.add_argument("--keep-partial", action="store_true",
                         help="skip failed scan points instead of aborting")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=int,
                         help="parallel row evaluation (output is identical at any level)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    opts = vars(_build_parser().parse_args(argv))
+    output, meta = opts.pop("output", None), opts.pop("meta", False)
     try:
-        config = ScanConfig(
-            p_fa=args.pfa,
-            m=args.copies,
-            nb=args.nb,
-            snr_db_min=args.snr_db_min,
-            snr_db_max=args.snr_db_max,
-            points=args.points,
-            tail_tol=args.tail_tol,
-            c=args.bek_c,
-            benchmark_m_convention=args.benchmark_m_convention,
-            output_format=args.format,
-            keep_partial=args.keep_partial,
-            workers=args.workers,
-        )
+        config = ScanConfig(**opts)
     except ValueError as err:
         print(f"steinradar-scan: config error: {err}", file=sys.stderr)
         return 2
     try:
         rows = run_scan(config)
-        payload = emit(rows, config, meta=args.meta)
+        payload = emit(rows, config, meta=meta)
     except SteinRadarError as err:
         print(f"steinradar-scan: numerical failure: {err}", file=sys.stderr)
         return 3
-    if args.output is None:
+    if output is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     else:
         try:
-            with open(args.output, "wb") as fh:
+            with open(output, "wb") as fh:
                 fh.write(payload)
         except OSError as err:
-            print(f"steinradar-scan: cannot write {args.output}: {err}",
+            print(f"steinradar-scan: cannot write {output}: {err}",
                   file=sys.stderr)
             return 1
     return 0

@@ -25,9 +25,7 @@ from steinradar import displaced as displaced_mod
 from steinradar.displaced import (
     K_MAX_CAP,
     _difference_masses,
-    _laguerre_rounding,
     _skellam_masses,
-    _skellam_rounding,
     _skellam_window,
     _sum,
     _thermal_cutoff,
@@ -209,8 +207,8 @@ class TestThirdMoment:
 
     def test_mass_deficit_detected(self, monkeypatch):
         def half_masses(nb, x, policy):
-            d, mass = _skellam_masses(nb, x, policy)
-            return d, 0.5 * mass
+            d, mass, rounding = _skellam_masses(nb, x, policy)
+            return d, 0.5 * mass, rounding
 
         monkeypatch.setattr(displaced_mod, "_skellam_masses", half_masses)
         with pytest.raises(MassDeficit):
@@ -219,8 +217,8 @@ class TestThirdMoment:
     def test_mass_excess_detected(self, monkeypatch):
         # truncation only drops mass, so a sum of 2 is a bug, not rounding
         def double_masses(nb, x, policy):
-            d, mass = _skellam_masses(nb, x, policy)
-            return d, 2.0 * mass
+            d, mass, rounding = _skellam_masses(nb, x, policy)
+            return d, 2.0 * mass, rounding
 
         monkeypatch.setattr(displaced_mod, "_skellam_masses", double_masses)
         with pytest.raises(ConsistencyError):
@@ -264,14 +262,13 @@ class TestSpectralOracle:
                  for gamma in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0)]
         cases += [(nb, x) for nb in (0.01, 1.0, 10.0) for x in (3e3, 1e4)]
         for nb, x in cases:
-            d, mass = _difference_masses(nb, x, policy)
-            bound = _laguerre_rounding(nb, x, policy.tail_tol, d, mass)
-            assert abs(1.0 - math.fsum(mass)) <= bound / 3.0
+            d, mass, rounding = _difference_masses(nb, x, policy)
+            assert abs(1.0 - math.fsum(mass)) <= rounding() / 3.0
 
     def test_mass_excess_detected(self, monkeypatch):
         def double_masses(nb, x, policy):
-            d, mass = _difference_masses(nb, x, policy)
-            return d, 2.0 * mass
+            d, mass, rounding = _difference_masses(nb, x, policy)
+            return d, 2.0 * mass, rounding
 
         monkeypatch.setattr(displaced_mod, "_difference_masses", double_masses)
         with pytest.raises(ConsistencyError):
@@ -286,10 +283,9 @@ class TestSpectralOracle:
         for nb, x in ((600.0, 60.0), (600.0, 600.0), (600.0, 6e3), (1.0, 1e4),
                       (1.0, 1e5), (0.1, 1e5), (1e-3, 1e4), (10.0, 3.0)):
             d_ref, want, rescales, floors = difference_masses_rowwise(nb, x, policy.tail_tol)
-            d, mass = _difference_masses(nb, x, policy)
+            d, mass, rounding = _difference_masses(nb, x, policy)
             assert np.array_equal(d, d_ref)
-            bound = _laguerre_rounding(nb, x, policy.tail_tol, d, mass)
-            assert math.fsum(np.abs(mass - want)) <= bound
+            assert math.fsum(np.abs(mass - want)) <= rounding()
             rescaled += rescales > 0
             floored += floors > 0
         assert rescaled >= 3 and floored >= 3
@@ -317,7 +313,7 @@ class TestDifferenceLaw:
         # k - l is distributed as a difference of independent Poissons with
         # means (x nb, x (nb+1)); scipy's scaled Bessel gives its pmf.
         nb = x = 600.0
-        d, mass = _difference_masses(nb, x, TruncationPolicy())
+        d, mass, _ = _difference_masses(nb, x, TruncationPolicy())
         idx = {int(v): i for i, v in enumerate(d)}
         for dd in (-3000, -1200, -600, -300, 0, 300, 900, 2500):
             got = mass[idx[dd]]
@@ -326,7 +322,7 @@ class TestDifferenceLaw:
 
     def test_skellam_identity_moderate(self):
         nb, x = 3.0, 7.0
-        d, mass = _difference_masses(nb, x, TruncationPolicy())
+        d, mass, _ = _difference_masses(nb, x, TruncationPolicy())
         idx = {int(v): i for i, v in enumerate(d)}
         for dd in (-25, -10, -7, -2, 0, 3, 12):
             got = mass[idx[dd]]
@@ -344,7 +340,7 @@ class TestSkellamRoute:
             (3.0, 7.0, (-25, -10, -7, -2, 0, 3, 12)),
         ]
         for nb, x, points in cases:
-            d, mass = _skellam_masses(nb, x, TruncationPolicy())
+            d, mass, _ = _skellam_masses(nb, x, TruncationPolicy())
             idx = {int(v): i for i, v in enumerate(d)}
             for dd in points:
                 want = exp(skellam_log_pmf(dd, x * nb, x * (nb + 1.0)))
@@ -392,9 +388,8 @@ class TestSkellamRoute:
             for x in (1e-2, 1.0, 1e2, 1e4, 1e5):
                 if x * (2.0 * nb + 1.0) > 1e8:
                     continue          # the window would pass K_MAX_CAP
-                d, mass = _skellam_masses(nb, x, policy)
-                bound = _skellam_rounding(nb, x, d, mass)
-                assert abs(1.0 - math.fsum(mass)) <= bound / 4.0
+                d, mass, rounding = _skellam_masses(nb, x, policy)
+                assert abs(1.0 - math.fsum(mass)) <= rounding() / 4.0
 
     def test_sum_equals_fsum_on_default_grid(self):
         # every window the default scan sums (2,361 to 23,612 wide, all past
@@ -403,7 +398,7 @@ class TestSkellamRoute:
         lt = math.log1p(1.0 / nb)
         for snr_db in np.linspace(-15.0, 5.0, 200):
             x = 10.0 ** (snr_db / 10.0) * nb
-            d, mass = _skellam_masses(nb, x, TruncationPolicy())
+            d, mass, _ = _skellam_masses(nb, x, TruncationPolicy())
             assert len(mass) >= displaced_mod._FSUM_BELOW
             cubic = mass * np.abs((d + x) * lt) ** 3
             assert _sum(mass) == math.fsum(mass)

@@ -138,9 +138,9 @@ class TestMarcumQ:
 
 class TestHeterodyne:
     def test_zero_snr_pure_false_alarm(self):
-        for p_fa in (1e-5, 1e-3, 0.1):
-            got = heterodyne_log_pmd(0.0, p_fa)
-            assert got == pytest.approx(log1p(-p_fa), rel=1e-12)
+        # p_MD = 1 - p_fa exactly, so ln p_MD is log1p(-p_fa) to the bit
+        for p_fa in (1e-300, 1e-50, 1e-5, 1e-3, 0.1, 0.9):
+            assert heterodyne_log_pmd(0.0, p_fa) == log1p(-p_fa)
 
     def test_reference_point(self):
         assert heterodyne_log_pmd(10.0, 1e-3) == pytest.approx(HET_LN_PMD_G10, rel=1e-8)
@@ -154,7 +154,7 @@ class TestHeterodyne:
         # below 4096 terms the arithmetic is the loop's, term for term; past
         # it ln j! comes from the Stirling series instead of lgamma
         for p_fa in (1e-5, 1e-3, 0.1):
-            for gamma in np.concatenate(([0.0], np.logspace(-3, 6, 19))):
+            for gamma in np.logspace(-3, 6, 19):
                 want = heterodyne_log_pmd_loop(float(gamma), p_fa)
                 got = heterodyne_log_pmd(float(gamma), p_fa)
                 assert got == pytest.approx(want, rel=1e-14, abs=1e-15)

@@ -1,8 +1,9 @@
 """Hypothesis properties: the Skellam law against the closed forms, the
-Lyapunov bound on T, the blocked Bessel-ratio recurrence against the scalar
-loop, the window summation against math.fsum, the
-monotonicity in SNR of the bound exponents and of the heterodyne exponent,
-and the CLI exit-code contract on arbitrary input."""
+Lyapunov bound on T, the window certificate against the dropped tails, the
+blocked Bessel-ratio recurrence against the scalar loop, the window
+summation against math.fsum, the monotonicity in SNR of the bound exponents
+and of the heterodyne exponent, and the CLI exit-code contract on arbitrary
+input."""
 
 import contextlib
 import io
@@ -35,6 +36,7 @@ from steinradar.displaced import (
     _miller_block,
     _miller_start,
     _skellam_masses,
+    _skellam_window,
     _sum,
 )
 from steinradar.scan import PER_COPY, TOTAL, main
@@ -49,7 +51,7 @@ gammas = st.floats(1e-3, 10.0)
 def test_skellam_mean_and_variance_reproduce_d_and_v(nb, gamma):
     # the log-likelihood ratio is -d ln(1 + 1/nb)
     s = ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)
-    d, mass = _skellam_masses(nb, s.ns, TruncationPolicy())
+    d, mass, _ = _skellam_masses(nb, s.ns, TruncationPolicy())
     lt = math.log1p(1.0 / nb)
     mean = math.fsum(mass * d)
     var = math.fsum(mass * (d - mean) ** 2)
@@ -63,6 +65,46 @@ def test_skellam_mean_and_variance_reproduce_d_and_v(nb, gamma):
 def test_lyapunov(nb, gamma):
     s = ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)
     assert third_moment(s).t >= thermal_closed_forms(s).v ** 1.5
+
+
+# Terms of each dropped tail summed one by one; a geometric series bounds the rest.
+_TAIL_TERMS = 256
+
+
+# nb log-uniform in [1e-6, 1e3], x log-uniform from 1e-4 up to the variance
+# x (2 nb + 1) = 1e8, tail_tol log-uniform in [2^-52, 0.49].
+@settings(max_examples=40, deadline=None)
+@given(nb=st.floats(-6.0, 3.0).map(lambda e: 10.0**e), frac=st.floats(0.0, 1.0),
+       tail_tol=st.floats(-52.0, math.log2(0.49)).map(lambda e: 2.0**e))
+@example(nb=1e-6, frac=0.0, tail_tol=0.49)
+@example(nb=1e3, frac=1.0, tail_tol=2.0**-52)
+def test_window_certificate_covers_dropped_tails(nb, frac, tail_tol):
+    # The Skellam pmf is log-concave, as a convolution of Poisson pmfs, and
+    # so is pmf(d) |d + x|^3 beyond the mean -x, where both tails lie.  Past
+    # the summed terms, each tail thus shrinks at least geometrically at its
+    # last ratio, so the sums below are upper bounds on what the window drops.
+    from scipy.special import logsumexp
+    from scipy.stats import skellam
+
+    x = 10.0 ** (-4.0 + frac * (12.0 - math.log10(2.0 * nb + 1.0)))
+    m1, m2 = x * nb, x * (nb + 1.0)
+    win = _skellam_window(nb, x, TruncationPolicy(tail_tol=tail_tol))
+    steps = np.arange(_TAIL_TERMS)
+    ln_mass, ln_cubic = [], []
+    for d in (win.hi + 1 + steps, win.lo - 1 - steps):
+        ln_p = skellam.logpmf(d, m1, m2)
+        for ln_w, parts in ((ln_p, ln_mass), (ln_p + 3.0 * np.log(np.abs(d + x)), ln_cubic)):
+            parts.append(logsumexp(ln_w))
+            if ln_w[-1] > -math.inf:
+                ln_r = ln_w[-1] - ln_w[-2]
+                assert ln_r < 0.0
+                parts.append(ln_w[-1] + ln_r - math.log(-math.expm1(ln_r)))
+    # 1e-9: the relative error of scipy's pmf
+    assert logsumexp(ln_mass) <= math.log(win.tail_mass) + 1e-9
+    assert logsumexp(ln_cubic) <= math.log(win.tail_cubic) + 1e-9
+    # the window's own promise; 1e-12 for exp of its log-space comparison
+    assert win.tail_mass <= tail_tol / 2.0
+    assert win.tail_cubic <= tail_tol / 2.0 * (m1 + m2) ** 1.5 * (1.0 + 1e-12)
 
 
 def _ln_ratio_bound(z: float, ln_ratio: np.ndarray, ell: int) -> np.ndarray:

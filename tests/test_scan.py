@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,13 @@ CLI_SMALL = ("--nb", "5", "--copies", "100", "--points", "3",
 
 
 class TestCli:
+    def test_defaults_are_scan_config_defaults(self):
+        # each config flag writes its ScanConfig field and states no default
+        parser = scan_mod._build_parser()
+        dests = {action.dest for action in parser._actions} - {"help"}
+        assert dests == {f.name for f in fields(ScanConfig)} | {"output", "meta"}
+        assert ScanConfig(**vars(parser.parse_args([]))) == ScanConfig()
+
     def test_success_csv_stdout(self):
         proc = run_cli(*CLI_SMALL)
         assert proc.returncode == 0
