@@ -19,6 +19,7 @@ from .bounds import (
 from .displaced import (
     ThirdMomentResult,
     TruncationPolicy,
+    bessel_i0_scaled,
     spectral_oracle,
     third_moment,
     transition_prob,
@@ -42,7 +43,7 @@ from .gaussian import (
     scenario_states,
     thermal_closed_forms,
 )
-from .marcum import MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
+from .marcum import MarcumArgs, heterodyne_log_pmd, marcum_q
 
 __all__ = [
     "BERRY_ESSEEN_C",

@@ -8,13 +8,14 @@ input to the Berry-Esseen-corrected bounds.
 
 third_moment uses the law of that difference directly: d = k - l is
 Skellam(x nb, x (nb+1)), a difference of independent Poissons, whose pmf is
-a ratio chain of scaled Bessel functions I_n.  The chain comes from Miller's
-backward recurrence, whose coefficients are all positive: short recurrences
-run as a scalar loop, long ones in vectorised blocks stitched at their
-edges.  The support window is certified by a Chernoff bound that covers the
-cubic-weighted tail, so the cost is linear in the window width.  Its sums,
-and the captured-mass sum of both routes, go through _sum, a vectorised
-compensated summation within one ulp of math.fsum on nonnegative terms.
+a ratio chain of Bessel functions I_n anchored at bessel_i0_scaled.  The
+chain comes from Miller's backward recurrence, whose coefficients are all
+positive: short recurrences run as a scalar loop, long ones in vectorised
+blocks stitched at their edges.  marcum's heterodyne benchmark sums the same
+Skellam law from the same pieces.  The support window is certified by a
+Chernoff bound that covers the cubic-weighted tail, so the cost is linear in
+the window width.  Its sums and both routes' captured-mass sums go through
+_sum, a vectorised compensated summation within an ulp of math.fsum.
 
 spectral_oracle is the independent cross-check: it sums D, V and T from the
 transition probabilities themselves, and adds them with math.fsum rather
@@ -28,10 +29,7 @@ reads one diagonal of it, and the double sum behind spectral_oracle sweeps
 the diagonals |d| of third_moment's certified window at once, so both
 routes sum over one support, checking the probability mass it captures
 against a derived rounding allowance, on both sides of 1, rather than
-trusting truncation blindly.  The sweep runs in blocks of 16 rows, with
-the recurrence coefficients built per block as tables from sliding-window
-views, so a row costs three ufunc calls and a block joins the mass sums in
-one matrix-vector product.  It refuses any index past K_MAX_CAP.
+trusting truncation blindly.  It refuses any index past K_MAX_CAP.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from math import exp, lgamma, log, log1p
+from math import exp, lgamma, log, log1p, sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -47,7 +45,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceeded, ConsistencyError, MassDeficit
 from .gaussian import RelEntStats, ThermalScenario
-from .marcum import bessel_i0_scaled
 
 _LN_TINY = log(1e-250)       # seed floor for underflowed diagonal starts
 _RESCALE_AT = 1e100
@@ -56,6 +53,7 @@ _LN_RESCALE = -log(_RESCALE_BY)
 _BLOCK_ROWS = 16             # _amplitude_rows: rows per block, and the rescale period
 K_MAX_CAP = 200_000          # hard cap on every summation index and window width
 _FSUM_BELOW = 512            # _sum: shorter arrays go to math.fsum over a list
+_I0_CROSSOVER = 19.0         # bessel_i0_scaled: power series below, asymptotic beyond
 
 
 @dataclass(frozen=True)
@@ -376,9 +374,34 @@ _MILLER_LN_DAMP = 25.0
 _BLOCKED_FROM = 512          # _bessel_ln_ratios: recurrences this long run in blocks
 
 
+def _asinh_edge(z: float, lo: float, c: float, goal: float) -> int:
+    """ceil(t) for the t > lo with int_lo^t (asinh(u/z) + c) du = goal > 0,
+    z > 0, the integrand >= 0 at lo.  The integrand lies below its tangent at
+    lo (asinh is concave), so Newton's method on the convex integral starts
+    from the root of that quadratic model, steps past t and falls back."""
+    def f(t):
+        return t * (math.asinh(t / z) + c) - t * t / (math.hypot(t, z) + z)
+
+    target = f(lo) + goal
+    s, kappa = max(math.asinh(lo / z) + c, 0.0), 1.0 / math.hypot(lo, z)
+    t = lo + 2.0 * goal / (s + sqrt(s * s + 2.0 * kappa * goal))
+    step = math.inf
+    while abs(step) > 1e-9 * t:
+        step = (f(t) - target) / (math.asinh(t / z) + c)
+        t -= step
+    return math.ceil(t)
+
+
 def _miller_start(z: float, n_hi: int) -> int:
-    """Start index of the Miller recurrence for Bessel ratios up to n_hi."""
-    return n_hi + math.ceil(_MILLER_LN_DAMP / math.asinh(n_hi / z))
+    """Least N with int_(n_hi)^N asinh(t/z) dt >= _MILLER_LN_DAMP, the start of
+    the Miller recurrence for Bessel ratios up to n_hi: a unit error at N is
+    damped by about exp(-2 asinh(j/z)) on each step j down to n_hi, and as
+    asinh rises the integral bounds the sum of those exponents from below.
+    For n_hi << z, N ~ sqrt(n_hi^2 + 50 z).  CapExceeded past K_MAX_CAP."""
+    n = _asinh_edge(z, n_hi, 0.0, _MILLER_LN_DAMP)
+    if n > K_MAX_CAP:
+        raise CapExceeded(f"Bessel recurrence start {n} exceeds K_MAX_CAP={K_MAX_CAP} (z={z:g})")
+    return n
 
 
 def _miller_block(z: float, n_start: int) -> int:
@@ -386,8 +409,8 @@ def _miller_block(z: float, n_start: int) -> int:
     _BLOCKED_FROM, else about sqrt(n_start / 8), which balances the l
     vectorised steps against the n_start / l block edges.  Within a block the
     values grow by at most (1 + 2N/z)^l, N < 2 n_start the rounded-up start,
-    and the stitching ratio adds at most z/2 < e^25 (the variance cap bounds
-    z), so l is capped at 650 / ln(1 + 4 n_start/z) to stay finite."""
+    and the stitching ratio adds at most z/2 < e^25 (z <= n_start^2 / 50 by
+    _miller_start), so l is capped at 650 / ln(1 + 4 n_start/z) to stay finite."""
     if n_start < _BLOCKED_FROM:
         return 1
     return max(1, min(math.isqrt(n_start // 8), int(650.0 / log1p(4.0 * n_start / z))))
@@ -465,6 +488,35 @@ def _bessel_ln_ratios(z: float, n_hi: int, n_start: int) -> np.ndarray:
     return out
 
 
+def bessel_i0_scaled(t: float) -> float:
+    """Exponentially scaled modified Bessel function e^-t I0(t).
+
+    Power series below the crossover (all terms positive, so the scaled
+    result is correct to machine epsilon), asymptotic series in 1/(8t)
+    beyond, where its optimally-truncated remainder is below 1e-15.
+    """
+    if not (t >= 0.0):
+        raise ValueError("t must be >= 0")
+    if t < _I0_CROSSOVER:
+        q, term, s, k = 0.25 * t * t, 1.0, 1.0, 1
+        while True:
+            term *= q / (k * k)
+            s += term
+            if term < s * 1e-18:
+                return exp(-t) * s
+            k += 1
+    u, term, s = 1.0 / (8.0 * t), 1.0, 1.0
+    for k in range(1, 40):
+        nxt = term * (2.0 * k - 1.0) ** 2 * u / k
+        if nxt >= term:        # asymptotic series started diverging
+            break
+        term = nxt
+        s += term
+        if term < s * 1e-18:
+            break
+    return s / sqrt(2.0 * math.pi * t)
+
+
 def _skellam_ln_p0(x: float, m1: float, m2: float) -> float:
     """ln P(d = 0) = ln(e^-z I_0(z)) + z - m1 - m2, z = 2 sqrt(m1 m2), with
     z - m1 - m2 written without cancellation as -x^2 / (sqrt(m1) + sqrt(m2))^2."""
@@ -482,10 +534,8 @@ def _skellam_masses(
         P(d) = e^(z - mu1 - mu2) (mu1/mu2)^(d/2) e^-z I_|d|(z).
 
     ln(I_n(z) / I_0(z)) comes from _bessel_ln_ratios, Miller's backward
-    recurrence started past the window where its error has died out (it is
-    damped by ~rho^2 per step, rho_n = I_n / I_(n-1) ~ exp(-asinh(n/z))),
-    in blocks when it is long; e^-z I_0(z) fixes the absolute scale and
-    z - mu1 - mu2 = -x^2 / (sqrt(mu1) + sqrt(mu2))^2 avoids cancellation.
+    recurrence started at _miller_start; e^-z I_0(z) fixes the absolute scale
+    and z - mu1 - mu2 = -x^2 / (sqrt(mu1) + sqrt(mu2))^2 avoids cancellation.
     The masses are not renormalised, so their sum is a real diagnostic.
     Returns (d, mass, rounding) for d in [lo, hi].
 
@@ -510,14 +560,10 @@ def _skellam_masses(
     win = _skellam_window(nb, x, policy)
     z = 2.0 * math.sqrt(m1 * m2)
     n_hi = max(-win.lo, win.hi, 1)
+    if win.hi - win.lo >= K_MAX_CAP:
+        raise CapExceeded(f"support window [{win.lo}, {win.hi}] exceeds K_MAX_CAP={K_MAX_CAP} "
+                          f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})")
     n_start = _miller_start(z, n_hi)
-    width = win.hi - win.lo + 1
-    if width > K_MAX_CAP or n_start > K_MAX_CAP:
-        raise CapExceeded(
-            f"support window [{win.lo}, {win.hi}] and Bessel recurrence start "
-            f"{n_start} exceed K_MAX_CAP={K_MAX_CAP} "
-            f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})"
-        )
 
     ln_ratio = _bessel_ln_ratios(z, n_hi, n_start)
     ln_p0 = _skellam_ln_p0(x, m1, m2)

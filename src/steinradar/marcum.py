@@ -2,27 +2,26 @@
 
 Q(x, y) = int_y^inf t exp(-(t^2+x^2)/2) I0(t x) dt is the tail of a Rician
 density; the coherent-pulse + heterodyne receiver has
-p_MD = 1 - Q(sqrt(2 gamma), sqrt(-2 ln p_FA)).  Both Q and its complement
-are computed by their own positive-term series (no 1 - Q cancellation), and
-the mis-detection log-probability has a dedicated log-domain route that
-stays finite at large SNR.
+p_MD = 1 - Q(sqrt(2 gamma), sqrt(-2 ln p_FA)).
 
-That route, heterodyne_log_pmd, sums its series in numpy blocks of at most
-_BLOCK terms, so its memory is O(_BLOCK) however far the series runs, and
-stops on an explicit bound on the remaining tail rather than on a count of
-declining terms.  marcum_q, on numpy arrays too (running products and
-compensated prefix sums), shares no code with it: its independent check.
+heterodyne_log_pmd reads p_MD as a Skellam cdf and sums it, or its
+complement, from the Bessel ratios of displaced's Miller recurrence, in
+log form so that it stays finite at large SNR, and stops on an explicit
+bound on the remaining tail.  marcum_q computes Q and 1 - Q by their own
+positive-term Poisson series on numpy arrays (running products and
+compensated prefix sums); it shares no code with that route: its
+independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import exp, lgamma, log, log1p, sqrt
+from math import exp, log, log1p, sqrt
 
 import numpy as np
 
-from .errors import CapExceeded
+from .displaced import _asinh_edge, _bessel_ln_ratios, _miller_start, _skellam_ln_p0, _sum
 
 
 @dataclass(frozen=True)
@@ -37,44 +36,6 @@ class MarcumArgs:
             raise ValueError("x must be finite and >= 0")
         if not (self.y >= 0.0 and math.isfinite(self.y)):
             raise ValueError("y must be finite and >= 0")
-
-
-_I0_CROSSOVER = 19.0
-
-
-def bessel_i0_scaled(t: float) -> float:
-    """Exponentially scaled modified Bessel function e^-t I0(t).
-
-    Power series below the crossover (all terms positive, so the scaled
-    result is correct to machine epsilon), asymptotic series in 1/(8t)
-    beyond, where its optimally-truncated remainder is below 1e-15.
-    """
-    if not (t >= 0.0):
-        raise ValueError("t must be >= 0")
-    if t < _I0_CROSSOVER:
-        q = 0.25 * t * t
-        term = 1.0
-        s = 1.0
-        k = 1
-        while True:
-            term *= q / (k * k)
-            s += term
-            if term < s * 1e-18:
-                break
-            k += 1
-        return exp(-t) * s
-    u = 1.0 / (8.0 * t)
-    term = 1.0
-    s = 1.0
-    for k in range(1, 40):
-        nxt = term * (2.0 * k - 1.0) ** 2 * u / k
-        if nxt >= term:        # asymptotic series started diverging
-            break
-        term = nxt
-        s += term
-        if term < s * 1e-18:
-            break
-    return s / sqrt(2.0 * math.pi * t)
 
 
 def _poisson_window(mu: float, lo: int, hi: int) -> np.ndarray:
@@ -133,56 +94,45 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     return min(math.fsum((pa * cdf_b).tolist()), 1.0), min(math.fsum((pb * cdf_a).tolist()), 1.0)
 
 
-# The heterodyne series peaks near term max(b, sqrt(a b)); past _MAX_TERMS
-# it is refused up front.  It is summed in blocks of at most _BLOCK terms, so
-# memory stays O(_BLOCK) however long the series runs.
-_MAX_TERMS = 10**7
-_BLOCK = 1 << 16
-# ln of the dropped tail relative to the running total at which the series
-# stops: e^-46 ~ 1e-20, below the rounding of the sum.
-_LN_TAIL_TOL = -46.0
-
-# ln n! from an exact lgamma table below _STIRLING_FROM, which covers the
-# whole series up to gamma ~ 1e6 at p_fa = 1e-3, and the Stirling series
-# beyond, whose first omitted term 1/(1188 n^9) is below 1e-35 there.
-_STIRLING_FROM = 4096
-_LN_FACT_TABLE = np.array([lgamma(n + 1.0) for n in range(_STIRLING_FROM)])
-_HALF_LN_2PI = 0.5 * log(2.0 * math.pi)
+_LN_TAIL_TOL = -46.0    # ln of the tail a sum may drop, relative to it: below its rounding
 
 
-def _ln_factorial(lo: int, hi: int) -> np.ndarray:
-    """ln n! for n = lo, ..., hi - 1 (0 <= lo < hi)."""
-    if hi <= _STIRLING_FROM:
-        return _LN_FACT_TABLE[lo:hi]
-    x = np.arange(max(lo, _STIRLING_FROM), hi, dtype=float)
-    r = 1.0 / x
-    r2 = r * r
-    series = r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
-    out = (x + 0.5) * np.log(x) - x + _HALF_LN_2PI + series
-    if lo < _STIRLING_FROM:
-        out = np.concatenate((_LN_FACT_TABLE[lo:], out))
-    return out
+def _ln_skellam_side(z: float, ln_rho: float, first: int) -> float:
+    """ln sum_(k >= first) t_k, t_k = rho^k I_k(z) / I_0(z), z > 0.  The ratio
+    t_(k+1) / t_k = rho I_(k+1) / I_k falls with k, so past t_n, at
+    q = t_n / t_(n-1) < 1, the tail is at most t_n q / (1 - q), which must
+    fall below e^_LN_TAIL_TOL of the sum.  n starts where the integral of
+    asinh(t/z) - ln rho from the largest term reaches that tolerance
+    (I_k / I_(k-1) ~ exp(-asinh(k/z))), and doubles until the bound holds."""
+    peak = max(first, z * math.sinh(ln_rho))   # the terms rise up to here
+    n_hi = _asinh_edge(z, peak, -ln_rho, -_LN_TAIL_TOL)
+    while True:
+        ln_t = _bessel_ln_ratios(z, n_hi, _miller_start(z, n_hi))[first:]
+        ln_t += ln_rho * np.arange(first, n_hi + 1)
+        ln_s = log(_sum(np.exp(ln_t)))
+        ln_q = ln_t[-1] - ln_t[-2]
+        if ln_q < 0.0 and ln_t[-1] + ln_q - log(-math.expm1(ln_q)) < ln_s + _LN_TAIL_TOL:
+            return ln_s
+        n_hi *= 2
 
 
 def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
     """ln p_MD of the coherent-state + heterodyne receiver at SNR gamma.
 
-    p_MD = P(sqrt(2 gamma), sqrt(-2 ln p_fa)) evaluated through the direct
-    complement series in the log domain, so there is no 1 - Q cancellation
-    and the result stays finite when p_MD underflows double precision.
-    With a = gamma and b = -ln p_fa,
+    p_MD = P(sqrt(2 gamma), sqrt(-2 ln p_fa)) = P(X >= 1) for the Skellam
+    difference X = N_b - N_a of N_a ~ Pois(a = gamma), N_b ~ Pois(b = -ln p_fa),
+    third_moment's law: with z = 2 sqrt(a b), P(X = k) = P(0) (b/a)^(k/2)
+    I_|k|(z) / I_0(z), ln P(0) = ln(e^-z I_0(z)) - (sqrt(a) - sqrt(b))^2.
+    The one of p_MD and Q = P(X <= 0) below 1/2 is summed (Gil, Segura &
+    Temme, ACM TOMS 40:20, 2014): p_MD if a >= b, else Q, returning
+    log1p(-Q), unless Q > 1/2.  So ln p_MD <= 0, finite where p_MD underflows.
 
-        ln p_MD = logsumexp_{j >= 1} [ln Pois_b(j) + ln F_a(j - 1)],
-
-    F_a being the Poisson(a) cdf, built by a running log-sum-exp.  The
-    terms are evaluated in numpy blocks of at most _BLOCK, carrying ln F_a
-    and the total from block to block; the first block is sized from the
-    peak so that one usually suffices.  The sum stops on a certificate:
-    F_a(j)/F_a(j-1) <= 1 + a/j, so the term ratio t_(j+1)/t_j is at most
-    r_J = b (J + a) / (J (J + 1)) for every j >= J, and once r_J < 1 the
-    whole tail past J is at most t_J r_J / (1 - r_J), which must fall
-    below e^_LN_TAIL_TOL of the total.
-    Raises CapExceeded up front if the series would peak past _MAX_TERMS.
+    Error budget: the dropped tail is below e^-46 of the sum; ln P(0) rounds
+    by a few eps (1 + (sqrt(a) - sqrt(b))^2); each term's exponent
+    L_k + k ln rho by the _bessel_ln_ratios bound on L_k plus eps k |ln rho|;
+    the sum by one ulp.  Through log1p(-Q) the relative error of ln p_MD is
+    at most twice that of Q.  CapExceeded where the Bessel recurrence would
+    start past K_MAX_CAP (gamma ~ 2e16 at p_fa = 1e-3).
     """
     if not (0.0 <= gamma < math.inf):
         raise ValueError("gamma must be finite and >= 0")
@@ -190,37 +140,12 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
         raise ValueError("p_fa must lie in (0, 1)")
     if gamma == 0.0:
         return log1p(-p_fa)                        # p_MD = 1 - p_fa exactly
-    a = gamma
-    b = -log(p_fa)
-    peak = max(b, sqrt(a * b))
-    if peak > _MAX_TERMS:
-        raise CapExceeded(f"heterodyne series peaks past {_MAX_TERMS:g} terms "
-                          f"(gamma={gamma:g}, p_fa={p_fa:g})")
-    ln_a = log(a)
-    ln_b = log(b)
-    size = min(_BLOCK, int(peak + 12.0 * sqrt(peak)) + 64)
-    j0 = 1
-    while True:
-        i = np.arange(j0 - 1, j0 + size)          # every j - 1 and the last j
-        ln_fact = _ln_factorial(j0 - 1, j0 + size)
-        terms = -b + i[1:] * ln_b - ln_fact[1:]    # ln Pois_b(j)
-        ln_pois_a = -a + i[:-1] * ln_a - ln_fact[:-1]        # ln Pois_a(j - 1)
-        if j0 > 1:                                 # carry in ln F_a(j0 - 2)
-            ln_pois_a[0] = np.logaddexp(ln_cum_a, ln_pois_a[0])
-        ln_cum = np.logaddexp.accumulate(ln_pois_a)
-        ln_cum_a = ln_cum[-1]
-        terms += ln_cum
-        ln_t_last = terms[-1]
-        if j0 > 1:                                 # carry in the earlier blocks
-            terms[0] = np.logaddexp(total, terms[0])
-        # a sequential logaddexp: each step rounds relative to the running
-        # total, not to the largest term as a shifted sum of exps would
-        total = np.logaddexp.accumulate(terms)[-1]
-        last = j0 + size - 1
-        r = b * (last + a) / (last * (last + 1.0))
-        if r < 1.0 and ln_t_last + log(r) - log1p(-r) < total + _LN_TAIL_TOL:
-            return float(total)
-        j0 = last + 1
-        if j0 > 2 * _MAX_TERMS:  # pragma: no cover - the tail bound ends it first
-            raise CapExceeded(f"heterodyne series did not end by term {j0}")
-        size = _BLOCK
+    a, b = gamma, -log(p_fa)
+    z = 2.0 * sqrt(a) * sqrt(b)                    # never underflows
+    ln_p0 = _skellam_ln_p0(b - a, a, b)
+    ln_rho = 0.5 * (log(b) - log(a))
+    if a < b:
+        q = exp(ln_p0 + _ln_skellam_side(z, -ln_rho, 0))
+        if q <= 0.5:
+            return log1p(-q)
+    return ln_p0 + _ln_skellam_side(z, ln_rho, 1)

@@ -9,11 +9,12 @@ code shares an evaluation path with the library: Laguerre values come from
 the plain binomial sum or mpmath.laguerre, Skellam masses from an mpmath
 Miller recurrence anchored at mpmath.besseli, thermal relative entropies from
 truncated Fock-space sums, normal-CDF inverses from bisection or from Newton
-steps on mpmath's CDF, the heterodyne ln p_MD from an mpmath series.
+steps on mpmath's CDF, the heterodyne ln p_MD from mpmath Poisson series
+(of p_MD or of its complement) or from a sum of mpmath.besseli values.
 heterodyne_log_pmd_loop and difference_masses_rowwise are the deliberate
-exceptions: they keep the per-term loop and the one-row-at-a-time Laguerre
-recurrence that the library's blocked code replaced, as references for
-doing the same arithmetic.
+exceptions: they keep the per-term Poisson loop that the library's Skellam
+route replaced and the one-row-at-a-time Laguerre recurrence that its
+blocked sweep replaced, as double-precision references.
 """
 
 from __future__ import annotations
@@ -41,6 +42,23 @@ HET_LN_PMD_G10 = -1.662271203909955071952
 # from recompute_het_ln_pmd.
 HET_LN_PMD_G500 = -394.6916659893738692930847
 HET_LN_PMD_G5E5 = -496300.6060684678286103469
+
+# ln p_MD = log1p(-Q) at (gamma, p_fa), from recompute_het_ln_pmd_q: where
+# p_MD rounds to 1 (Q ~ 1e-50), near it, where Q ~ 1/4 at the smallest p_fa,
+# and where Q ~ 1 - 1e-6, so that the library sums p_MD instead.
+HET_LN_PMD_Q_FROZEN = {
+    (1e-6, 1e-50): -1.000115132510811601095615e-50,
+    (1e-4, 1e-5): -1.001156577928462178902154e-5,
+    (665.0, 1e-300): -0.2826372845636267824427714,
+    (1e-7, 0.999999): -13.81551065793546843957548,
+}
+
+# ln p_MD at p_fa = 1e-3 and huge gamma, from recompute_het_ln_pmd_bessel.
+HET_LN_PMD_BESSEL_FROZEN = {
+    1e12: -999994743506.6436125670398,
+    4e13: -39999966754868.45464904378,
+    1e16: -9999999474347858.345434112,
+}
 
 # exp(-t) I0(t)
 I0E_1 = 0.4657596075936404365019
@@ -246,10 +264,12 @@ def skellam_normal_distance(mu1: float, mu2: float) -> float:
 
 
 def heterodyne_log_pmd_loop(gamma: float, p_fa: float) -> float:
-    """ln p_MD by the per-term log-domain loop the library's blocked numpy
-    series replaced: the same terms ln Pois_b(j) + ln F_a(j - 1), with lgamma
-    for every ln j! and a running logaddexp, stopped once the terms have
-    declined past the peak and fallen e^-46 below the total."""
+    """ln p_MD by the per-term log-domain Poisson loop that the library's
+    Skellam route replaced: the terms ln Pois_b(j) + ln F_a(j - 1), with
+    lgamma for every ln j! and a running logaddexp, stopped once the terms
+    have declined past the peak and fallen e^-46 below the total.  Each
+    exponent rounds at about eps*b absolute, so it resolves ln p_MD only
+    where p_MD <= 1/2, gamma >= b; it is a reference there alone."""
     from math import lgamma
 
     def logaddexp(u, v):
@@ -477,3 +497,59 @@ def recompute_het_ln_pmd(gamma: float, p_fa: float, dps: int = 50) -> float:
         if not term < total * mp.mpf(10) ** (-dps - 5):
             raise ArithmeticError("heterodyne oracle series not converged")
         return float(mp.log(total))
+
+
+def recompute_het_ln_pmd_q(gamma: float, p_fa: float, dps: int = 50) -> float:
+    """ln p_MD = log1p(-Q) of the heterodyne receiver, with the detection
+    probability Q = sum_(i>=0) Pois_a(i) P[Pois_b <= i], a = gamma,
+    b = -ln p_fa, summed in mpmath.
+
+    Q is a positive-term series, so it keeps its relative precision where Q
+    is far below the working precision and p_MD rounds to 1, which
+    recompute_het_ln_pmd cannot resolve.  The sum runs a fixed 40 standard
+    deviations past the larger of a and b; the last term is checked to be
+    negligible at the working precision.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = mp.mpf(gamma)
+        b = -mp.log(mp.mpf(p_fa))
+        peak = max(a, b)
+        n_terms = int(peak + 40 * mp.sqrt(peak)) + 200
+        pois_a, pois_b = mp.exp(-a), mp.exp(-b)     # Pois_a(i), Pois_b(i)
+        cdf_b = total = term = mp.mpf(0)
+        for i in range(n_terms + 1):
+            cdf_b += pois_b
+            term = pois_a * cdf_b
+            total += term
+            pois_a *= a / (i + 1)
+            pois_b *= b / (i + 1)
+        if not term < total * mp.mpf(10) ** (-dps - 5):
+            raise ArithmeticError("heterodyne Q oracle series not converged")
+        return float(mp.log1p(-total))
+
+
+def recompute_het_ln_pmd_bessel(gamma: float, p_fa: float, dps: int = 50) -> float:
+    """ln p_MD = ln sum_(k>=1) P(X = k) of the heterodyne receiver, X =
+    N_b - N_a the Skellam difference of N_a ~ Pois(gamma) and
+    N_b ~ Pois(-ln p_fa), with each P(X = k) = e^-(a+b) (b/a)^(k/2) I_k(z),
+    z = 2 sqrt(a b), from mpmath.besseli rather than a recurrence.  Meant
+    for gamma >> -ln p_fa, where the terms fall by about sqrt(b/a) each; the
+    sum stops once a term drops below the working precision.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = mp.mpf(gamma)
+        b = -mp.log(mp.mpf(p_fa))
+        z = 2 * mp.sqrt(a * b)
+        scale = -(a + b)
+        total = mp.mpf(0)
+        k = 1
+        while True:
+            term = mp.exp(scale + k * (mp.log(b) - mp.log(a)) / 2) * mp.besseli(k, z)
+            total += term
+            if term < total * mp.mpf(10) ** (-dps - 5):
+                return float(mp.log(total))
+            k += 1

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from steinradar import CapExceeded, MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
-from steinradar import marcum as marcum_mod
 
 from oracles import (
     HET_LN_PMD_G10,
     HET_LN_PMD_G500,
+    HET_LN_PMD_BESSEL_FROZEN,
     HET_LN_PMD_G5E5,
+    HET_LN_PMD_Q_FROZEN,
     I0E_1,
     I0E_7_5,
     I0E_19,
@@ -24,6 +25,8 @@ from oracles import (
     heterodyne_log_pmd_loop,
     marcum_quadrature,
     recompute_het_ln_pmd,
+    recompute_het_ln_pmd_bessel,
+    recompute_het_ln_pmd_q,
 )
 
 
@@ -151,16 +154,32 @@ class TestHeterodyne:
         assert heterodyne_log_pmd(5e5, 1e-3) == pytest.approx(HET_LN_PMD_G5E5, rel=1e-12)
 
     def test_matches_per_term_loop(self):
-        # below 4096 terms the arithmetic is the loop's, term for term; past
-        # it ln j! comes from the Stirling series instead of lgamma
+        # the loop sums p_MD term by term, rounding each exponent at about
+        # eps*b absolute, so it resolves ln p_MD only where p_MD <= 1/2, that
+        # is gamma >= b; below, where the library sums Q instead, it is held
+        # to the mpmath Q series
         for p_fa in (1e-5, 1e-3, 0.1):
             for gamma in np.logspace(-3, 6, 19):
-                want = heterodyne_log_pmd_loop(float(gamma), p_fa)
                 got = heterodyne_log_pmd(float(gamma), p_fa)
-                assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+                if gamma >= -log(p_fa):
+                    want = heterodyne_log_pmd_loop(float(gamma), p_fa)
+                    assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+                else:
+                    want = recompute_het_ln_pmd_q(float(gamma), p_fa)
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         for gamma in (1e7, 1e8):
             want = heterodyne_log_pmd_loop(gamma, 1e-3)
             assert heterodyne_log_pmd(gamma, 1e-3) == pytest.approx(want, rel=1e-13)
+
+    def test_q_series_oracle_corners(self):
+        # where p_MD rounds to 1 the library sums Q; where Q passes 1/2 it
+        # sums p_MD again
+        for (gamma, p_fa), want in HET_LN_PMD_Q_FROZEN.items():
+            assert heterodyne_log_pmd(gamma, p_fa) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_bessel_sum_oracle_huge_gamma(self):
+        for gamma, want in HET_LN_PMD_BESSEL_FROZEN.items():
+            assert heterodyne_log_pmd(gamma, 1e-3) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_matches_marcum_complement(self):
         for gamma in (0.1, 1.0, 5.0, 50.0):
@@ -169,9 +188,8 @@ class TestHeterodyne:
 
     def test_matches_scipy_skellam_logcdf(self):
         # p_MD = P(Pois_gamma - Pois_b <= -1) with b = -ln p_fa.  At
-        # gamma = 0.5, ln p_MD = -0.0069 carries the series' absolute
-        # rounding of about eps*b: against recompute_het_ln_pmd the library
-        # is 4.6e-14 off there and scipy 2.5e-14, so 1e-13 between them
+        # gamma = 0.5, ln p_MD = -0.0069: against the mpmath Q series scipy
+        # is 2.5e-14 off there and the library 1.4e-15, so 1e-13 between them
         from scipy.stats import skellam
 
         b = -log(1e-3)
@@ -199,26 +217,27 @@ class TestHeterodyne:
             heterodyne_log_pmd(1.0, 1.0)
 
     def test_huge_gamma_fails_fast(self):
-        # the series would peak near term sqrt(a b) ~ 1.7e7, past its cap
+        # the Bessel recurrence would start near sqrt(50 z) ~ 2.9e5, z ~ 1.7e9,
+        # past K_MAX_CAP
         start = time.perf_counter()
         with pytest.raises(CapExceeded):
-            heterodyne_log_pmd(4e13, 1e-3)
+            heterodyne_log_pmd(1e17, 1e-3)
         assert time.perf_counter() - start < 0.1
 
     def test_cost_and_memory_near_cap(self):
-        # about 2.6e6 terms, 40 blocks: seconds for a per-term loop
+        # a per-term loop over the Poisson series takes seconds here
         start = time.perf_counter()
         got = heterodyne_log_pmd(1e12, 1e-3)
         assert time.perf_counter() - start < 2.0
         assert math.isfinite(got) and got < -9.9e11
-        # memory stays O(block): unblocked, the arrays would take > 200 MB
+        # memory is the Bessel recurrence's arrays, about 0.5 MB here
         tracemalloc.start()
         try:
             heterodyne_log_pmd(1e12, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 8 * marcum_mod._BLOCK
+        assert peak < 8_388_608
 
     def test_rejects_non_finite_snr(self):
         # rejected up front, before the series loop can start
@@ -233,3 +252,12 @@ def test_recompute_frozen_heterodyne_oracles():
     assert recompute_het_ln_pmd(500.0, 1e-3) == pytest.approx(HET_LN_PMD_G500, rel=1e-15)
     assert recompute_het_ln_pmd(5e5, 1e-3) == pytest.approx(HET_LN_PMD_G5E5, rel=1e-15)
     assert recompute_het_ln_pmd(10.0, 1e-3) == pytest.approx(HET_LN_PMD_G10, rel=1e-15)
+
+
+@pytest.mark.slow
+def test_recompute_frozen_corner_oracles():
+    """Re-derive the frozen Q-series and Bessel-sum ln p_MD values with mpmath."""
+    for (gamma, p_fa), want in HET_LN_PMD_Q_FROZEN.items():
+        assert recompute_het_ln_pmd_q(gamma, p_fa) == pytest.approx(want, rel=1e-15, abs=0.0)
+    for gamma, want in HET_LN_PMD_BESSEL_FROZEN.items():
+        assert recompute_het_ln_pmd_bessel(gamma, 1e-3) == pytest.approx(want, rel=1e-15)

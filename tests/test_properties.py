@@ -2,8 +2,8 @@
 Lyapunov bound on T, the window certificate against the dropped tails, the
 blocked Bessel-ratio recurrence against the scalar loop, the window
 summation against math.fsum, the monotonicity in SNR of the bound exponents
-and of the heterodyne exponent, and the CLI exit-code contract on arbitrary
-input."""
+and of the heterodyne exponent, the heterodyne exponent's sign, and the CLI
+exit-code contract on arbitrary input."""
 
 import contextlib
 import io
@@ -212,28 +212,38 @@ def test_bound_exponents_monotone_in_snr(nb, m, p_fa, db1, db2, above):
         assert up1 > up2 and low1 > low2
 
 
-# Above gamma ~ 6e8 at p_fa = 1e-3 (3e8 at 1e-6) the heterodyne series runs
-# past its first block.
-snrs = st.floats(0.0, 1e9) | st.floats(5e8, 1e9)
+# Up to gamma ~ 1e9, and on to 1e16, near the heterodyne route's cap, where
+# its Bessel recurrence starts near sqrt(50 z), z = 2 sqrt(gamma b) ~ 5e8.
+snrs = st.floats(0.0, 1e9) | st.floats(5e8, 1e9) | st.floats(1e9, 1e16)
 
 
 @settings(max_examples=60, deadline=None)
 @given(g1=snrs, g2=snrs, p_fa=st.sampled_from([1e-6, 1e-3]) | st.floats(1e-6, 0.5))
 def test_heterodyne_log_pmd_decreases_in_snr(g1, g2, p_fa):
     lo, hi = sorted((g1, g2))
-    # a gap that moves ln p_MD by >= ~1e-11, far past its rounding (~1e-14
-    # absolute where p_MD is near 1, ~1e-16 relative elsewhere)
+    # a gap that moves ln p_MD by >= ~1e-11, far past its rounding (a few
+    # eps relative, the error budget heterodyne_log_pmd states)
     assume(hi - lo > 1e-6 * (1.0 + hi))
     assert heterodyne_log_pmd(lo, p_fa) > heterodyne_log_pmd(hi, p_fa)
+
+
+# p_MD <= 1 over the whole range, down to p_fa = 1e-300 and gamma near 0,
+# where p_MD rounds to 1 and the route sums its complement Q instead.
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(0.0, 1e12) | st.floats(-12.0, 2.0).map(lambda e: 10.0**e),
+       p_fa=st.floats(1e-300, 0.9) | st.floats(-300.0, -0.05).map(lambda e: 10.0**e))
+@example(gamma=1e-6, p_fa=1e-50)
+def test_heterodyne_log_pmd_nonpositive(gamma, p_fa):
+    assert heterodyne_log_pmd(gamma, p_fa) <= 0.0
 
 
 def _floats_or_specials(lo, hi):
     return st.floats(lo, hi) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
 
 
-# SNR draws span -100..3100 dB: a row costs at most about a second (the
-# heterodyne series near its 10^7-term cap), and past the float range the
-# config rejects the grid at once.  The worker count is pinned to 1, never
+# SNR draws span -100..3100 dB: the heterodyne route takes at most about
+# 0.5 ms a row and raises CapExceeded past gamma ~ 2e16, and past the float
+# range the config rejects the grid at once.  The worker count is pinned to 1, never
 # drawn.
 @settings(max_examples=60, deadline=None)
 @given(

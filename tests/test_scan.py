@@ -366,14 +366,25 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_heterodyne_cap_exit_3(self, capsys):
-        # T fits at x ~ 1e4, but the benchmark series would peak past its cap
+        # T fits at x ~ 0.1, but at M gamma ~ 1e17 the benchmark's Bessel
+        # recurrence would start past its cap
         start = time.perf_counter()
-        code = main(["--nb", "1e-6", "--benchmark-m-convention", "total",
-                     "--snr-db-min", "99", "--snr-db-max", "100", "--points", "2"])
+        code = main(["--copies", "1000000000000", "--nb", "1e-6",
+                     "--benchmark-m-convention", "total",
+                     "--snr-db-min", "50", "--snr-db-max", "51", "--points", "2"])
         assert time.perf_counter() - start < 5.0
         assert code == 3
         err = capsys.readouterr().err
-        assert "numerical failure" in err and "snr_db=99 " in err
+        assert "numerical failure" in err and "snr_db=50 " in err
+
+    def test_heterodyne_exponent_nonnegative_at_tiny_snr(self, capsys):
+        # p_MD = 1 - p_fa (1 + O(gamma)) rounds to 1 here; the benchmark
+        # column must not go negative, that is p_MD above 1
+        assert main(["--pfa", "1e-100", "--snr-db-min", "-120", "--snr-db-max", "-100",
+                     "--points", "3", "--nb", "1"]) == 0
+        rows = parse_csv(capsys.readouterr().out.encode())
+        assert len(rows) == 3
+        assert all(row["eps_marcum"] >= 0.0 for row in rows)
 
     def test_tail_tol_near_floor_exit_0(self, capsys):
         # the captured mass falls short of 1 - 10*tail_tol by rounding alone
