@@ -109,48 +109,36 @@ class ScanRow:
 _ROW_FIELDS = tuple(f.name for f in fields(ScanRow))
 
 
-def _compute_row(config: ScanConfig, snr_db: float) -> ScanRow:
-    gamma = 10.0 ** (snr_db / 10.0)
-    scenario = ThermalScenario(nb=config.nb, eta=1.0, ns=gamma * config.nb)
-    params = DetectionParams(p_fa=config.p_fa, m=config.m, c=config.c)
-    stats = thermal_closed_forms(scenario)
-    tm = third_moment(scenario, TruncationPolicy(tail_tol=config.tail_tol))
-    bounds = refined_bracket(stats.with_t(tm.t), params)
-    if config.benchmark_m_convention == PER_COPY:
-        eps_marcum = -heterodyne_log_pmd(gamma, config.p_fa)
-    else:
-        eps_marcum = error_exponent(
-            heterodyne_log_pmd(config.m * gamma, config.p_fa), config.m
-        )
-    return ScanRow(
-        snr_db=snr_db,
-        gamma=gamma,
-        d=stats.d,
-        v=stats.v,
-        t=tm.t,
-        captured_mass=tm.captured_mass,
-        eps_first_order=stats.d,
-        eps_refined_upper=(
-            error_exponent(bounds.log_refined_upper, config.m)
-            if bounds.refined_upper_valid
-            else None
-        ),
-        eps_refined_lower=(
-            error_exponent(bounds.log_refined_lower, config.m)
-            if bounds.refined_lower_valid
-            else None
-        ),
-        upper_valid=bounds.refined_upper_valid,
-        lower_valid=bounds.refined_lower_valid,
-        eps_lambda_upper=error_exponent(bounds.log_lambda_upper, config.m),
-        eps_lambda_lower=error_exponent(bounds.log_lambda_lower, config.m),
-        eps_marcum=eps_marcum,
-    )
-
-
 def _row_or_failure(config: ScanConfig, snr_db: float):
+    """The ScanRow at snr_db, or (snr_db, error) on a SteinRadarError."""
+    def eps(log_pmd):                          # a blank bracket side stays None
+        return None if log_pmd is None else error_exponent(log_pmd, config.m)
+
     try:
-        return _compute_row(config, snr_db)
+        gamma = 10.0 ** (snr_db / 10.0)
+        scenario = ThermalScenario(nb=config.nb, eta=1.0, ns=gamma * config.nb)
+        stats = thermal_closed_forms(scenario)
+        tm = third_moment(scenario, TruncationPolicy(tail_tol=config.tail_tol))
+        bounds = refined_bracket(stats.with_t(tm.t),
+                                 DetectionParams(p_fa=config.p_fa, m=config.m, c=config.c))
+        # The per-copy benchmark is the total-M one at a single copy.
+        copies = config.m if config.benchmark_m_convention == TOTAL else 1
+        return ScanRow(
+            snr_db=snr_db,
+            gamma=gamma,
+            d=stats.d,
+            v=stats.v,
+            t=tm.t,
+            captured_mass=tm.captured_mass,
+            eps_first_order=stats.d,
+            eps_refined_upper=eps(bounds.log_refined_upper),
+            eps_refined_lower=eps(bounds.log_refined_lower),
+            upper_valid=bounds.refined_upper_valid,
+            lower_valid=bounds.refined_lower_valid,
+            eps_lambda_upper=eps(bounds.log_lambda_upper),
+            eps_lambda_lower=eps(bounds.log_lambda_lower),
+            eps_marcum=error_exponent(heterodyne_log_pmd(copies * gamma, config.p_fa), copies),
+        )
     except SteinRadarError as err:
         return (snr_db, err)
 
