@@ -83,8 +83,8 @@ def inv_std_normal_cdf(eps: float) -> float:
 
 def first_order_log_pmd(d: float, params: DetectionParams) -> float:
     """First-order decay ln p_MD = -M D."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    if not (0.0 <= d < math.inf):
+        raise ValueError("d must be finite and >= 0")
     return -params.m * d
 
 
@@ -95,8 +95,8 @@ def lambda_bracket(d: float, v: float, params: DetectionParams) -> tuple[float, 
     2 ln M below it.  Note Phi^-1(p_fa) < 0 for small p_fa, so the
     second-order term weakens the first-order exponent.
     """
-    if d < 0 or v < 0:
-        raise ValueError("d and v must be >= 0")
+    if not (0.0 <= d < math.inf and 0.0 <= v < math.inf):
+        raise ValueError("d and v must be finite and >= 0")
     ln_upper = -params.m * d - sqrt(params.m * v) * inv_std_normal_cdf(params.p_fa)
     return ln_upper - 2.0 * log(params.m), ln_upper
 

@@ -551,10 +551,9 @@ def _skellam_masses(
     relative eps ((k_|d| + 2) S_d + 4 (|d| + l + 2) + D_|d|) at most, and the
     sum by that weighted by mass.  For the scalar loop (l = 1), k_|d| =
     |d| + 1 counts its cumulative sum of log-ratios; in blocks, the
-    ceil(|d| / l) block scales summed take their place.  |L_|d|| is read back
-    as |ln mass_d - ln P(0) + h d|, so no array but d and mass outlives the
-    call.  Over random nb in [1e-8, 1e7] and x in [1e-3, 1e6] the observed
-    |1 - sum| stayed below 1/8 of this bound.
+    ceil(|d| / l) block scales summed take their place.  Over random nb in
+    [1e-8, 1e7] and x in [1e-3, 1e6] the observed |1 - sum| stayed below 1/8
+    of this bound.
     """
     m1, m2 = x * nb, x * (nb + 1.0)
     win = _skellam_window(nb, x, policy)
@@ -574,9 +573,7 @@ def _skellam_masses(
     def rounding() -> float:
         n = np.abs(d)
         ell = _miller_block(z, n_start)
-        drift = h * d
-        ln_mass = np.log(np.maximum(mass, np.finfo(float).tiny))
-        size = abs(ln_p0) + np.abs(ln_mass - ln_p0 + drift) + np.abs(drift)
+        size = abs(ln_p0) + np.abs(ln_ratio[n]) + h * n
         damped = np.where(n > 0, 2.0 / -np.expm1(-2.0 * np.arcsinh(np.maximum(n, 1) / z)), 0.0)
         per_mass = (-(-n // ell) + 3.0) * size + 4.0 * (n + ell + 2.0) + damped
         return 2.0**-52 * float(np.sum(mass * per_mass))

@@ -51,7 +51,7 @@ class GaussianState:
 
     ``mean`` has length 2N ordered (q1, p1, ..., qN, pN); ``cm`` is the real
     symmetric 2N x 2N covariance matrix with vacuum normalization I/2.
-    Construction validates symmetry, the length of the mean, and the
+    Construction validates the shapes, finiteness, symmetry and the
     bona-fide condition (all symplectic eigenvalues >= 1/2 up to round-off).
     Instances are immutable and safe to share between threads.
     """
@@ -72,6 +72,8 @@ class GaussianState:
             raise ValueError(f"mean must have length {n}, got {mean.shape}")
         if cm.shape != (n, n):
             raise ValueError(f"cm must be {n}x{n}, got {cm.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cm).all()):
+            raise ValueError("mean and cm must be finite")
         scale = max(np.abs(cm).max(), 1.0)
         if np.abs(cm - cm.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("cm is not symmetric within tolerance")

@@ -21,7 +21,9 @@ from math import exp, log, log1p, sqrt
 
 import numpy as np
 
-from .displaced import _asinh_edge, _bessel_ln_ratios, _miller_start, _skellam_ln_p0, _sum
+from .displaced import (K_MAX_CAP, _asinh_edge, _bessel_ln_ratios, _miller_start,
+                        _skellam_ln_p0, _sum)
+from .errors import CapExceeded
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,9 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     q + p = 1 holds to the truncation tails.  Each Poisson only matters
     inside its own window; each cdf is a compensated prefix sum over it,
     read at the other window's indices as 0 below its window and as its
-    last entry above, and each series is summed by math.fsum.
+    last entry above, and each series is summed by math.fsum.  CapExceeded,
+    before anything is allocated, where a window is wider than K_MAX_CAP
+    (from x ~ 11,800 at small y).
     """
     a = 0.5 * args.x * args.x
     b = 0.5 * args.y * args.y
@@ -88,6 +92,9 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
         return max(0, int(mu - half)), int(mu + half)
 
     (lo_a, hi_a), (lo_b, hi_b) = window(a), window(b)
+    if max(hi_a - lo_a, hi_b - lo_b) >= K_MAX_CAP:
+        raise CapExceeded(f"Poisson window wider than K_MAX_CAP={K_MAX_CAP} "
+                          f"(x={args.x:g}, y={args.y:g})")
     pa, pb = _poisson_window(a, lo_a, hi_a), _poisson_window(b, lo_b, hi_b)
     cdf_b = _cdf(pb)[np.clip(np.arange(lo_a - lo_b + 1, hi_a - lo_b + 2), 0, len(pb))]
     cdf_a = _cdf(pa)[np.clip(np.arange(lo_b - lo_a, hi_b - lo_a + 1), 0, len(pa))]

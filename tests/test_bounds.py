@@ -191,6 +191,17 @@ class TestRefinedBracket:
         with pytest.raises(DegenerateVariance):
             refined_bracket(RelEntStats(d=1.0, v=0.0, t=1.0), FIG1)
 
+    def test_rejects_non_finite_d(self):
+        for d in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                refined_bracket(RelEntStats(d=d, v=1.0, t=1.0), FIG1)
+
+    def test_rejects_non_finite_v(self):
+        # v = 0 stays DegenerateVariance
+        for v in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                refined_bracket(RelEntStats(d=1.0, v=v, t=1.0), FIG1)
+
     def test_missing_t(self):
         with pytest.raises(ValueError):
             refined_bracket(RelEntStats(d=1.0, v=1.0), FIG1)

@@ -55,6 +55,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="mean"):
             GaussianState(mean=np.zeros(3), cm=np.eye(2), modes=1)
 
+    def test_rejects_non_finite_mean(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianState(mean=np.array([value, 0.0]), cm=np.eye(2), modes=1)
+
+    def test_rejects_non_finite_cm(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianState(mean=np.zeros(2), cm=np.diag([value, 1.0]), modes=1)
+
     def test_vacuum_is_accepted(self):
         state = GaussianState(mean=np.zeros(2), cm=0.5 * np.eye(2), modes=1)
         assert symplectic_eigenvalues(state.cm) == pytest.approx([0.5])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from steinradar import CapExceeded, MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
+from steinradar import marcum as marcum_mod
 
 from oracles import (
     HET_LN_PMD_G10,
@@ -129,6 +130,17 @@ class TestMarcumQ:
             assert abs(q - float(skellam.sf(-1, a, b))) <= 1e-14
             assert abs(p - float(skellam.cdf(-1, a, b))) <= 1e-14
 
+    def test_window_past_cap_fails_fast(self):
+        # windows of about 24 sqrt(x^2/2 + 1) + 120 terms: 1.7e6 at x = 1e5,
+        # refused before anything is allocated; at 11,700 they still fit
+        for x, y in ((1e5, 3.7), (3.7, 1e5), (11_900.0, 1.0)):
+            start = time.perf_counter()
+            with pytest.raises(CapExceeded):
+                marcum_q(MarcumArgs(x, y))
+            assert time.perf_counter() - start < 0.1
+        q, p = marcum_q(MarcumArgs(11_700.0, 11_700.0))
+        assert abs(q + p - 1.0) < 1e-12
+
     def test_monotone_in_threshold_and_signal(self):
         # 1e-13 headroom: the pmf building blocks carry ~1e-14 round-off
         ys = np.linspace(0.0, 12.0, 25)
@@ -238,6 +250,27 @@ class TestHeterodyne:
         finally:
             tracemalloc.stop()
         assert peak < 8_388_608
+
+    def test_tail_retry_doubles_to_the_same_sum(self, monkeypatch):
+        # a first n two terms past the peak fails the geometric tail bound, so
+        # _ln_skellam_side doubles n until it holds, and sums the same ln p_MD
+        cases = ((0.03, 1e-3), (3.2, 1e-3), (500.0, 1e-3), (5e5, 1e-3),
+                 (1e-7, 0.999999), (665.0, 1e-300))
+        calls = []
+        ratios = marcum_mod._bessel_ln_ratios
+        monkeypatch.setattr(marcum_mod, "_bessel_ln_ratios",
+                            lambda *args: calls.append(args) or ratios(*args))
+        unpatched = {}
+        for case in cases:
+            calls.clear()
+            unpatched[case] = heterodyne_log_pmd(*case), len(calls)
+        monkeypatch.setattr(marcum_mod, "_asinh_edge", lambda z, lo, c, goal: math.ceil(lo) + 2)
+        for case in cases:
+            calls.clear()
+            got = heterodyne_log_pmd(*case)
+            want, want_calls = unpatched[case]
+            assert len(calls) > want_calls
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_rejects_non_finite_snr(self):
         # rejected up front, before the series loop can start
