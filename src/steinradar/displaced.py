@@ -601,6 +601,7 @@ def third_moment(
         return ThirdMomentResult(0.0, 1.0)
     d, mass, rounding = _skellam_masses(s.nb, x, policy)
     captured = _captured_mass(mass, s.nb, x, policy.tail_tol, rounding)
+    del rounding                 # frees the Bessel log-ratios it holds before T's temporaries
     lt = log1p(1.0 / s.nb)
     u = np.abs((d + x) * lt)
     t = _sum(mass * u**3)
