@@ -113,7 +113,7 @@ def _amplitude_rows(x: float, m_lo: int, m_hi: int,
     A(0, m) = e^(-x/2) x^(m/2) / sqrt(m!).  Per block, alpha and beta are
     built as tables from sliding-window views of 1/sqrt(j), sqrt(j/(j+1))
     and j + m_lo + 1 - x (stepping 2 a row), with no gathers, so each row
-    costs three ufunc calls into a row buffer.  ls <= 0 absorbs seeds far
+    costs three ufunc calls on row views bound once.  ls <= 0 absorbs seeds far
     below the representable range, and at each block end the entries past
     _RESCALE_AT are scaled down into ls, then a new array (so a consumer may
     cache functions of it by identity).  The buffer is reused: read a block
@@ -125,11 +125,12 @@ def _amplitude_rows(x: float, m_lo: int, m_hi: int,
     lg = np.array([lgamma(m + 1.0) for m in range(m_lo, m_hi + 1)])
     ln_a0 = -0.5 * x + 0.5 * marr * log(x) - 0.5 * lg
     ls = np.where(ln_a0 < _LN_TINY, ln_a0 - _LN_TINY, 0.0)
-    buf = np.empty((_BLOCK_ROWS + 2, len(marr)))     # rows n-1, n, then the block
+    jmax, n_last = n_max + m_hi + 2, max(n_max, 1)
+    n_blk = min(_BLOCK_ROWS, n_last - 1)       # the most rows a block holds
+    buf = np.empty((n_blk + 2, len(marr)))     # rows n-1, n, then the block
     buf[0] = np.exp(ln_a0 - ls)
     buf[1] = buf[0] * (1.0 + marr - x) / np.sqrt(marr + 1.0)
 
-    jmax, n_last = n_max + m_hi + 2, max(n_max, 1)
     coef = np.zeros((3, max(jmax + 1, 2 * n_last + len(marr))))
     rsq, gr, v = coef                          # 1/sqrt(j), sqrt(j / (j+1)), j + m_lo + 1 - x
     sq = np.sqrt(np.arange(jmax + 1, dtype=np.float64))
@@ -138,7 +139,8 @@ def _amplitude_rows(x: float, m_lo: int, m_hi: int,
     v[:] = np.arange(len(v), dtype=np.float64) + (m_lo + 1.0 - x)
     rsq_w, gr_w, v_w = sliding_window_view(coef, len(marr), axis=1)   # rsq_w[j] = rsq[j : j+width]
     v_w = v_w[::2]                             # v_w[n] = m + 2n + 1 - x over the diagonals
-    (alpha, beta), t = np.empty((2, _BLOCK_ROWS, len(marr))), np.empty(len(marr))
+    (alpha, beta), t = np.empty((2, n_blk, len(marr))), np.empty(len(marr))
+    rows, al, be = list(buf), list(alpha), list(beta)   # row views, bound once
     n, first, k = 1, 0, _BLOCK_ROWS - 2
     while True:                                # the block holds rows n+1..n+k
         k = min(k, n_last - n)
@@ -147,9 +149,9 @@ def _amplitude_rows(x: float, m_lo: int, m_hi: int,
         a *= rsq[n + 1 : n + 1 + k, None]
         np.multiply(gr_w[n + m_lo : n + m_lo + k], gr[n : n + k, None], out=bt)
         for j in range(k):
-            np.multiply(a[j], buf[j + 1], out=buf[j + 2])
-            np.multiply(bt[j], buf[j], out=t)
-            buf[j + 2] -= t
+            np.multiply(al[j], rows[j + 1], out=rows[j + 2])
+            np.multiply(be[j], rows[j], out=t)
+            np.subtract(rows[j + 2], t, out=rows[j + 2])
         yield buf[first : k + 2], ls
         n += k
         if n == n_last:
@@ -446,13 +448,14 @@ def _bessel_ln_ratios(z: float, n_hi: int, n_start: int) -> np.ndarray:
     """
     ell = _miller_block(z, n_start)
     if ell == 1:
-        rho = np.empty(n_start + 1)
-        rho[0] = 1.0                  # so that cumsum(log(rho))[n] = ln(I_n / I_0)
         r = 0.0
-        for n in range(n_start, 0, -1):
+        for n in range(n_start, n_hi, -1):   # the ratios above n_hi are not kept
+            r = z / (2.0 * n + z * r)
+        rho = [1.0] * (n_hi + 1)      # rho[0] = 1, so that cumsum(log(rho))[n] = ln(I_n / I_0)
+        for n in range(n_hi, 0, -1):
             r = z / (2.0 * n + z * r)
             rho[n] = r
-        return np.cumsum(np.log(rho[: n_hi + 1]))
+        return np.cumsum(np.log(rho))
 
     nblk = -(-n_start // ell)
     tops = float(nblk * ell) - ell * np.arange(nblk, dtype=np.float64)
@@ -625,8 +628,8 @@ def spectral_oracle(
     d, mass, rounding = _difference_masses(s.nb, x, policy)
     _captured_mass(mass, s.nb, x, policy.tail_tol, rounding)
     llr = -d * log1p(1.0 / s.nb)
-    d1 = math.fsum(mass * llr)
+    d1 = math.fsum((mass * llr).tolist())
     centered = llr - d1
-    v = math.fsum(mass * centered**2)
-    t = math.fsum(mass * np.abs(centered) ** 3)
+    v = math.fsum((mass * centered**2).tolist())
+    t = math.fsum((mass * np.abs(centered) ** 3).tolist())
     return RelEntStats(d=d1, v=v, t=t)

@@ -9,6 +9,7 @@ literature (vacuum = I and vacuum = 2I); everything here assumes I/2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ class GaussianState:
         cm = np.asarray(self.cm, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cm", cm)
-        if self.modes < 1:
+        if not (isinstance(self.modes, numbers.Integral) and self.modes >= 1):
             raise ValueError("modes must be a positive integer")
         n = 2 * self.modes
         if mean.shape != (n,):

@@ -53,18 +53,19 @@ def _poisson_window(mu: float, lo: int, hi: int) -> np.ndarray:
     raw[i0 - lo] = 1.0
     raw[i0 - lo + 1 :] = np.multiply.accumulate(mu / np.arange(i0 + 1, hi + 1, dtype=np.float64))
     raw[: i0 - lo][::-1] = np.multiply.accumulate(np.arange(i0, lo, -1, dtype=np.float64) / mu)
-    return raw / math.fsum(raw.tolist())
+    return raw / _cdf(raw)[-1]
 
 
 def _cdf(pmf: np.ndarray) -> np.ndarray:
     """[0, P(<= lo), ..., P(<= hi)] for a pmf over [lo, hi]: running sums plus
     the running sum of each step's rounding error, recovered exactly by TwoSum
     (as in Ogita, Rump & Oishi's Sum2), each within about an ulp of exact."""
-    s = np.add.accumulate(pmf)
-    bb = s[1:] - s[:-1]
-    e = (s[:-1] - (s[1:] - bb)) + (pmf[1:] - bb)
-    s[1:] += np.cumsum(e)
-    return np.concatenate(([0.0], s))
+    s = np.zeros(len(pmf) + 1)
+    np.add.accumulate(pmf, out=s[1:])
+    bb = s[2:] - s[1:-1]
+    e = (s[1:-1] - (s[2:] - bb)) + (pmf[1:] - bb)
+    s[2:] += np.cumsum(e)
+    return s
 
 
 def marcum_q(args: MarcumArgs) -> tuple[float, float]:
@@ -78,7 +79,9 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     q + p = 1 holds to the truncation tails.  Each Poisson only matters
     inside its own window; each cdf is a compensated prefix sum over it,
     read at the other window's indices as 0 below its window and as its
-    last entry above, and each series is summed by math.fsum.  CapExceeded,
+    last entry above.  The windows' normalising totals and both series are
+    the last entry of the same compensated prefix sum, within about an ulp
+    of the correctly rounded sum for these nonnegative terms.  CapExceeded,
     before anything is allocated, where a window is wider than K_MAX_CAP
     (from x ~ 11,800 at small y).
     """
@@ -98,7 +101,7 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     pa, pb = _poisson_window(a, lo_a, hi_a), _poisson_window(b, lo_b, hi_b)
     cdf_b = _cdf(pb)[np.clip(np.arange(lo_a - lo_b + 1, hi_a - lo_b + 2), 0, len(pb))]
     cdf_a = _cdf(pa)[np.clip(np.arange(lo_b - lo_a, hi_b - lo_a + 1), 0, len(pa))]
-    return min(math.fsum((pa * cdf_b).tolist()), 1.0), min(math.fsum((pb * cdf_a).tolist()), 1.0)
+    return min(float(_cdf(pa * cdf_b)[-1]), 1.0), min(float(_cdf(pb * cdf_a)[-1]), 1.0)
 
 
 _LN_TAIL_TOL = -46.0    # ln of the tail a sum may drop, relative to it: below its rounding

@@ -65,6 +65,12 @@ class TestConstruction:
             with pytest.raises(ValueError, match="finite"):
                 GaussianState(mean=np.zeros(2), cm=np.diag([value, 1.0]), modes=1)
 
+    def test_rejects_non_integer_modes(self):
+        # 2 * 1.5 = 3 passes the shape checks, so only the type check stops it
+        with pytest.raises(ValueError, match="modes must be a positive integer"):
+            GaussianState(mean=np.zeros(3), cm=np.eye(3), modes=1.5)
+        assert GaussianState(mean=np.zeros(2), cm=np.eye(2), modes=np.int64(1)).modes == 1
+
     def test_vacuum_is_accepted(self):
         state = GaussianState(mean=np.zeros(2), cm=0.5 * np.eye(2), modes=1)
         assert symplectic_eigenvalues(state.cm) == pytest.approx([0.5])

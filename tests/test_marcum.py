@@ -64,6 +64,26 @@ class TestMarcumArgs:
             MarcumArgs(1.0, math.inf)
 
 
+def _fsum_marcum_q(x: float, y: float) -> tuple[float, float]:
+    """marcum_q's two series with math.fsum, not its own prefix sums, as the
+    adder of the windows' normalising totals and of both series."""
+    def window(mu):
+        half = 12.0 * sqrt(mu + 1.0) + 60.0
+        lo, hi = max(0, int(mu - half)), int(mu + half)
+        raw = np.zeros(hi - lo + 1)
+        i0 = min(max(int(mu), lo), hi)
+        raw[i0 - lo] = 1.0
+        raw[i0 - lo + 1 :] = np.multiply.accumulate(mu / np.arange(i0 + 1, hi + 1, dtype=float))
+        raw[: i0 - lo][::-1] = np.multiply.accumulate(np.arange(i0, lo, -1, dtype=float) / mu)
+        return lo, raw / math.fsum(raw.tolist())
+
+    (lo_a, pa), (lo_b, pb) = window(0.5 * x * x), window(0.5 * y * y)
+    ia, ib = np.arange(len(pa)), np.arange(len(pb))
+    cdf_b = marcum_mod._cdf(pb)[np.clip(ia + lo_a - lo_b + 1, 0, len(pb))]
+    cdf_a = marcum_mod._cdf(pa)[np.clip(ib + lo_b - lo_a, 0, len(pa))]
+    return math.fsum((pa * cdf_b).tolist()), math.fsum((pb * cdf_a).tolist())
+
+
 class TestMarcumQ:
     def test_zero_noncentrality_closed_form(self):
         for y in np.linspace(0.0, 20.0, 41):
@@ -140,6 +160,23 @@ class TestMarcumQ:
             assert time.perf_counter() - start < 0.1
         q, p = marcum_q(MarcumArgs(11_700.0, 11_700.0))
         assert abs(q + p - 1.0) < 1e-12
+
+    def test_matches_fsum_series_within_two_ulps(self):
+        # the compensated prefix sums against math.fsum, at the crosscheck's
+        # total-M arguments (nb = 10, -15 to 5 dB, p_fa = 1e-3, M = 5000),
+        # whose windows reach 3,138 terms, and at the widest window in reach
+        y = sqrt(-2.0 * log(1e-3))
+        gammas = 10.0 ** (np.linspace(-15.0, 5.0, 200) / 10.0)
+        args = [(sqrt(2.0 * 5000.0 * g), y) for g in gammas] + [(11_700.0, 11_700.0)]
+        for x, y in args:
+            got = marcum_q(MarcumArgs(float(x), float(y)))
+            for v, want in zip(got, _fsum_marcum_q(float(x), float(y))):
+                assert abs(v - min(want, 1.0)) <= 2.0 * math.ulp(want)
+
+    def test_returns_python_floats(self):
+        for x, y in ((0.0, 2.0), (1.0, 2.0), (180.0, 3.7), (3.0, 0.0)):
+            q, p = marcum_q(MarcumArgs(x, y))
+            assert type(q) is float and type(p) is float
 
     def test_monotone_in_threshold_and_signal(self):
         # 1e-13 headroom: the pmf building blocks carry ~1e-14 round-off

@@ -39,6 +39,7 @@ from steinradar.displaced import (
     _skellam_window,
     _sum,
 )
+from steinradar.marcum import _cdf
 from steinradar.scan import PER_COPY, TOTAL, main
 
 # Skellam windows stay far inside K_MAX_CAP here, so an example costs ms.
@@ -140,6 +141,28 @@ def test_blocked_bessel_ln_ratios_match_scalar_loop(z, n_hi):
     assert np.all(np.abs(blocked - loop) <= bound)
 
 
+def _full_store_ln_ratios(z: float, n_hi: int, n_start: int) -> np.ndarray:
+    """The scalar Miller loop storing every ratio down from n_start, as
+    _bessel_ln_ratios first ran it."""
+    rho = np.empty(n_start + 1)
+    rho[0] = 1.0
+    r = 0.0
+    for n in range(n_start, 0, -1):
+        r = z / (2.0 * n + z * r)
+        rho[n] = r
+    return np.cumsum(np.log(rho[: n_hi + 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.floats(-8.0, 3.6).map(lambda e: 10.0**e), n_hi=st.integers(1, 500))
+@example(z=3717.0, n_hi=10)
+def test_scalar_bessel_ln_ratios_match_full_store_loop(z, n_hi):
+    n_start = _miller_start(z, n_hi)
+    assume(n_start < _BLOCKED_FROM)
+    got = _bessel_ln_ratios(z, n_hi, n_start)
+    assert got.tobytes() == _full_store_ln_ratios(z, n_hi, n_start).tobytes()
+
+
 def _exact_sum(values) -> Fraction:
     """Exact sum of finite floats: each is an integer multiple of 2^-1074."""
     total = 0
@@ -172,6 +195,22 @@ def test_sum_within_stated_bound_of_exact(n, seed, lo, span, signed):
         assert got == want
     elif not signed:
         assert abs(got - want) <= math.ulp(want)
+
+
+# Nonnegative arrays of 1 to 5,000 terms, magnitudes 10^lo..10^(lo+span)
+# within [1e-300, 1], some of them exact zeros, as in a Poisson window's tails.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+       lo=st.floats(-300.0, 0.0), span=st.floats(0.0, 300.0), zeros=st.booleans())
+@example(n=1, seed=0, lo=0.0, span=0.0, zeros=False)
+@example(n=5000, seed=1, lo=-300.0, span=300.0, zeros=True)
+def test_marcum_cdf_total_within_an_ulp_of_fsum(n, seed, lo, span, zeros):
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(lo, min(lo + span, 0.0), n)
+    if zeros:
+        x[rng.random(n) < 0.2] = 0.0
+    want = math.fsum(x.tolist())
+    assert abs(_cdf(x)[-1] - want) <= math.ulp(want)
 
 
 # eps_lambda = D + sqrt(V/M) Phi^-1(p_fa) = a g - b sqrt(g) in the SNR g, with
