@@ -11,8 +11,8 @@ Skellam(x nb, x (nb+1)), a difference of independent Poissons, whose pmf is
 a ratio chain of Bessel functions I_n anchored at bessel_i0_scaled.  The
 chain comes from Miller's backward recurrence, whose coefficients are all
 positive: short recurrences run as a scalar loop, long ones in vectorised
-blocks stitched at their edges.  marcum's heterodyne benchmark sums the same
-Skellam law from the same pieces.  The support window is certified by a
+blocks stitched at their edges.  _skellam_ln_tail sums the law's log tails
+for marcum's heterodyne benchmark.  The support window is certified by a
 Chernoff bound that covers the cubic-weighted tail, so the cost is linear in
 the window width.  Its sums and both routes' captured-mass sums go through
 _sum, a vectorised compensated summation within an ulp of math.fsum.
@@ -418,9 +418,10 @@ def _miller_block(z: float, n_start: int) -> int:
     return max(1, min(math.isqrt(n_start // 8), int(650.0 / log1p(4.0 * n_start / z))))
 
 
-def _bessel_ln_ratios(z: float, n_hi: int, n_start: int) -> np.ndarray:
+def _bessel_ln_ratios(z: float, n_hi: int) -> np.ndarray:
     """ln(I_n(z) / I_0(z)) for n = 0..n_hi, z > 0, by Miller's backward
-    recurrence from n_start > n_hi (Gautschi, SIAM Rev. 9:24, 1967).
+    recurrence from n_start = _miller_start(z, n_hi) (Gautschi, SIAM Rev.
+    9:24, 1967); CapExceeded if that start passes K_MAX_CAP.
 
     With l = _miller_block(z, n_start) = 1 it runs the ratio form
     rho_n = z / (2n + z rho_(n+1)) from rho_(n_start+1) = 0 as a scalar loop
@@ -446,6 +447,7 @@ def _bessel_ln_ratios(z: float, n_hi: int, n_start: int) -> np.ndarray:
     made j steps further up reaches L_n damped by the squared ratios there,
     at most exp(-2 j asinh(n / z)), which sums to D_n.
     """
+    n_start = _miller_start(z, n_hi)
     ell = _miller_block(z, n_start)
     if ell == 1:
         r = 0.0
@@ -527,6 +529,33 @@ def _skellam_ln_p0(x: float, m1: float, m2: float) -> float:
     return log(bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
 
 
+_LN_TAIL_TOL = -46.0    # ln of the tail _skellam_ln_tail may drop, relative to its sum
+
+
+def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
+    """ln P(Y >= first) for Y ~ Skellam(m1, m2), m1, m2 > 0, first >= 0:
+    ln P(0) + ln sum_(k >= first) t_k, t_k = rho^k I_k(z) / I_0(z), with
+    rho = sqrt(m1 / m2) and z = 2 sqrt(m1 m2).  t_(k+1) / t_k = rho I_(k+1) / I_k
+    falls with k, so past t_n, at q = t_n / t_(n-1) < 1, the rest is at most
+    t_n q / (1 - q), which must fall below e^_LN_TAIL_TOL of the sum.  n starts
+    where the integral of asinh(t/z) - ln rho from the largest term reaches that
+    tolerance (I_k / I_(k-1) ~ exp(-asinh(k/z))), and doubles until the bound
+    holds.  CapExceeded where the Miller recurrence would start past K_MAX_CAP."""
+    ln_p0 = _skellam_ln_p0(m1 - m2, m1, m2)
+    z = 2.0 * sqrt(m1) * sqrt(m2)              # never underflows
+    ln_rho = 0.5 * (log(m1) - log(m2))
+    peak = max(first, z * math.sinh(ln_rho))   # the terms rise up to here
+    n_hi = _asinh_edge(z, peak, -ln_rho, -_LN_TAIL_TOL)
+    while True:
+        ln_t = _bessel_ln_ratios(z, n_hi)[first:]
+        ln_t += ln_rho * np.arange(first, n_hi + 1)
+        ln_s = log(_sum(np.exp(ln_t)))
+        ln_q = ln_t[-1] - ln_t[-2]
+        if ln_q < 0.0 and ln_t[-1] + ln_q - log(-math.expm1(ln_q)) < ln_s + _LN_TAIL_TOL:
+            return ln_p0 + ln_s
+        n_hi *= 2
+
+
 def _skellam_masses(
     nb: float, x: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], float]]:
@@ -566,9 +595,8 @@ def _skellam_masses(
     if win.hi - win.lo >= K_MAX_CAP:
         raise CapExceeded(f"support window [{win.lo}, {win.hi}] exceeds K_MAX_CAP={K_MAX_CAP} "
                           f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})")
-    n_start = _miller_start(z, n_hi)
 
-    ln_ratio = _bessel_ln_ratios(z, n_hi, n_start)
+    ln_ratio = _bessel_ln_ratios(z, n_hi)
     ln_p0 = _skellam_ln_p0(x, m1, m2)
     h = 0.5 * log1p(1.0 / nb)
     d = np.arange(win.lo, win.hi + 1)
@@ -576,8 +604,8 @@ def _skellam_masses(
 
     def rounding() -> float:
         n = np.abs(d)
-        ell = _miller_block(z, n_start)
-        size = abs(ln_p0) + np.abs(_bessel_ln_ratios(z, n_hi, n_start)[n]) + h * n
+        ell = _miller_block(z, _miller_start(z, n_hi))
+        size = abs(ln_p0) + np.abs(_bessel_ln_ratios(z, n_hi)[n]) + h * n
         damped = np.where(n > 0, 2.0 / -np.expm1(-2.0 * np.arcsinh(np.maximum(n, 1) / z)), 0.0)
         per_mass = (-(-n // ell) + 3.0) * size + 4.0 * (n + ell + 2.0) + damped
         return 2.0**-52 * float(np.sum(mass * per_mass))

@@ -4,13 +4,12 @@ Q(x, y) = int_y^inf t exp(-(t^2+x^2)/2) I0(t x) dt is the tail of a Rician
 density; the coherent-pulse + heterodyne receiver has
 p_MD = 1 - Q(sqrt(2 gamma), sqrt(-2 ln p_FA)).
 
-heterodyne_log_pmd reads p_MD as a Skellam cdf and sums it, or its
-complement, from the Bessel ratios of displaced's Miller recurrence, in
-log form so that it stays finite at large SNR, and stops on an explicit
-bound on the remaining tail.  marcum_q computes Q and 1 - Q by their own
+heterodyne_log_pmd reads p_MD as a Skellam cdf and takes it, or its
+complement, as one log tail from displaced._skellam_ln_tail, so that it
+stays finite at large SNR.  marcum_q computes Q and 1 - Q by their own
 positive-term Poisson series on numpy arrays (running products and
-compensated prefix sums); it shares no code with that route: its
-independent check.
+compensated prefix sums); it shares no code with that route (only the
+constant K_MAX_CAP): its independent check.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from math import exp, log, log1p, sqrt
 
 import numpy as np
 
-from .displaced import (K_MAX_CAP, _asinh_edge, _bessel_ln_ratios, _miller_start,
-                        _skellam_ln_p0, _sum)
+from .displaced import K_MAX_CAP, _skellam_ln_tail
 from .errors import CapExceeded
 
 
@@ -104,36 +102,13 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     return min(float(_cdf(pa * cdf_b)[-1]), 1.0), min(float(_cdf(pb * cdf_a)[-1]), 1.0)
 
 
-_LN_TAIL_TOL = -46.0    # ln of the tail a sum may drop, relative to it: below its rounding
-
-
-def _ln_skellam_side(z: float, ln_rho: float, first: int) -> float:
-    """ln sum_(k >= first) t_k, t_k = rho^k I_k(z) / I_0(z), z > 0.  The ratio
-    t_(k+1) / t_k = rho I_(k+1) / I_k falls with k, so past t_n, at
-    q = t_n / t_(n-1) < 1, the tail is at most t_n q / (1 - q), which must
-    fall below e^_LN_TAIL_TOL of the sum.  n starts where the integral of
-    asinh(t/z) - ln rho from the largest term reaches that tolerance
-    (I_k / I_(k-1) ~ exp(-asinh(k/z))), and doubles until the bound holds."""
-    peak = max(first, z * math.sinh(ln_rho))   # the terms rise up to here
-    n_hi = _asinh_edge(z, peak, -ln_rho, -_LN_TAIL_TOL)
-    while True:
-        ln_t = _bessel_ln_ratios(z, n_hi, _miller_start(z, n_hi))[first:]
-        ln_t += ln_rho * np.arange(first, n_hi + 1)
-        ln_s = log(_sum(np.exp(ln_t)))
-        ln_q = ln_t[-1] - ln_t[-2]
-        if ln_q < 0.0 and ln_t[-1] + ln_q - log(-math.expm1(ln_q)) < ln_s + _LN_TAIL_TOL:
-            return ln_s
-        n_hi *= 2
-
-
 def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
     """ln p_MD of the coherent-state + heterodyne receiver at SNR gamma.
 
     p_MD = P(sqrt(2 gamma), sqrt(-2 ln p_fa)) = P(X >= 1) for the Skellam
     difference X = N_b - N_a of N_a ~ Pois(a = gamma), N_b ~ Pois(b = -ln p_fa),
-    third_moment's law: with z = 2 sqrt(a b), P(X = k) = P(0) (b/a)^(k/2)
-    I_|k|(z) / I_0(z), ln P(0) = ln(e^-z I_0(z)) - (sqrt(a) - sqrt(b))^2.
-    The one of p_MD and Q = P(X <= 0) below 1/2 is summed (Gil, Segura &
+    third_moment's law, whose tails displaced._skellam_ln_tail sums.  The one
+    of p_MD and Q = P(X <= 0) = P(-X >= 0) below 1/2 is summed (Gil, Segura &
     Temme, ACM TOMS 40:20, 2014): p_MD if a >= b, else Q, returning
     log1p(-Q), unless Q > 1/2.  So ln p_MD <= 0, finite where p_MD underflows.
 
@@ -151,11 +126,8 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
     if gamma == 0.0:
         return log1p(-p_fa)                        # p_MD = 1 - p_fa exactly
     a, b = gamma, -log(p_fa)
-    z = 2.0 * sqrt(a) * sqrt(b)                    # never underflows
-    ln_p0 = _skellam_ln_p0(b - a, a, b)
-    ln_rho = 0.5 * (log(b) - log(a))
     if a < b:
-        q = exp(ln_p0 + _ln_skellam_side(z, -ln_rho, 0))
+        q = exp(_skellam_ln_tail(a, b, 0))
         if q <= 0.5:
             return log1p(-q)
-    return ln_p0 + _ln_skellam_side(z, ln_rho, 1)
+    return _skellam_ln_tail(b, a, 1)

@@ -298,6 +298,22 @@ class TestBerryEsseenStep:
             slack = BERRY_ESSEEN_C * third_moment(s).t / (v**1.5 * sqrt(m))
             assert dist <= slack
 
+    def test_exact_law_leaves_upper_side_open(self):
+        # At the headline nb = 600, M = 5000, every row leaves
+        # eps_refined_upper blank: theta_u < 0.  With the exact law's distance
+        # in place of the slack C T / (V^(3/2) sqrt(M)), p_fa - sup lies in
+        # (0, 1), so the blank comes from the constant, not from the law.
+        for x in (1e-2, 1.0, 100.0):
+            sup = BE_SUP_FROZEN[(FIG1.m, 600.0, x)]
+            s = ThermalScenario(nb=600.0, eta=1.0, ns=x)
+            b = refined_bracket(thermal_closed_forms(s).with_t(third_moment(s).t), FIG1)
+            exact_u = FIG1.p_fa - sup
+            exact_l = FIG1.p_fa + sup + 2.0 / sqrt(FIG1.m)
+            print(f"\n{10.0 * math.log10(x / 600.0):6.1f} dB: Berry-Esseen theta_u = "
+                  f"{b.theta_u:.3g}, theta_l = {b.theta_l:.4g}; exact law "
+                  f"theta_u = {exact_u:.3g}, theta_l = {exact_l:.4g}")
+            assert b.theta_u < 0.0 < exact_u < 1.0
+
 
 @pytest.mark.slow
 def test_recompute_frozen_be_distances():

@@ -449,7 +449,7 @@ def test_recompute_frozen_small_nb_t():
 
 @pytest.mark.slow
 def test_recompute_frozen_t_oracle():
-    """Re-derive the frozen brute-force T value (minutes of mpmath work)."""
+    """Re-derive the frozen brute-force T value (about half a second of mpmath work)."""
     from oracles import recompute_t_oracle
 
     d, v, t, mass = recompute_t_oracle(nb=1.0, x=1.0, k_max=120, dps=50)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from steinradar import CapExceeded, MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
+from steinradar import displaced as displaced_mod
 from steinradar import marcum as marcum_mod
 
 from oracles import (
@@ -290,18 +291,22 @@ class TestHeterodyne:
 
     def test_tail_retry_doubles_to_the_same_sum(self, monkeypatch):
         # a first n two terms past the peak fails the geometric tail bound, so
-        # _ln_skellam_side doubles n until it holds, and sums the same ln p_MD
+        # _skellam_ln_tail doubles n until it holds, and sums the same ln p_MD;
+        # only the tail's first edge is shortened, not _miller_start's
         cases = ((0.03, 1e-3), (3.2, 1e-3), (500.0, 1e-3), (5e5, 1e-3),
                  (1e-7, 0.999999), (665.0, 1e-300))
         calls = []
-        ratios = marcum_mod._bessel_ln_ratios
-        monkeypatch.setattr(marcum_mod, "_bessel_ln_ratios",
+        ratios, edge = displaced_mod._bessel_ln_ratios, displaced_mod._asinh_edge
+        monkeypatch.setattr(displaced_mod, "_bessel_ln_ratios",
                             lambda *args: calls.append(args) or ratios(*args))
         unpatched = {}
         for case in cases:
             calls.clear()
             unpatched[case] = heterodyne_log_pmd(*case), len(calls)
-        monkeypatch.setattr(marcum_mod, "_asinh_edge", lambda z, lo, c, goal: math.ceil(lo) + 2)
+        monkeypatch.setattr(
+            displaced_mod, "_asinh_edge",
+            lambda z, lo, c, goal: math.ceil(lo) + 2 if goal == -displaced_mod._LN_TAIL_TOL
+            else edge(z, lo, c, goal))
         for case in cases:
             calls.clear()
             got = heterodyne_log_pmd(*case)
@@ -314,6 +319,47 @@ class TestHeterodyne:
         for gamma in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 heterodyne_log_pmd(gamma, 1e-3)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the other route's code was called")
+
+
+class TestRouteIndependence:
+    """marcum_q checks heterodyne_log_pmd only while the two share no code:
+    each must return the same numbers with the other's code broken, on the
+    arguments the benchmark workloads give them (p_fa = 1e-3, M = 5000)."""
+
+    def test_marcum_q_without_displaced(self, monkeypatch):
+        # the crosscheck workload's 400 arguments, per-copy and total-M over
+        # -15..5 dB, and a window near K_MAX_CAP
+        y = sqrt(-2.0 * log(1e-3))
+        args = [MarcumArgs(sqrt(2.0 * m * 10.0 ** (s / 10.0)), y)
+                for s in np.linspace(-15.0, 5.0, 200).tolist() for m in (1, 5000)]
+        args.append(MarcumArgs(11_700.0, 11_700.0))
+        want = [marcum_q(a) for a in args]
+        shared = [name for name, obj in vars(marcum_mod).items()
+                  if callable(obj) and obj is getattr(displaced_mod, name, None)
+                  and getattr(obj, "__module__", "").startswith("steinradar.")]
+        assert "_skellam_ln_tail" in shared
+        for name in shared:
+            monkeypatch.setattr(marcum_mod, name, _raise)
+        for name, obj in list(vars(displaced_mod).items()):
+            if getattr(obj, "__module__", None) == displaced_mod.__name__ and callable(obj):
+                monkeypatch.setattr(displaced_mod, name, _raise)
+        with pytest.raises(AssertionError):
+            heterodyne_log_pmd(1.0, 1e-3)
+        assert [marcum_q(a) for a in args] == want
+
+    def test_heterodyne_without_marcum_q(self, monkeypatch):
+        # the default scan's 200 per-copy SNRs over -15..5 dB and the
+        # low-background scan's 1,000 total-M ones over -10..20 dB
+        gammas = [10.0 ** (s / 10.0) for s in np.linspace(-15.0, 5.0, 200).tolist()]
+        gammas += [5000 * 10.0 ** (s / 10.0) for s in np.linspace(-10.0, 20.0, 1000).tolist()]
+        want = [heterodyne_log_pmd(g, 1e-3) for g in gammas]
+        for name in ("_poisson_window", "_cdf", "marcum_q"):
+            monkeypatch.setattr(marcum_mod, name, _raise)
+        assert [heterodyne_log_pmd(g, 1e-3) for g in gammas] == want
 
 
 @pytest.mark.slow

@@ -131,10 +131,10 @@ def test_blocked_bessel_ln_ratios_match_scalar_loop(z, n_hi):
     assume(n_start <= 120_000)
     with mock.patch.object(displaced_mod, "_BLOCKED_FROM", 0):
         ell = _miller_block(z, n_start)
-        blocked = _bessel_ln_ratios(z, n_hi, n_start)
+        blocked = _bessel_ln_ratios(z, n_hi)
     with mock.patch.object(displaced_mod, "_BLOCKED_FROM", K_MAX_CAP + 1):
-        loop = _bessel_ln_ratios(z, n_hi, n_start)
-    got = _bessel_ln_ratios(z, n_hi, n_start)
+        loop = _bessel_ln_ratios(z, n_hi)
+    got = _bessel_ln_ratios(z, n_hi)
     assert np.array_equal(got, blocked if n_start >= _BLOCKED_FROM else loop)
     assert np.all(np.isfinite(blocked)) and np.all(np.isfinite(loop))
     bound = _ln_ratio_bound(z, loop, ell) + _ln_ratio_bound(z, loop, 1)
@@ -159,7 +159,7 @@ def _full_store_ln_ratios(z: float, n_hi: int, n_start: int) -> np.ndarray:
 def test_scalar_bessel_ln_ratios_match_full_store_loop(z, n_hi):
     n_start = _miller_start(z, n_hi)
     assume(n_start < _BLOCKED_FROM)
-    got = _bessel_ln_ratios(z, n_hi, n_start)
+    got = _bessel_ln_ratios(z, n_hi)
     assert got.tobytes() == _full_store_ln_ratios(z, n_hi, n_start).tobytes()
 
 
