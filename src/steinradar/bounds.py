@@ -119,7 +119,10 @@ def refined_bracket(stats: RelEntStats, params: DetectionParams) -> MDBounds:
         raise ValueError("t must be finite and >= 0")
     m = params.m
     sqrt_m = sqrt(m)
-    ratio = params.c * stats.t / stats.v**1.5
+    try:
+        ratio = params.c * stats.t / stats.v**1.5
+    except OverflowError:
+        raise ValueError("v^(3/2) is beyond the float range") from None
     theta_u = params.p_fa - ratio / sqrt_m
     theta_l = params.p_fa + (ratio + 2.0) / sqrt_m
     log_first = first_order_log_pmd(stats.d, params)

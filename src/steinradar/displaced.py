@@ -299,6 +299,9 @@ class _SkellamWindow(NamedTuple):
     tail_cubic: float
 
 
+_EDGE_NEWTON_STEPS = 64      # _tail_edge: a bound on its Newton steps, which converge in a few
+
+
 def _chernoff_ln_tail(m1: float, m2: float, a: float) -> tuple[float, float]:
     """(ln bound on P(d >= a), optimal s) for d ~ Skellam(m1, m2), a > m1 - m2.
 
@@ -322,7 +325,12 @@ def _tail_edge(m1: float, m2: float, ln_mass_tol: float,
     For d >= a > mean, |d - mean|^3 <= (3/(e t))^3 e^(t (d - mean)) for any
     t > 0; with t = 3/(a - mean) <= s this turns the Chernoff bound C(a)
     into (a - mean)^3 C(a).  Both conditions, and s (a - mean) >= 3, only
-    improve as a grows, so the edge is found by doubling and bisection.
+    improve as a grows.  Both log bounds are concave in a, with slopes -s
+    and 3/(a - mean) - s, so Newton's method on the larger of their excesses
+    over the tolerances, from the Gaussian edge, ends at or just above the
+    edge.  The integer condition then settles it, walking down while a - 1
+    qualifies, or galloping and bisecting up if a does not, so the edge is
+    the one a search over that condition alone would find.
     Returns (a, mass bound, cubic bound).
     """
     mean = m1 - m2
@@ -335,16 +343,45 @@ def _tail_edge(m1: float, m2: float, ln_mass_tol: float,
             return None
         return exp(ln_c), u**3 * exp(ln_c)
 
-    lo, hi = 0, max(1, int(5.0 * math.sqrt(m1 + m2)))
-    while bounds(base + hi) is None:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bounds(base + mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    return (base + hi, *bounds(base + hi))
+    # u = a - mean starts at the Gaussian edge, where ln C ~ -u^2 / (2 var):
+    # the mass bound's, or one fixed-point step to the cubic bound's beyond.
+    var = m1 + m2
+    u = sqrt(-2.0 * ln_mass_tol * var)
+    u = max(u, sqrt(2.0 * var * max(0.0, 3.0 * log(u) - ln_cubic_tol)))
+    for _ in range(_EDGE_NEWTON_STEPS):
+        ln_c, s = _chernoff_ln_tail(m1, m2, mean + u)
+        mass_excess = ln_c - ln_mass_tol
+        cubic_excess = 3.0 * log(u) + ln_c - ln_cubic_tol
+        if mass_excess >= cubic_excess:
+            step = mass_excess / -s
+        elif s * u > 3.0:
+            step = cubic_excess / (3.0 / u - s)
+        else:                         # left of the cubic bound's peak: climb below
+            break
+        # Where the cubic bound stays below its tolerance, its tangent can
+        # point past the mean: go at most half way there.
+        step = min(step, 0.5 * u)
+        u -= step
+        if abs(step) < 0.5:
+            break
+    k = max(1, math.ceil(mean + u) - base)
+    found = bounds(base + k)
+    if found is None:
+        step = 1
+        while (found := bounds(base + k + step)) is None:
+            k, step = k + step, 2 * step
+        lo, hi = k, k + step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (mid_found := bounds(base + mid)) is None:
+                lo = mid
+            else:
+                hi, found = mid, mid_found
+        k = hi
+    else:
+        while k > 1 and (below := bounds(base + k - 1)) is not None:
+            k, found = k - 1, below
+    return (base + k, *found)
 
 
 def _skellam_window(nb: float, x: float, policy: TruncationPolicy) -> _SkellamWindow:

@@ -15,11 +15,13 @@ import json
 import math
 import numbers
 import os
+import pickle
+import signal
 import sys
+import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -51,7 +53,16 @@ class ScanConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.points, numbers.Integral) and self.points >= 2):
+        # numpy scalars pass; the rows and emit see plain numbers
+        for name in ("p_fa", "nb", "snr_db_min", "snr_db_max", "tail_tol", "c"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("m", "points", "workers"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.points < 2:
             raise ValueError("points must be an integer >= 2")
         if not math.isfinite(self.snr_db_min):
             raise ValueError("snr_db_min must be finite")
@@ -61,22 +72,19 @@ class ScanConfig:
             raise ValueError(f"benchmark_m_convention must be '{PER_COPY}' or '{TOTAL}'")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output format must be 'csv' or 'json'")
-        if not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
+        if self.workers < 1:
             raise ValueError("workers must be an integer >= 1")
-        # Wrapped-type invariants fail fast here rather than mid-scan.
-        DetectionParams(p_fa=self.p_fa, m=self.m, c=self.c)
-        TruncationPolicy(tail_tol=self.tail_tol)
+        # Wrapped-type invariants fail fast here rather than mid-scan; every
+        # row reuses the two objects kept (as attributes outside the fields,
+        # so equality, hashing and the metadata ignore them).
+        object.__setattr__(self, "_params", DetectionParams(p_fa=self.p_fa, m=self.m, c=self.c))
+        object.__setattr__(self, "_policy", TruncationPolicy(tail_tol=self.tail_tol))
         ThermalScenario(nb=self.nb, eta=1.0, ns=0.0)
         # Rows scale 10^(snr_db/10) by nb and, for the total-M benchmark, by m.
         factor = max(1.0, self.nb, self.m if self.benchmark_m_convention == TOTAL else 1)
         if not self.snr_db_max / 10.0 + math.log10(factor) < 308.0:
             raise ValueError(f"snr_db_max={self.snr_db_max:g} puts 10^(snr_db/10) * "
                              f"{factor:g} beyond the float range")
-        # numpy scalars pass the checks above; emit writes plain numbers
-        for name in ("p_fa", "nb", "snr_db_min", "snr_db_max", "tail_tol", "c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("m", "points", "workers"):
-            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 # Fields that define the numbers; execution/presentation knobs are excluded
@@ -109,6 +117,11 @@ class ScanRow:
 _ROW_FIELDS = tuple(f.name for f in fields(ScanRow))
 
 
+def _can_fork() -> bool:
+    return (hasattr(os, "fork") and sys.platform != "darwin"
+            and threading.active_count() == 1)
+
+
 def _row_or_failure(config: ScanConfig, snr_db: float):
     """The ScanRow at snr_db, or (snr_db, error) on a SteinRadarError."""
     def eps(log_pmd):                          # a blank bracket side stays None
@@ -118,9 +131,8 @@ def _row_or_failure(config: ScanConfig, snr_db: float):
         gamma = 10.0 ** (snr_db / 10.0)
         scenario = ThermalScenario(nb=config.nb, eta=1.0, ns=gamma * config.nb)
         stats = thermal_closed_forms(scenario)
-        tm = third_moment(scenario, TruncationPolicy(tail_tol=config.tail_tol))
-        bounds = refined_bracket(stats.with_t(tm.t),
-                                 DetectionParams(p_fa=config.p_fa, m=config.m, c=config.c))
+        tm = third_moment(scenario, config._policy)
+        bounds = refined_bracket(stats.with_t(tm.t), config._params)
         # The per-copy benchmark is the total-M one at a single copy.
         copies = config.m if config.benchmark_m_convention == TOTAL else 1
         return ScanRow(
@@ -143,27 +155,89 @@ def _row_or_failure(config: ScanConfig, snr_db: float):
         return (snr_db, err)
 
 
+def _share(config: ScanConfig, snr_dbs: list[float]) -> list:
+    return [_row_or_failure(config, snr_db) for snr_db in snr_dbs]
+
+
+def _child_share(config: ScanConfig, snr_dbs: list[float], write_fd: int) -> NoReturn:
+    """Body of a forked child: send (True, results) of its share, or
+    (False, exception), to the parent as one pickle, and exit without
+    unwinding into the parent's stack or flushing its inherited buffers."""
+    status = 1
+    try:
+        try:
+            message = (True, _share(config, snr_dbs))
+        except BaseException as err:         # the parent re-raises it
+            message = (False, err)
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _results(config: ScanConfig, grid: list[float], workers: int) -> list:
+    """_row_or_failure at every grid point, in grid order, computed in
+    round-robin shares grid[i::workers] so that each mixes cheap and dear
+    rows: the process forks a child for each share but the first, computes
+    that one itself, then collects the others (at workers = 1 it forks
+    none).  Every child is reaped before this returns or raises."""
+    results = [None] * len(grid)
+    children = []                            # (share index, pid, read end) not yet reaped
+    try:
+        for i in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child_share(config, grid[i::workers], write_fd)
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                # Neither the parent nor a later child may hold the write
+                # end, or reading the pipe never ends.
+                os.close(write_fd)
+            children.append((i, pid, read_fd))
+        results[0::workers] = _share(config, grid[0::workers])
+        while children:
+            i, pid, read_fd = children[0]
+            with open(read_fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            message = pickle.loads(data) if data else None    # while the child exits
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(read_fd)
+            if message is None:
+                raise ChildProcessError(f"the scan process of rows {i}::{workers} ended "
+                                        f"without a result (wait status {status})")
+            ok, payload = message
+            if not ok:
+                raise payload
+            results[i::workers] = payload
+        return results
+    finally:
+        for _, pid, read_fd in children:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_scan(config: ScanConfig) -> list[ScanRow]:
     """All scan rows, ordered by snr_db ascending.
 
     On a numerical failure (a SteinRadarError) the scan aborts with
     the offending snr_db in the message, unless config.keep_partial is set,
     in which case the failed rows are skipped with a warning each; if every
-    row failed, SteinRadarError names them all.
+    row failed, SteinRadarError names them all.  With workers > 1 the rows
+    are shared among forked processes, but only where fork is safe: not on
+    macOS, whose system libraries may not survive it, and not in a process
+    that already runs other threads.  Elsewhere they run serially.
     """
     grid = [float(s) for s in np.linspace(config.snr_db_min, config.snr_db_max, config.points)]
-    # The pool forks all its workers up front, so it gets no more than there
-    # are rows or CPUs.
-    workers = min(config.workers, len(grid), os.cpu_count() or 1)
-    if workers > 1:
-        # Four chunks per worker: one IPC round trip per chunk instead of per
-        # row, while rows whose cost rises with SNR still balance.
-        chunksize = -(-len(grid) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_row_or_failure, [config] * len(grid), grid,
-                                    chunksize=chunksize))
-    else:
-        results = [_row_or_failure(config, s) for s in grid]
+    workers = min(config.workers, len(grid), os.cpu_count() or 1) if _can_fork() else 1
+    results = _results(config, grid, workers)
     rows: list[ScanRow] = []
     for res in results:
         if isinstance(res, ScanRow):

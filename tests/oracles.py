@@ -303,6 +303,35 @@ def heterodyne_log_pmd_loop(gamma: float, p_fa: float) -> float:
         j += 1
 
 
+def tail_edge_bisect(m1: float, m2: float, ln_mass_tol: float, ln_cubic_tol: float):
+    """displaced._tail_edge by the search it ran before its Newton start:
+    the same integer condition on the same Chernoff bound, whose least
+    qualifying offset above floor(mean) is bracketed by doubling from
+    5 sigma and then bisected.  Returns (a, mass bound, cubic bound)."""
+    from steinradar.displaced import _chernoff_ln_tail
+
+    mean = m1 - m2
+    base = math.floor(mean)
+
+    def bounds(a: int):
+        ln_c, s = _chernoff_ln_tail(m1, m2, a)
+        u = a - mean
+        if s * u < 3.0 or ln_c > ln_mass_tol or 3.0 * log(u) + ln_c > ln_cubic_tol:
+            return None
+        return exp(ln_c), u**3 * exp(ln_c)
+
+    lo, hi = 0, max(1, int(5.0 * math.sqrt(m1 + m2)))
+    while bounds(base + hi) is None:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bounds(base + mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return (base + hi, *bounds(base + hi))
+
+
 def difference_masses_rowwise(nb: float, x: float, tail_tol: float):
     """The masses of displaced._difference_masses, by the recurrence it ran
     before its rows were blocked: one numpy step per row, each row's squared

@@ -202,6 +202,11 @@ class TestRefinedBracket:
             with pytest.raises(ValueError, match="finite"):
                 refined_bracket(RelEntStats(d=1.0, v=v, t=1.0), FIG1)
 
+    def test_rejects_v_beyond_float_range(self):
+        # v^(3/2) overflows: ValueError, not a bare OverflowError
+        with pytest.raises(ValueError, match="float range"):
+            refined_bracket(RelEntStats(d=1e300, v=1e300, t=1e300), DetectionParams(0.1, 2**53))
+
     def test_missing_t(self):
         with pytest.raises(ValueError):
             refined_bracket(RelEntStats(d=1.0, v=1.0), FIG1)

@@ -1,6 +1,6 @@
 """Hypothesis properties: the Skellam law against the closed forms, the
 Lyapunov bound on T, the window certificate against the dropped tails, the
-blocked Bessel-ratio recurrence against the scalar loop, the window
+window edges against a search by bisection, the blocked Bessel-ratio recurrence against the scalar loop, the window
 summation against math.fsum, the monotonicity in SNR of the bound exponents
 and of the heterodyne exponent, the heterodyne exponent's sign, and the CLI
 exit-code contract on arbitrary input."""
@@ -38,9 +38,12 @@ from steinradar.displaced import (
     _skellam_masses,
     _skellam_window,
     _sum,
+    _tail_edge,
 )
 from steinradar.marcum import _cdf
 from steinradar.scan import PER_COPY, TOTAL, main
+
+from oracles import tail_edge_bisect
 
 # Skellam windows stay far inside K_MAX_CAP here, so an example costs ms.
 nbs = st.floats(1e-2, 1e3)
@@ -106,6 +109,25 @@ def test_window_certificate_covers_dropped_tails(nb, frac, tail_tol):
     # the window's own promise; 1e-12 for exp of its log-space comparison
     assert win.tail_mass <= tail_tol / 2.0
     assert win.tail_cubic <= tail_tol / 2.0 * (m1 + m2) ** 1.5 * (1.0 + 1e-12)
+
+
+# nb log-uniform in [1e-8, 1e4] and x in [1e-4, 1e6], at tolerances from
+# unit mass resolution to loose; both edges of the window.
+@settings(max_examples=200, deadline=None)
+@given(nb=st.floats(-8.0, 4.0).map(lambda e: 10.0**e),
+       x=st.floats(-4.0, 6.0).map(lambda e: 10.0**e),
+       tail_tol=st.sampled_from([2.0**-52, 1e-10, 1e-6, 1e-3]))
+@example(nb=1e-8, x=1e-4, tail_tol=2.0**-52)
+@example(nb=1e4, x=1e6, tail_tol=1e-3)
+@example(nb=0.32258461389977083, x=0.00045215630630056645, tail_tol=2.0**-52)  # climbs
+@example(nb=4.263088740576631e-05, x=1.302119287544607, tail_tol=2.0**-52)    # walks down
+def test_tail_edge_matches_bisection(nb, x, tail_tol):
+    m1, m2 = x * nb, x * (nb + 1.0)
+    ln_mass_tol = math.log(tail_tol / 4.0)
+    ln_cubic_tol = ln_mass_tol + 1.5 * math.log(m1 + m2)
+    for upper, lower in ((m1, m2), (m2, m1)):
+        assert (_tail_edge(upper, lower, ln_mass_tol, ln_cubic_tol)
+                == tail_edge_bisect(upper, lower, ln_mass_tol, ln_cubic_tol))
 
 
 def _ln_ratio_bound(z: float, ln_ratio: np.ndarray, ell: int) -> np.ndarray:

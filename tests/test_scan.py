@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -71,7 +72,7 @@ class TestConfig:
             ScanConfig(output_format="xml")
         with pytest.raises(ValueError):
             ScanConfig(workers=0)
-        # np.linspace and the pool need integers; numpy integers are fine
+        # np.linspace and the shares need integers; numpy integers are fine
         for bad in (2.5, np.float64(3.0)):
             with pytest.raises(ValueError):
                 ScanConfig(points=bad)
@@ -249,32 +250,83 @@ class TestDeterminism:
 
     def test_worker_count_invisible(self):
         serial = ScanConfig(**SMALL, workers=1)
-        parallel = ScanConfig(**SMALL, workers=2)
-        assert emit(run_scan(serial), serial) == emit(run_scan(parallel), parallel)
+        expected = emit(run_scan(serial), serial)
+        # 10^6 workers are cut to the rows and the CPUs
+        for workers in (2, 10**6):
+            parallel = ScanConfig(**SMALL, workers=workers)
+            assert emit(run_scan(parallel), parallel) == expected
 
     def test_pool_no_larger_than_grid(self, monkeypatch):
-        # the pool forks every worker at once, so it must not outnumber rows
-        asked = []
+        # the parent forks a child for every share but its own, all at once,
+        # so there are never more processes than rows or CPUs
+        forks = []
+        real_fork = os.fork
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         small = dict(SMALL, points=3)
         wide = ScanConfig(**small, workers=10**6)
         serial = ScanConfig(**small)
         assert emit(run_scan(wide), wide) == emit(run_scan(serial), serial)
-        assert max(asked, default=1) <= 3
+        cpus = os.cpu_count() or 1
+        assert len(forks) == (min(3, cpus) - 1 if scan_mod._can_fork() else 0)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["parent-share", "child-share"])
+    def test_bug_in_a_share_reaches_caller(self, monkeypatch, index):
+        config = ScanConfig(**SMALL, workers=2)
+        bad = float(np.linspace(config.snr_db_min, config.snr_db_max, config.points)[index])
+        real = scan_mod._row_or_failure
+
+        def buggy(config, snr_db):
+            if snr_db == bad:
+                raise ZeroDivisionError("a bug, not a numerical failure")
+            return real(config, snr_db)
+
+        monkeypatch.setattr(scan_mod, "_row_or_failure", buggy)
+        with pytest.raises(ZeroDivisionError, match="a bug"):
+            run_scan(config)
+        with pytest.raises(ChildProcessError):     # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_dead_child_raises(self, monkeypatch):
+        if (os.cpu_count() or 1) < 2 or not scan_mod._can_fork():
+            pytest.skip("rows run serially here")
+        parent = os.getpid()
+        real = scan_mod._row_or_failure
+
+        def dying(config, snr_db):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(config, snr_db)
+
+        monkeypatch.setattr(scan_mod, "_row_or_failure", dying)
+        with pytest.raises(ChildProcessError, match="without a result"):
+            run_scan(ScanConfig(**SMALL, workers=2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_keep_partial_warnings_in_grid_order(self, monkeypatch):
+        # failures in both shares of two workers: -7.5 and -2.5 are the
+        # child's, -5 and 0 the parent's
+        config = ScanConfig(**SMALL, workers=2, keep_partial=True)
+        real = scan_mod._row_or_failure
+
+        def failing(config, snr_db):
+            if snr_db > -10.0:
+                return (snr_db, CapExceeded("window too wide"))
+            return real(config, snr_db)
+
+        monkeypatch.setattr(scan_mod, "_row_or_failure", failing)
+        with pytest.warns(UserWarning) as record:
+            rows = run_scan(config)
+        assert [r.snr_db for r in rows] == [-10.0]
+        assert [str(w.message) for w in record] == [
+            f"scan point snr_db={s:g} failed: window too wide" for s in (-7.5, -5, -2.5, 0)]
 
     def test_default_table_pinned(self, capsysbinary):
         # the default `steinradar-scan --meta` table as committed; any changed
