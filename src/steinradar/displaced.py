@@ -367,10 +367,10 @@ def _tail_edge(m1: float, m2: float, ln_mass_tol: float,
     k = max(1, math.ceil(mean + u) - base)
     found = bounds(base + k)
     if found is None:
-        step = 1
-        while (found := bounds(base + k + step)) is None:
-            k, step = k + step, 2 * step
-        lo, hi = k, k + step
+        stride = 1
+        while (found := bounds(base + k + stride)) is None:
+            k, stride = k + stride, 2 * stride
+        lo, hi = k, k + stride
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if (mid_found := bounds(base + mid)) is None:
