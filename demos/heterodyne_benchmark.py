@@ -7,16 +7,11 @@ from two positive-term series, so neither end of the scale loses digits.
 
 import math
 
-from steinradar import MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
-
-# The scaled Bessel function behind the Rician density.
-print("e^-t I0(t):")
-for t in (0.0, 1.0, 10.0, 500.0):
-    print(f"  t={t:6.1f}: {bessel_i0_scaled(t):.12f}")
+from steinradar import MarcumArgs, heterodyne_log_pmd, marcum_q
 
 # Q and P from their own series; the pair sums to one by construction.
 q, p = marcum_q(MarcumArgs(1.0, 2.0))
-print(f"\nQ(1,2) = {q:.12f},  P(1,2) = {p:.12f},  q+p-1 = {q + p - 1:.2e}")
+print(f"Q(1,2) = {q:.12f},  P(1,2) = {p:.12f},  q+p-1 = {q + p - 1:.2e}")
 
 # Closed form at zero signal: Q(0, y) = exp(-y^2/2).
 q0, _ = marcum_q(MarcumArgs(0.0, 3.0))

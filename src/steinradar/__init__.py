@@ -19,7 +19,6 @@ from .bounds import (
 from .displaced import (
     ThirdMomentResult,
     TruncationPolicy,
-    bessel_i0_scaled,
     spectral_oracle,
     third_moment,
     transition_prob,
@@ -64,7 +63,6 @@ __all__ = [
     "ThermalScenario",
     "ThirdMomentResult",
     "TruncationPolicy",
-    "bessel_i0_scaled",
     "emit",
     "error_exponent",
     "gibbs_matrix",

@@ -8,7 +8,7 @@ input to the Berry-Esseen-corrected bounds.
 
 third_moment uses the law of that difference directly: d = k - l is
 Skellam(x nb, x (nb+1)), a difference of independent Poissons, whose pmf is
-a ratio chain of Bessel functions I_n anchored at bessel_i0_scaled.  The
+a ratio chain of Bessel functions I_n anchored at _bessel_i0_scaled.  The
 chain comes from Miller's backward recurrence, whose coefficients are all
 positive: short recurrences run as a scalar loop, long ones in vectorised
 blocks stitched at their edges.  _skellam_ln_tail sums the law's log tails
@@ -53,7 +53,7 @@ _LN_RESCALE = -log(_RESCALE_BY)
 _BLOCK_ROWS = 16             # _amplitude_rows: rows per block, and the rescale period
 K_MAX_CAP = 200_000          # hard cap on every summation index and window width
 _FSUM_BELOW = 512            # _sum: shorter arrays go to math.fsum over a list
-_I0_CROSSOVER = 19.0         # bessel_i0_scaled: power series below, asymptotic beyond
+_I0_CROSSOVER = 19.0         # _bessel_i0_scaled: power series below, asymptotic beyond
 
 
 @dataclass(frozen=True)
@@ -530,7 +530,7 @@ def _bessel_ln_ratios(z: float, n_hi: int) -> np.ndarray:
     return out
 
 
-def bessel_i0_scaled(t: float) -> float:
+def _bessel_i0_scaled(t: float) -> float:
     """Exponentially scaled modified Bessel function e^-t I0(t).
 
     Power series below the crossover (all terms positive, so the scaled
@@ -563,7 +563,7 @@ def _skellam_ln_p0(x: float, m1: float, m2: float) -> float:
     """ln P(d = 0) = ln(e^-z I_0(z)) + z - m1 - m2, z = 2 sqrt(m1 m2), with
     z - m1 - m2 written without cancellation as -x^2 / (sqrt(m1) + sqrt(m2))^2."""
     z = 2.0 * math.sqrt(m1 * m2)
-    return log(bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
+    return log(_bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
 
 
 _LN_TAIL_TOL = -46.0    # ln of the tail _skellam_ln_tail may drop, relative to its sum

@@ -123,12 +123,18 @@ class RelEntStats:
 
     d: relative entropy (nats); v: relative entropy variance (nats^2);
     t: third absolute central moment of the log-likelihood ratio (nats^3),
-    absent until computed by the displaced-Fock machinery.
+    absent until computed by the displaced-Fock machinery.  Each must be finite, >= 0.
     """
 
     d: float
     v: float
     t: float | None = None
+
+    def __post_init__(self):
+        if not (0.0 <= self.d < math.inf and 0.0 <= self.v < math.inf):
+            raise ValueError("d and v must be finite and >= 0")
+        if not (self.t is None or 0.0 <= self.t < math.inf):
+            raise ValueError("t must be None or finite and >= 0")
 
     def with_t(self, t: float) -> "RelEntStats":
         return RelEntStats(d=self.d, v=self.v, t=t)
@@ -235,12 +241,14 @@ def thermal_closed_forms(s: ThermalScenario) -> RelEntStats:
     """Closed-form D and V for the thermal detection scenario.
 
     D = gamma*nb*ln(1 + 1/nb), V = gamma*nb*(2nb+1)*ln^2(1 + 1/nb) with
-    gamma the SNR.  The third moment is left unset; see displaced.third_moment.
+    gamma the SNR; V never forms nb*(2nb+1) or 2nb, which overflow before the
+    logs scale them down (2((nb + 1/2) lt) is (2nb + 1) lt to the bit).  The
+    third moment is left unset; see displaced.third_moment.
     """
     gamma = s.snr
     lt = math.log1p(1.0 / s.nb)
     return RelEntStats(
         d=gamma * s.nb * lt,
-        v=gamma * s.nb * (2.0 * s.nb + 1.0) * lt * lt,
+        v=gamma * (s.nb * lt) * (2.0 * ((s.nb + 0.5) * lt)),
     )
 

@@ -19,7 +19,6 @@ from steinradar import (
     thermal_closed_forms,
     third_moment,
 )
-from steinradar.bounds import first_order_log_pmd, lambda_bracket
 
 from oracles import (
     BE_SUP_FROZEN,
@@ -34,9 +33,21 @@ from oracles import (
 FIG1 = DetectionParams(p_fa=1e-3, m=5000)
 
 
+def bracket(d, v=1.0, params=FIG1):
+    """refined_bracket at T = V^(3/2), for its first- and second-order fields,
+    which do not depend on T."""
+    return refined_bracket(RelEntStats(d=d, v=v, t=v**1.5), params)
+
+
 class TestNormalCdf:
     def test_center(self):
         assert std_normal_cdf(0.0) == 0.5
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            std_normal_cdf(math.nan)
+        assert std_normal_cdf(-math.inf) == 0.0
+        assert std_normal_cdf(math.inf) == 1.0
 
     def test_deep_tail_positive_monotone(self):
         # subnormal-or-zero far out, strictly positive where representable
@@ -96,31 +107,37 @@ class TestInverseCdf:
 
 class TestFirstOrder:
     def test_zero_entropy(self):
-        assert first_order_log_pmd(0.0, FIG1) == 0.0
+        assert bracket(0.0).log_first_order == 0.0
 
     def test_headline_product(self):
-        got = first_order_log_pmd(D_600_G1, FIG1)
+        got = bracket(D_600_G1, V_600_G1).log_first_order
         assert got == pytest.approx(-5000.0 * D_600_G1, rel=1e-15)
         assert got == pytest.approx(-4995.838, abs=5e-3)
 
     def test_linear_in_copies(self):
         d = 0.37
         double = DetectionParams(p_fa=1e-3, m=10000)
-        assert first_order_log_pmd(d, double) == 2.0 * first_order_log_pmd(d, FIG1)
+        assert bracket(d, params=double).log_first_order == 2.0 * bracket(d).log_first_order
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            first_order_log_pmd(-0.1, FIG1)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            RelEntStats(d=-0.1, v=1.0, t=1.0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            RelEntStats(d=1.0, v=-0.1)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            RelEntStats(d=1.0, v=1.0, t=-0.1)
 
 
 class TestLambdaBracket:
     def test_degenerate_unit(self):
-        lo, hi = lambda_bracket(0.0, 0.0, FIG1)
-        assert hi == 0.0
-        assert lo == -2.0 * log(5000.0)
+        # zero entropy at p_fa = 1/2, where Phi^-1 vanishes: the bracket is
+        # [M^-2, 1] (v = 0 is refused; see test_degenerate_variance)
+        b = bracket(0.0, params=DetectionParams(p_fa=0.5, m=5000))
+        assert b.log_lambda_upper == 0.0
+        assert b.log_lambda_lower == -2.0 * log(5000.0)
 
     def test_headline_value(self):
-        lo, hi = lambda_bracket(D_600_G1, V_600_G1, FIG1)
+        hi = bracket(D_600_G1, V_600_G1).log_lambda_upper
         want = -5000.0 * D_600_G1 - sqrt(5000.0 * V_600_G1) * INV_PHI_1E3
         assert hi == pytest.approx(want, rel=1e-12)
         assert hi == pytest.approx(-4686.9, abs=0.1)
@@ -131,8 +148,8 @@ class TestLambdaBracket:
             d, v = rng.uniform(0, 3), rng.uniform(0, 5)
             m = int(rng.integers(2, 10**6))
             params = DetectionParams(p_fa=float(rng.uniform(1e-6, 0.4)), m=m)
-            lo, hi = lambda_bracket(d, v, params)
-            assert lo == hi - 2.0 * log(m)
+            b = bracket(d, v, params)
+            assert b.log_lambda_lower == b.log_lambda_upper - 2.0 * log(m)
 
 
 class TestRefinedBracket:
@@ -170,11 +187,12 @@ class TestRefinedBracket:
                 assert bounds.log_refined_lower <= bounds.log_lambda_upper
 
     def test_lambda_fields_match_lambda_bracket(self):
+        # the second-order formula, operation for operation
         stats = RelEntStats(d=0.8, v=1.6, t=2.0)
         bounds = refined_bracket(stats, FIG1)
-        lo, hi = lambda_bracket(stats.d, stats.v, FIG1)
+        hi = -FIG1.m * stats.d - sqrt(FIG1.m * stats.v) * inv_std_normal_cdf(FIG1.p_fa)
         assert bounds.log_lambda_upper == hi
-        assert bounds.log_lambda_lower == lo
+        assert bounds.log_lambda_lower == hi - 2.0 * log(FIG1.m)
         assert bounds.log_first_order == -FIG1.m * stats.d
 
     def test_upper_exponent_below_first_order_when_theta_small(self):
@@ -203,9 +221,19 @@ class TestRefinedBracket:
                 refined_bracket(RelEntStats(d=1.0, v=v, t=1.0), FIG1)
 
     def test_rejects_v_beyond_float_range(self):
-        # v^(3/2) overflows: ValueError, not a bare OverflowError
-        with pytest.raises(ValueError, match="float range"):
-            refined_bracket(RelEntStats(d=1e300, v=1e300, t=1e300), DetectionParams(0.1, 2**53))
+        # v^(3/2) overflows, or underflows to 0: ValueError, not a bare
+        # OverflowError or ZeroDivisionError
+        for v in (1e300, 1e-300):
+            with pytest.raises(ValueError, match="float range"):
+                refined_bracket(RelEntStats(d=1.0, v=v, t=1.0), DetectionParams(0.1, 2**53))
+
+    def test_rejects_non_finite_result(self):
+        # M d, or T / V^(3/2), beyond the float range
+        params = DetectionParams(0.1, 2**53)
+        for stats in (RelEntStats(d=1e300, v=1.0, t=1.0),
+                      RelEntStats(d=1.0, v=1e-100, t=1e300)):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                refined_bracket(stats, params)
 
     def test_missing_t(self):
         with pytest.raises(ValueError):
@@ -260,13 +288,24 @@ class TestErrorExponent:
 
     def test_first_order_round_trip(self):
         d = D_600_G1
-        assert error_exponent(first_order_log_pmd(d, FIG1), FIG1.m) == pytest.approx(
+        assert error_exponent(bracket(d).log_first_order, FIG1.m) == pytest.approx(
             d, rel=1e-15
         )
 
     def test_rejects_bad_m(self):
-        with pytest.raises(ValueError):
-            error_exponent(-1.0, 0)
+        for m in (0, 1.5, 5.0, 2**53 + 1):
+            with pytest.raises(ValueError, match="m must be"):
+                error_exponent(-1.0, m)
+        assert error_exponent(-1.0, np.int64(4)) == 0.25
+
+    def test_rejects_non_finite_log_pmd(self):
+        for log_pmd in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                error_exponent(log_pmd, 5)
+
+    def test_positive_log_pmd_is_legal(self):
+        # ln lambda_upper exceeds 0 at low SNR, where that bound on p_MD is > 1
+        assert error_exponent(0.5, 1) == -0.5
 
 
 class TestDetectionParams:

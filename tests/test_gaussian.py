@@ -239,6 +239,15 @@ class TestClosedForms:
         assert abs(stats.d - gamma) <= gamma / (2 * 600.0) * 1.01
         assert abs(stats.v - 2 * gamma) <= 2.02 * gamma / 600.0
 
+    def test_v_finite_where_nb_squared_overflows(self):
+        # nb (2nb + 1) = 2e320 overflows, and 2nb past 2^1024; V = 2 gamma near both
+        stats = thermal_closed_forms(ThermalScenario(nb=1e160, eta=1.0, ns=1e150))
+        assert stats.d == pytest.approx(1e-10, rel=1e-12)
+        assert stats.v == pytest.approx(2e-10, rel=1e-12)
+        stats = thermal_closed_forms(ThermalScenario(nb=1.5e308, eta=1.0, ns=1.5e307))
+        assert stats.d == pytest.approx(0.1, rel=1e-12)
+        assert stats.v == pytest.approx(0.2, rel=1e-12)
+
 
 class TestLargeNbExpansion:
     def test_within_a_tenth_percent_at_nb_600(self):

@@ -8,9 +8,10 @@ from math import exp, log, log1p, sqrt
 import numpy as np
 import pytest
 
-from steinradar import CapExceeded, MarcumArgs, bessel_i0_scaled, heterodyne_log_pmd, marcum_q
+from steinradar import CapExceeded, MarcumArgs, heterodyne_log_pmd, marcum_q
 from steinradar import displaced as displaced_mod
 from steinradar import marcum as marcum_mod
+from steinradar.displaced import _bessel_i0_scaled
 
 from oracles import (
     HET_LN_PMD_G10,
@@ -34,27 +35,27 @@ from oracles import (
 
 class TestBesselI0Scaled:
     def test_origin(self):
-        assert bessel_i0_scaled(0.0) == 1.0
+        assert _bessel_i0_scaled(0.0) == 1.0
 
     def test_reference_values(self):
-        assert bessel_i0_scaled(1.0) == pytest.approx(I0E_1, rel=1e-14)
-        assert bessel_i0_scaled(7.5) == pytest.approx(I0E_7_5, rel=1e-14)
-        assert bessel_i0_scaled(19.0) == pytest.approx(I0E_19, rel=1e-14)
-        assert bessel_i0_scaled(500.0) == pytest.approx(I0E_500, rel=1e-14)
+        assert _bessel_i0_scaled(1.0) == pytest.approx(I0E_1, rel=1e-14)
+        assert _bessel_i0_scaled(7.5) == pytest.approx(I0E_7_5, rel=1e-14)
+        assert _bessel_i0_scaled(19.0) == pytest.approx(I0E_19, rel=1e-14)
+        assert _bessel_i0_scaled(500.0) == pytest.approx(I0E_500, rel=1e-14)
 
     def test_against_scipy_grid(self):
         from scipy.special import i0e
 
         for t in np.concatenate((np.linspace(0, 30, 61), [100.0, 250.0, 700.0])):
-            assert bessel_i0_scaled(float(t)) == pytest.approx(
+            assert _bessel_i0_scaled(float(t)) == pytest.approx(
                 float(i0e(t)), rel=5e-14
             )
 
     def test_rejects_negative(self):
         for t in (-1.0, math.nan):
             with pytest.raises(ValueError):
-                bessel_i0_scaled(t)
-        assert bessel_i0_scaled(math.inf) == 0.0   # the limit, not a reject
+                _bessel_i0_scaled(t)
+        assert _bessel_i0_scaled(math.inf) == 0.0   # the limit, not a reject
 
 
 class TestMarcumArgs:

@@ -18,15 +18,18 @@ from hypothesis import strategies as st
 
 from steinradar import (
     DetectionParams,
+    RelEntStats,
+    SteinRadarError,
     ThermalScenario,
     TruncationPolicy,
     error_exponent,
     heterodyne_log_pmd,
     inv_std_normal_cdf,
+    refined_bracket,
+    std_normal_cdf,
     thermal_closed_forms,
     third_moment,
 )
-from steinradar.bounds import lambda_bracket
 from steinradar import displaced as displaced_mod
 from steinradar.displaced import (
     _BLOCKED_FROM,
@@ -262,8 +265,9 @@ def test_bound_exponents_monotone_in_snr(nb, m, p_fa, db1, db2, above):
 
     def exponents(g):
         stats = thermal_closed_forms(ThermalScenario(nb=nb, eta=1.0, ns=g * nb))
-        lower, upper = lambda_bracket(stats.d, stats.v, params)
-        return stats.d, error_exponent(upper, m), error_exponent(lower, m)
+        b = refined_bracket(stats.with_t(stats.v ** 1.5), params)
+        return (stats.d, error_exponent(b.log_lambda_upper, m),
+                error_exponent(b.log_lambda_lower, m))
 
     (first1, up1, low1), (first2, up2, low2) = exponents(g1), exponents(g2)
     assert first1 < first2
@@ -298,6 +302,82 @@ def test_heterodyne_log_pmd_nonpositive(gamma, p_fa):
     assert heterodyne_log_pmd(gamma, p_fa) <= 0.0
 
 
+# The value contract of the public numeric functions: each call raises
+# ValueError or SteinRadarError, or returns finite numbers in range.  Floats
+# are drawn over the whole line, NaN, +-inf, 0 and subnormals included, with
+# the edges of the float range sampled directly.
+any_float = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e-300, 0.1, 0.5,
+     1.0, 2.0**53, 1e150, 1e160, 1e300, 1e308, -1.0])
+any_m = st.integers(-2, 2**54) | st.sampled_from([1, 5, 2**53]) | any_float
+
+
+def _refused(call, *args):
+    """call(*args), or None where it raises ValueError or SteinRadarError."""
+    try:
+        return call(*args)
+    except (ValueError, SteinRadarError):
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=any_float, v=any_float, t=any_float | st.none(), p_fa=any_float, m=any_m)
+@example(d=1e300, v=1.0, t=1.0, p_fa=0.1, m=2**53)     # -M d once came back -inf
+def test_moments_and_bracket_keep_the_contract(d, v, t, p_fa, m):
+    stats = _refused(RelEntStats, d, v, t)
+    if stats is None:
+        return
+    assert all(0.0 <= x < math.inf for x in (stats.d, stats.v))
+    assert stats.t is None or 0.0 <= stats.t < math.inf
+    params = _refused(DetectionParams, p_fa, m)
+    if params is None:
+        return
+    b = _refused(refined_bracket, stats, params)
+    if b is None:
+        return
+    # the logs bound p_MD, so may exceed 0 where a bound exceeds 1
+    for x in (b.log_first_order, b.log_lambda_upper, b.log_lambda_lower, b.theta_u,
+              b.theta_l, b.log_refined_upper, b.log_refined_lower):
+        assert x is None or math.isfinite(x)
+    assert b.log_first_order <= 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=any_float, m=any_m)
+@example(x=math.nan, m=5)       # error_exponent and std_normal_cdf once returned NaN
+@example(x=-1.0, m=1.5)         # error_exponent once took m = 1.5
+def test_scalar_functions_keep_the_contract(x, m):
+    e = _refused(error_exponent, x, m)
+    assert e is None or math.isfinite(e)
+    if isinstance(m, float):
+        assert e is None
+    p = _refused(std_normal_cdf, x)
+    assert (p is None) == math.isnan(x)
+    assert p is None or 0.0 <= p <= 1.0
+    q = _refused(inv_std_normal_cdf, x)
+    assert (q is None) != (0.0 < x < 1.0)
+    assert q is None or math.isfinite(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nb=any_float, eta=any_float, ns=any_float)
+@example(nb=1e160, eta=1.0, ns=1e150)     # v once overflowed to inf
+def test_closed_forms_keep_the_contract(nb, eta, ns):
+    scenario = _refused(ThermalScenario, nb, eta, ns)
+    if scenario is None:
+        return
+    stats = _refused(thermal_closed_forms, scenario)
+    if stats is not None:
+        assert 0.0 <= stats.d < math.inf and 0.0 <= stats.v < math.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=any_float, p_fa=any_float)
+def test_heterodyne_keeps_the_contract(gamma, p_fa):
+    ln_pmd = _refused(heterodyne_log_pmd, gamma, p_fa)
+    assert ln_pmd is None or -math.inf < ln_pmd <= 0.0
+
+
 def _floats_or_specials(lo, hi):
     return st.floats(lo, hi) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
 
@@ -315,6 +395,8 @@ def _floats_or_specials(lo, hi):
     tail_tol=_floats_or_specials(1e-20, 2.0),
     convention=st.sampled_from([PER_COPY, TOTAL]),
 )
+# 2 nb overflows: V must stay finite, so that T's CapExceeded ends the row (exit 3)
+@example(nb=1e308, snr_lo=-20.0, snr_hi=-10.0, points=2, tail_tol=1e-10, convention=PER_COPY)
 def test_main_exit_code_contract(nb, snr_lo, snr_hi, points, tail_tol, convention):
     argv = [f"--nb={nb!r}", f"--snr-db-min={snr_lo!r}", f"--snr-db-max={snr_hi!r}",
             f"--points={points}", f"--tail-tol={tail_tol!r}",

@@ -395,6 +395,14 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr.decode()
         assert len(parse_csv(proc.stdout)) == 2
 
+    def test_low_snr_lambda_bound_above_one(self, capsysbinary):
+        # below about -24 dB the second-order upper bound on p_MD exceeds 1:
+        # ln lambda_upper > 0, a legal bound, printed as a negative exponent
+        assert main(["--snr-db-min", "-40", "--snr-db-max", "-20", "--points", "5"]) == 0
+        rows = parse_csv(capsysbinary.readouterr().out)
+        assert rows[0]["eps_lambda_upper"] == pytest.approx(-0.000517872486338, rel=1e-9)
+        assert rows[-1]["eps_lambda_upper"] > 0.0
+
     def test_config_error_exit_2(self):
         proc = run_cli("--points", "1")
         assert proc.returncode == 2
