@@ -20,8 +20,8 @@ import signal
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, fields
-from typing import NoReturn, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -94,8 +94,7 @@ _CONFIG_META_FIELDS = (
     "benchmark_m_convention",
 )
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One grid point: moments, exponents of every bound, benchmark."""
 
     snr_db: float
@@ -105,16 +104,13 @@ class ScanRow:
     t: float
     captured_mass: float
     eps_first_order: float
-    eps_refined_upper: Optional[float]
-    eps_refined_lower: Optional[float]
+    eps_refined_upper: float | None
+    eps_refined_lower: float | None
     upper_valid: bool
     lower_valid: bool
     eps_lambda_upper: float
     eps_lambda_lower: float
     eps_marcum: float
-
-
-_ROW_FIELDS = tuple(f.name for f in fields(ScanRow))
 
 
 def _can_fork() -> bool:
@@ -123,7 +119,7 @@ def _can_fork() -> bool:
 
 
 def _row_or_failure(config: ScanConfig, snr_db: float):
-    """The ScanRow at snr_db, or (snr_db, error) on a SteinRadarError."""
+    """The ScanRow at snr_db, or the SteinRadarError that stopped it."""
     def eps(log_pmd):                          # a blank bracket side stays None
         return None if log_pmd is None else error_exponent(log_pmd, config.m)
 
@@ -152,7 +148,7 @@ def _row_or_failure(config: ScanConfig, snr_db: float):
             eps_marcum=error_exponent(heterodyne_log_pmd(copies * gamma, config.p_fa), copies),
         )
     except SteinRadarError as err:
-        return (snr_db, err)
+        return err
 
 
 def _share(config: ScanConfig, snr_dbs: list[float]) -> list:
@@ -160,15 +156,15 @@ def _share(config: ScanConfig, snr_dbs: list[float]) -> list:
 
 
 def _child_share(config: ScanConfig, snr_dbs: list[float], write_fd: int) -> NoReturn:
-    """Body of a forked child: send (True, results) of its share, or
-    (False, exception), to the parent as one pickle, and exit without
+    """Body of a forked child: send the results of its share, or the
+    exception that stopped it, to the parent as one pickle, and exit without
     unwinding into the parent's stack or flushing its inherited buffers."""
     status = 1
     try:
         try:
-            message = (True, _share(config, snr_dbs))
+            message = _share(config, snr_dbs)
         except BaseException as err:         # the parent re-raises it
-            message = (False, err)
+            message = err
         data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as fh:
             fh.write(data)
@@ -212,10 +208,9 @@ def _results(config: ScanConfig, grid: list[float], workers: int) -> list:
             if message is None:
                 raise ChildProcessError(f"the scan process of rows {i}::{workers} ended "
                                         f"without a result (wait status {status})")
-            ok, payload = message
-            if not ok:
-                raise payload
-            results[i::workers] = payload
+            if isinstance(message, BaseException):
+                raise message
+            results[i::workers] = message
         return results
     finally:
         for _, pid, read_fd in children:
@@ -239,18 +234,16 @@ def run_scan(config: ScanConfig) -> list[ScanRow]:
     workers = min(config.workers, len(grid), os.cpu_count() or 1) if _can_fork() else 1
     results = _results(config, grid, workers)
     rows: list[ScanRow] = []
-    for res in results:
+    for snr_db, res in zip(grid, results):
         if isinstance(res, ScanRow):
             rows.append(res)
+        elif config.keep_partial:
+            warnings.warn(f"scan point snr_db={snr_db:g} failed: {res}")
         else:
-            snr_db, err = res
-            if config.keep_partial:
-                warnings.warn(f"scan point snr_db={snr_db:g} failed: {err}")
-            else:
-                raise type(err)(f"scan point snr_db={snr_db:g} failed: {err}")
+            raise type(res)(f"scan point snr_db={snr_db:g} failed: {res}")
     if not rows:
         failed = ", ".join(f"snr_db={snr_db:g} ({type(err).__name__})"
-                           for snr_db, err in results)
+                           for snr_db, err in zip(grid, results))
         raise SteinRadarError(f"every scan point failed: {failed}")
     return rows
 
@@ -276,19 +269,13 @@ def emit(rows: list[ScanRow], config: ScanConfig, meta: bool = False) -> bytes:
         raise ValueError("rows must be nonempty")
     cfg = {name: getattr(config, name) for name in _CONFIG_META_FIELDS}
     if config.output_format == "json":
-        payload = {
-            "config": cfg,
-            "rows": [
-                {name: getattr(row, name) for name in _ROW_FIELDS} for row in rows
-            ],
-        }
+        payload = {"config": cfg, "rows": [row._asdict() for row in rows]}
         return (json.dumps(payload, indent=2) + "\n").encode()
     lines = []
     if meta:
         lines.extend(f"# {name} = {value!r}" for name, value in cfg.items())
-    lines.append(",".join(_ROW_FIELDS))
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, name)) for name in _ROW_FIELDS))
+    lines.append(",".join(ScanRow._fields))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from steinradar import CapExceeded, ScanConfig, ScanRow, SteinRadarError, emit, run_scan
 from steinradar import scan as scan_mod
-from steinradar.scan import _ROW_FIELDS, main
+from steinradar.scan import main
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,7 +33,7 @@ def parse_csv(payload: bytes):
     """Parse emitted CSV back into per-row dicts (None for empty cells)."""
     lines = [ln for ln in payload.decode().split("\n") if ln and not ln.startswith("# ")]
     header = lines[0].split(",")
-    assert header == list(_ROW_FIELDS)
+    assert header == list(ScanRow._fields)
     rows = []
     for line in lines[1:]:
         cells = line.split(",")
@@ -178,7 +178,7 @@ class TestEmit:
         text = payload.decode()
         assert text.count("\n") == 2 and text.endswith("\n")
         assert "\r" not in text
-        assert text.split("\n")[0] == ",".join(_ROW_FIELDS)
+        assert text.split("\n")[0] == ",".join(ScanRow._fields)
 
     def test_round_trip_at_twelve_digits(self, rows):
         cfg = ScanConfig(**SMALL)
@@ -201,7 +201,7 @@ class TestEmit:
         assert any(ln == "# p_fa = 0.001" for ln in meta_lines)
         assert any(ln.startswith("# nb = ") for ln in meta_lines)
         # metadata precedes the header
-        assert text.split("\n")[len(meta_lines)] == ",".join(_ROW_FIELDS)
+        assert text.split("\n")[len(meta_lines)] == ",".join(ScanRow._fields)
 
     def test_json_schema(self, rows):
         cfg = ScanConfig(**SMALL, output_format="json")
@@ -212,7 +212,7 @@ class TestEmit:
         assert "workers" not in doc["config"]
         assert len(doc["rows"]) == len(rows)
         for row in doc["rows"]:
-            assert list(row) == list(_ROW_FIELDS)
+            assert list(row) == list(ScanRow._fields)
             for name in BOOL_FIELDS:
                 assert isinstance(row[name], bool)
             for name in FLOAT_FIELDS:
@@ -318,7 +318,7 @@ class TestDeterminism:
 
         def failing(config, snr_db):
             if snr_db > -10.0:
-                return (snr_db, CapExceeded("window too wide"))
+                return CapExceeded("window too wide")
             return real(config, snr_db)
 
         monkeypatch.setattr(scan_mod, "_row_or_failure", failing)
