@@ -240,15 +240,13 @@ def rel_entropy_variance(rho0: GaussianState, rho1: GaussianState) -> float:
 def thermal_closed_forms(s: ThermalScenario) -> RelEntStats:
     """Closed-form D and V for the thermal detection scenario.
 
-    D = gamma*nb*ln(1 + 1/nb), V = gamma*nb*(2nb+1)*ln^2(1 + 1/nb) with
-    gamma the SNR; V never forms nb*(2nb+1) or 2nb, which overflow before the
-    logs scale them down (2((nb + 1/2) lt) is (2nb + 1) lt to the bit).  The
-    third moment is left unset; see displaced.third_moment.
+    D = x*ln(1 + 1/nb), V = x*(2nb+1)*ln^2(1 + 1/nb) with x = eta*ns the
+    received signal photons (gamma*nb, gamma the SNR).  Neither forms gamma,
+    which overflows at tiny nb, nor nb*(2nb+1) or 2nb, which overflow before
+    the logs scale them down (2((nb + 1/2) lt) is (2nb + 1) lt to the bit).
+    The third moment is left unset; see displaced.third_moment.
     """
-    gamma = s.snr
+    x = s.eta * s.ns
     lt = math.log1p(1.0 / s.nb)
-    return RelEntStats(
-        d=gamma * s.nb * lt,
-        v=gamma * (s.nb * lt) * (2.0 * ((s.nb + 0.5) * lt)),
-    )
+    return RelEntStats(d=x * lt, v=(x * lt) * (2.0 * ((s.nb + 0.5) * lt)))
 

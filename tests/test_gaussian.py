@@ -248,6 +248,13 @@ class TestClosedForms:
         assert stats.d == pytest.approx(0.1, rel=1e-12)
         assert stats.v == pytest.approx(0.2, rel=1e-12)
 
+    def test_finite_where_snr_overflows(self):
+        # gamma = ns/nb = 1e310 overflows, but D = ns lt and V = ns (2nb + 1) lt^2 do not
+        stats = thermal_closed_forms(ThermalScenario(nb=1e-300, eta=1.0, ns=1e10))
+        lt = math.log1p(1e300)
+        assert stats.d == pytest.approx(1e10 * lt, rel=1e-15)
+        assert stats.v == pytest.approx(1e10 * lt * lt, rel=1e-15)
+
 
 class TestLargeNbExpansion:
     def test_within_a_tenth_percent_at_nb_600(self):
