@@ -149,26 +149,34 @@ class TestRunScan:
 
 
 class TestPartialFailure:
-    # at the top of this range the certified support window of k - l is
-    # wider than K_MAX_CAP at nb=50
-    FAILING = dict(nb=50.0, m=100, points=3, snr_db_min=-10.0, snr_db_max=50.0,
+    # above 30 dB the certified support window of k - l is wider than
+    # K_MAX_CAP at nb=50; 40 dB is grid index 3, so at two workers it fails
+    # in the forked child's share and its exception crosses the pipe
+    FAILING = dict(nb=50.0, m=100, points=5, snr_db_min=10.0, snr_db_max=50.0,
                    tail_tol=1e-8)
 
-    def test_abort_names_offending_point(self):
-        with pytest.raises(CapExceeded, match="snr_db=50"):
-            run_scan(ScanConfig(**self.FAILING))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_abort_names_offending_point(self, workers):
+        with pytest.raises(CapExceeded, match="snr_db=40 failed"):
+            run_scan(ScanConfig(**self.FAILING, workers=workers))
 
-    def test_keep_partial_skips_and_warns(self):
-        with pytest.warns(UserWarning, match="snr_db=50"):
-            rows = run_scan(ScanConfig(**self.FAILING, keep_partial=True))
-        assert len(rows) == 2
-        assert [r.snr_db for r in rows] == [-10.0, 20.0]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keep_partial_skips_and_warns(self, workers):
+        with pytest.warns(UserWarning) as record:
+            rows = run_scan(ScanConfig(**self.FAILING, keep_partial=True, workers=workers))
+        assert [r.snr_db for r in rows] == [10.0, 20.0, 30.0]
+        # 40 dB is the child's, 50 dB the parent's
+        assert [str(w.message).split(" failed: ")[0] for w in record] == [
+            "scan point snr_db=40", "scan point snr_db=50"]
 
-    def test_keep_partial_all_failed_names_points(self):
-        cfg = ScanConfig(**dict(self.FAILING, snr_db_min=50.0, snr_db_max=60.0),
-                         keep_partial=True)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keep_partial_all_failed_names_points(self, workers):
+        # 55 dB is the child's at two workers
+        cfg = ScanConfig(**dict(self.FAILING, points=3, snr_db_min=50.0, snr_db_max=60.0),
+                         keep_partial=True, workers=workers)
         with pytest.warns(UserWarning):
-            with pytest.raises(SteinRadarError, match="snr_db=50 .*snr_db=55 .*snr_db=60 "):
+            with pytest.raises(SteinRadarError, match=r"snr_db=50 \(CapExceeded\), "
+                               r"snr_db=55 \(CapExceeded\), snr_db=60 \(CapExceeded\)$"):
                 run_scan(cfg)
 
 
