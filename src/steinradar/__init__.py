@@ -27,8 +27,6 @@ from .errors import (
     CapExceeded,
     ConsistencyError,
     DegenerateVariance,
-    MassDeficit,
-    ModeMismatch,
     SingularGibbs,
     SteinRadarError,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "GaussianState",
     "MDBounds",
     "MarcumArgs",
-    "MassDeficit",
-    "ModeMismatch",
     "RelEntStats",
     "ScanConfig",
     "ScanRow",

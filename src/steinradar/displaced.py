@@ -43,7 +43,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CapExceeded, ConsistencyError, MassDeficit
+from .errors import CapExceeded, ConsistencyError
 from .gaussian import RelEntStats, ThermalScenario
 
 _LN_TINY = log(1e-250)       # seed floor for underflowed diagonal starts
@@ -268,8 +268,8 @@ class ThirdMomentResult(NamedTuple):
 
 def _captured_mass(mass: np.ndarray, nb: float, x: float, tail_tol: float,
                    rounding: Callable[[], float]) -> float:
-    """Sum of the masses; MassDeficit if it falls below 1 - 10*tail_tol,
-    ConsistencyError if it passes 1.
+    """Sum of the masses; ConsistencyError if it falls below 1 - 10*tail_tol
+    or passes 1.
 
     The sum is _sum's, within one ulp of the correctly rounded one.
     `rounding`, called only when the sum falls short or passes 1, bounds the
@@ -280,12 +280,11 @@ def _captured_mass(mass: np.ndarray, nb: float, x: float, tail_tol: float,
     """
     captured = _sum(mass)
     floor = 1.0 - 10.0 * tail_tol
-    if captured < floor and captured < floor - rounding():
-        raise MassDeficit(
-            f"captured mass {captured} < 1 - 10*tail_tol (nb={nb}, x={x})"
-        )
-    if captured - 1.0 > 8.0 * 2.0**-52 and captured - 1.0 > rounding():
-        raise ConsistencyError(f"captured mass {captured} > 1 past rounding (nb={nb}, x={x})")
+    if captured < floor or captured - 1.0 > 8.0 * 2.0**-52:
+        bound = floor if captured < floor else 1.0
+        if abs(captured - bound) > rounding():
+            raise ConsistencyError(f"captured mass {captured} misses its bound {bound} "
+                                   f"past rounding (nb={nb}, x={x})")
     return captured
 
 
@@ -660,10 +659,9 @@ def third_moment(
     certified below tail_tol/2.  Both sums over the window (T and the
     captured mass) go through _sum, which adds at most one ulp against
     that truncation allowance.  The captured probability mass is returned
-    alongside; below 1 - 10*tail_tol, by more than the rounding the masses
-    carry (as _skellam_masses bounds it), the sum is considered buggy and
-    MassDeficit is raised, and above 1 by more than that rounding,
-    ConsistencyError.
+    alongside; below 1 - 10*tail_tol, or above 1, by more than the rounding
+    the masses carry (as _skellam_masses bounds it), the sum is considered
+    buggy and ConsistencyError is raised.
     """
     x = s.eta * s.ns
     if x == 0.0:

@@ -10,25 +10,16 @@ class SingularGibbs(SteinRadarError):
     Gibbs matrix diverges."""
 
 
-class ModeMismatch(SteinRadarError):
-    """Two states with different mode counts were combined."""
-
-
 class ConsistencyError(SteinRadarError):
     """An internal identity failed beyond numerical tolerance.
 
-    Raised when a quantity that is real/symmetric/nonnegative by construction
-    comes out otherwise by more than round-off allows; indicates a bug or an
-    ill-conditioned input rather than ordinary round-off."""
+    Raised when a quantity real, symmetric, nonnegative or (a captured mass)
+    in range by construction comes out otherwise by more than round-off
+    allows; indicates a bug or an ill-conditioned input, not round-off."""
 
 
 class CapExceeded(SteinRadarError):
     """Truncation requirements exceed the configured hard index cap."""
-
-
-class MassDeficit(SteinRadarError):
-    """A truncated double sum captured less probability mass than its
-    truncation design guarantees; signals a summation bug."""
 
 
 class DegenerateVariance(SteinRadarError):

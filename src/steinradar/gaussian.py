@@ -9,12 +9,11 @@ literature (vacuum = I and vacuum = 2I); everything here assumes I/2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ModeMismatch, SingularGibbs
+from .errors import ConsistencyError, SingularGibbs
 
 # Tolerances for construction-time and identity checks.
 SYMMETRY_RTOL = 1e-12
@@ -40,8 +39,7 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     +/- pairs, so every other sorted magnitude is kept.  This avoids a full
     Williamson decomposition, which is never needed here.
     """
-    modes = cm.shape[0] // 2
-    omega = symplectic_form(modes)
+    omega = symplectic_form(cm.shape[0] // 2)
     vals = np.linalg.eigvals(1j * omega @ cm)
     return np.sort(np.abs(vals))[::2]
 
@@ -59,18 +57,15 @@ class GaussianState:
 
     mean: np.ndarray
     cm: np.ndarray
-    modes: int
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
         cm = np.asarray(self.cm, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cm", cm)
-        if not (isinstance(self.modes, numbers.Integral) and self.modes >= 1):
-            raise ValueError("modes must be a positive integer")
-        n = 2 * self.modes
-        if mean.shape != (n,):
-            raise ValueError(f"mean must have length {n}, got {mean.shape}")
+        n = len(mean)
+        if n == 0 or n % 2:
+            raise ValueError(f"mean must have a positive even length, got {n}")
         if cm.shape != (n, n):
             raise ValueError(f"cm must be {n}x{n}, got {cm.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cm).all()):
@@ -83,6 +78,11 @@ class GaussianState:
             raise ValueError(
                 f"cm violates the bona-fide condition: min symplectic eigenvalue {nu[0]}"
             )
+
+    @property
+    def modes(self) -> int:
+        """Mode count N, half the length of the mean."""
+        return len(self.mean) // 2
 
     @property
     def omega(self) -> np.ndarray:
@@ -148,8 +148,8 @@ def scenario_states(s: ThermalScenario) -> tuple[GaussianState, GaussianState]:
     (sqrt(2*eta*ns), 0); the covariance matrix is unchanged.
     """
     cm = (s.nb + 0.5) * np.eye(2)
-    rho0 = GaussianState(mean=np.zeros(2), cm=cm, modes=1)
-    rho1 = GaussianState(mean=np.array([math.sqrt(2.0 * s.eta * s.ns), 0.0]), cm=cm, modes=1)
+    rho0 = GaussianState(mean=np.zeros(2), cm=cm)
+    rho1 = GaussianState(mean=np.array([math.sqrt(2.0 * s.eta * s.ns), 0.0]), cm=cm)
     return rho0, rho1
 
 
@@ -189,7 +189,7 @@ def sigma_fn(v0: GaussianState, v1: GaussianState) -> float:
     Relative entropy is a difference of two of these; see rel_entropy.
     """
     if v0.modes != v1.modes:
-        raise ModeMismatch(f"{v0.modes}-mode state paired with {v1.modes}-mode state")
+        raise ValueError(f"{v0.modes}-mode state paired with {v1.modes}-mode state")
     g1 = gibbs_matrix(v1)
     det = np.linalg.det(v1.cm + 0.5j * v1.omega)
     if abs(det.imag) >= RESIDUE_TOL * max(abs(det.real), 1e-300):
@@ -221,7 +221,7 @@ def rel_entropy(rho0: GaussianState, rho1: GaussianState) -> float:
 def rel_entropy_variance(rho0: GaussianState, rho1: GaussianState) -> float:
     """Relative entropy variance V(rho0 || rho1) of two Gaussian states."""
     if rho0.modes != rho1.modes:
-        raise ModeMismatch(f"{rho0.modes}-mode state paired with {rho1.modes}-mode state")
+        raise ValueError(f"{rho0.modes}-mode state paired with {rho1.modes}-mode state")
     g0 = gibbs_matrix(rho0)
     g1 = gibbs_matrix(rho1)
     gamma = g0 - g1

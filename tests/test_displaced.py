@@ -13,7 +13,6 @@ import pytest
 from steinradar import (
     CapExceeded,
     ConsistencyError,
-    MassDeficit,
     ThermalScenario,
     TruncationPolicy,
     spectral_oracle,
@@ -210,9 +209,11 @@ class TestThirdMoment:
             d, mass, rounding = _skellam_masses(nb, x, policy)
             return d, 0.5 * mass, rounding
 
+        s = ThermalScenario(nb=1.0, eta=1.0, ns=1.0)
+        halved = 0.5 * third_moment(s).captured_mass      # halving a sum is exact
         monkeypatch.setattr(displaced_mod, "_skellam_masses", half_masses)
-        with pytest.raises(MassDeficit):
-            third_moment(ThermalScenario(nb=1.0, eta=1.0, ns=1.0))
+        with pytest.raises(ConsistencyError, match=f"captured mass {halved} misses"):
+            third_moment(s)
 
     def test_mass_excess_detected(self, monkeypatch):
         # truncation only drops mass, so a sum of 2 is a bug, not rounding

@@ -8,7 +8,6 @@ import pytest
 
 from steinradar import (
     GaussianState,
-    ModeMismatch,
     SingularGibbs,
     ThermalScenario,
     gibbs_matrix,
@@ -23,7 +22,7 @@ from oracles import D_600_G1, V_600_G1, thermal_fock_d, thermal_fock_v
 
 
 def thermal_state(nbar, mean=(0.0, 0.0)):
-    return GaussianState(mean=np.array(mean), cm=(nbar + 0.5) * np.eye(2), modes=1)
+    return GaussianState(mean=np.array(mean), cm=(nbar + 0.5) * np.eye(2))
 
 
 def random_mixed_state(rng, modes):
@@ -32,7 +31,7 @@ def random_mixed_state(rng, modes):
     a = 0.6 * rng.standard_normal((n, n))
     cm = a @ a.T + (0.5 + 0.2 + rng.uniform(0, 1)) * np.eye(n)
     mean = rng.standard_normal(n)
-    return GaussianState(mean=mean, cm=cm, modes=modes)
+    return GaussianState(mean=mean, cm=cm)
 
 
 class TestConstruction:
@@ -45,34 +44,43 @@ class TestConstruction:
     def test_rejects_asymmetric_cm(self):
         cm = np.array([[1.0, 0.3], [0.1, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            GaussianState(mean=np.zeros(2), cm=cm, modes=1)
+            GaussianState(mean=np.zeros(2), cm=cm)
 
     def test_rejects_bona_fide_violation(self):
         with pytest.raises(ValueError, match="bona-fide"):
-            GaussianState(mean=np.zeros(2), cm=0.3 * np.eye(2), modes=1)
+            GaussianState(mean=np.zeros(2), cm=0.3 * np.eye(2))
 
     def test_rejects_wrong_mean_length(self):
         with pytest.raises(ValueError, match="mean"):
-            GaussianState(mean=np.zeros(3), cm=np.eye(2), modes=1)
+            GaussianState(mean=np.zeros(3), cm=np.eye(2))
 
     def test_rejects_non_finite_mean(self):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                GaussianState(mean=np.array([value, 0.0]), cm=np.eye(2), modes=1)
+                GaussianState(mean=np.array([value, 0.0]), cm=np.eye(2))
 
     def test_rejects_non_finite_cm(self):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                GaussianState(mean=np.zeros(2), cm=np.diag([value, 1.0]), modes=1)
+                GaussianState(mean=np.zeros(2), cm=np.diag([value, 1.0]))
 
-    def test_rejects_non_integer_modes(self):
-        # 2 * 1.5 = 3 passes the shape checks, so only the type check stops it
-        with pytest.raises(ValueError, match="modes must be a positive integer"):
-            GaussianState(mean=np.zeros(3), cm=np.eye(3), modes=1.5)
-        assert GaussianState(mean=np.zeros(2), cm=np.eye(2), modes=np.int64(1)).modes == 1
+    def test_modes_from_mean_length(self):
+        assert GaussianState(mean=np.zeros(4), cm=np.eye(4)).modes == 2
+        assert GaussianState(mean=np.zeros(2), cm=np.eye(2)).modes == 1
+
+    def test_rejects_empty_or_odd_mean(self):
+        # a 3-vector with a matching 3x3 cm has no whole mode count
+        for n in (0, 3):
+            with pytest.raises(ValueError, match="positive even length"):
+                GaussianState(mean=np.zeros(n), cm=np.eye(n))
+
+    def test_rejects_cm_of_wrong_shape(self):
+        for cm in (np.eye(2), np.eye(6), np.ones((4, 2))):
+            with pytest.raises(ValueError, match="cm must be 4x4"):
+                GaussianState(mean=np.zeros(4), cm=cm)
 
     def test_vacuum_is_accepted(self):
-        state = GaussianState(mean=np.zeros(2), cm=0.5 * np.eye(2), modes=1)
+        state = GaussianState(mean=np.zeros(2), cm=0.5 * np.eye(2))
         assert symplectic_eigenvalues(state.cm) == pytest.approx([0.5])
 
     def test_scenario_invariants(self):
@@ -122,7 +130,7 @@ class TestGibbsMatrix:
         assert g == pytest.approx(log(601.0 / 600.0) * np.eye(2), abs=1e-14)
 
     def test_vacuum_raises(self):
-        state = GaussianState(mean=np.zeros(2), cm=0.5 * np.eye(2), modes=1)
+        state = GaussianState(mean=np.zeros(2), cm=0.5 * np.eye(2))
         with pytest.raises(SingularGibbs):
             gibbs_matrix(state)
 
@@ -158,11 +166,11 @@ class TestSigmaAndRelEntropy:
         assert abs(sigma_fn(a, b) - sigma_fn(b, a)) > 0.01
 
     def test_mode_mismatch(self):
+        # pairing a 1-mode with a 2-mode state is a malformed input
         rng = np.random.default_rng(3)
-        with pytest.raises(ModeMismatch):
-            sigma_fn(thermal_state(1.0), random_mixed_state(rng, 2))
-        with pytest.raises(ModeMismatch):
-            rel_entropy_variance(thermal_state(1.0), random_mixed_state(rng, 2))
+        for fn in (sigma_fn, rel_entropy, rel_entropy_variance):
+            with pytest.raises(ValueError, match="1-mode state paired with 2-mode state"):
+                fn(thermal_state(1.0), random_mixed_state(rng, 2))
 
     def test_bright_scenario_closed_form(self):
         s = ThermalScenario(nb=600.0, eta=1.0, ns=600.0)

@@ -468,3 +468,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "snr_db=50 " in err and "snr_db=60 " in err
+
+
+def test_public_names_resolve_once():
+    # every name in __all__ is importable and listed once, so a name folded
+    # into another cannot linger in the list
+    import steinradar
+
+    names = steinradar.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(steinradar, name)
+    assert not any(hasattr(steinradar, n) for n in ("MassDeficit", "ModeMismatch"))
