@@ -656,10 +656,14 @@ def third_moment(
 
     x = eta*ns is the displaced mean photon number.  T is summed over the
     Skellam law of d = k - l on a window whose dropped share of T is
-    certified below tail_tol/2.  Both sums over the window (T and the
-    captured mass) go through _sum, which adds at most one ulp against
-    that truncation allowance.  The captured probability mass is returned
-    alongside; below 1 - 10*tail_tol, or above 1, by more than the rounding
+    certified below tail_tol/2, and divided by the mass captured there, so
+    the masses' common rounding cancels.  The result is T (1 - dT) / (1 - dm)
+    for the dropped shares dT of T and dm of the mass, each in
+    [0, tail_tol/2], so the truncation error is two-sided: within
+    +-tail_tol/2 to first order.
+    Both sums over the window go through _sum, which adds at most one ulp.
+    The captured probability mass (unnormalised) is returned alongside;
+    below 1 - 10*tail_tol, or above 1, by more than the rounding
     the masses carry (as _skellam_masses bounds it), the sum is considered
     buggy and ConsistencyError is raised.
     """
@@ -670,8 +674,7 @@ def third_moment(
     captured = _captured_mass(mass, s.nb, x, policy.tail_tol, rounding)
     lt = log1p(1.0 / s.nb)
     u = np.abs((d + x) * lt)
-    t = _sum(mass * u**3)
-    return ThirdMomentResult(t, captured)
+    return ThirdMomentResult(_sum(mass * u**3) / captured, captured)
 
 
 def spectral_oracle(

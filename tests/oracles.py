@@ -2,7 +2,7 @@
 
 Frozen constants were computed with mpmath at 50 significant digits via the
 recompute_* functions below (kept runnable under the `slow` marker), except
-T_ORACLE_NB1P5E4_85DB, at 30 digits, and BE_SUP_FROZEN, which comes from
+T_ORACLE_NB1P5E4_85DB and T_ORACLE_NB1P7E3_80DB, at 30 digits, and BE_SUP_FROZEN, which comes from
 scipy through skellam_normal_distance;
 quadratures use mpmath.quad on the defining integrals.  None of the oracle
 code shares an evaluation path with the library: Laguerre values come from
@@ -153,6 +153,11 @@ BE_SUP_FROZEN = {
 # The masses' exponent there is built from parts of size ~2e5, so this
 # checks their rounding, not the truncation.
 T_ORACLE_NB1P5E4_85DB = 11258873237.239769
+
+# The same sum over third_moment's window [-188584, -181842] at
+# nb = 0.001708622281030649, 80.35 dB (x = nb * 10**8.035), where the
+# masses' rounding puts their sum 8.1e-10 past 1; dps 30 and 50 agree.
+T_ORACLE_NB1P7E3_80DB = 33101821559.85216
 
 # thermal closed forms at nb=600, gamma=1
 D_600_G1 = 0.9991675914367262547721

@@ -33,6 +33,7 @@ from steinradar.displaced import (
 from oracles import (
     T_ORACLE_NB1_X1,
     T_ORACLE_NB1P5E4_85DB,
+    T_ORACLE_NB1P7E3_80DB,
     TP_FROZEN,
     difference_masses_rowwise,
     laguerre_binomial,
@@ -377,9 +378,18 @@ class TestSkellamRoute:
     def test_small_nb_against_frozen_oracle(self):
         # nb=1.5e-4 at 85 dB: the masses' exponent is built from parts of
         # ~2e5, whose rounding (not the truncation: the oracle sums the same
-        # window) is what this holds to 1e-10
+        # window) T's division by the captured mass cancels to 4.4e-12
         s = ThermalScenario(nb=1.5e-4, eta=1.0, ns=1.5e-4 * 10.0 ** (85.0 / 10.0))
-        assert third_moment(s).t == pytest.approx(T_ORACLE_NB1P5E4_85DB, rel=1e-10)
+        assert third_moment(s).t == pytest.approx(T_ORACLE_NB1P5E4_85DB, rel=1e-11)
+
+    def test_mass_rounding_cancels_in_t(self):
+        # here the masses sum to 1 + 8.1e-10 from rounding alone, which an
+        # unnormalised T carried (7.8e-10 off); T over its captured mass is
+        # 2.8e-11 off, within the window's +-tail_tol/2
+        nb = 0.001708622281030649
+        res = third_moment(ThermalScenario(nb=nb, eta=1.0, ns=nb * 10.0 ** (80.35 / 10.0)))
+        assert res.captured_mass > 1.0 + 5e-10
+        assert res.t == pytest.approx(T_ORACLE_NB1P7E3_80DB, rel=1e-10)
 
     def test_rounding_bound_covers_mass_error(self):
         # at the finest tail_tol, |1 - sum| is the masses' rounding plus a
@@ -436,16 +446,18 @@ def test_recompute_frozen_transition_probs():
 
 @pytest.mark.slow
 def test_recompute_frozen_small_nb_t():
-    """Re-derive T_ORACLE_NB1P5E4_85DB with an mpmath Miller recurrence (under a second)."""
+    """Re-derive the two small-nb T oracles with an mpmath Miller recurrence (about a second)."""
     from oracles import recompute_t_skellam
 
-    nb = 1.5e-4
-    x = nb * 10.0 ** (85.0 / 10.0)
-    win = _skellam_window(nb, x, TruncationPolicy())
-    assert (win.lo, win.hi) == (-49148, -45742)
-    t, mass = recompute_t_skellam(nb, x, win.lo, win.hi)
-    assert t == pytest.approx(T_ORACLE_NB1P5E4_85DB, rel=1e-15)
-    assert 1.0 - win.tail_mass <= mass <= 1.0
+    cases = ((1.5e-4, 85.0, (-49148, -45742), T_ORACLE_NB1P5E4_85DB),
+             (0.001708622281030649, 80.35, (-188584, -181842), T_ORACLE_NB1P7E3_80DB))
+    for nb, snr_db, window, want in cases:
+        x = nb * 10.0 ** (snr_db / 10.0)
+        win = _skellam_window(nb, x, TruncationPolicy())
+        assert (win.lo, win.hi) == window
+        t, mass = recompute_t_skellam(nb, x, win.lo, win.hi)
+        assert t == pytest.approx(want, rel=1e-15)
+        assert 1.0 - win.tail_mass <= mass <= 1.0
 
 
 @pytest.mark.slow
