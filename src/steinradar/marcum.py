@@ -38,8 +38,9 @@ class MarcumArgs:
             raise ValueError("y must be finite and >= 0")
 
 
-def _poisson_window(mu: float, lo: int, hi: int) -> np.ndarray:
-    """Poisson pmf over [lo, hi], normalized to unit mass on the window.
+def _poisson_window(mu: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson pmf over [lo, hi] and its cdf as _cdf lays it out, both
+    normalized to unit mass on the window by the last entry of one _cdf.
 
     Values come from the exact multiplicative recurrence outward from the
     mode, running products of mu/i upward and (i+1)/mu downward, so no
@@ -51,7 +52,8 @@ def _poisson_window(mu: float, lo: int, hi: int) -> np.ndarray:
     raw[i0 - lo] = 1.0
     raw[i0 - lo + 1 :] = np.multiply.accumulate(mu / np.arange(i0 + 1, hi + 1, dtype=np.float64))
     raw[: i0 - lo][::-1] = np.multiply.accumulate(np.arange(i0, lo, -1, dtype=np.float64) / mu)
-    return raw / _cdf(raw)[-1]
+    cdf = _cdf(raw)
+    return raw / cdf[-1], cdf / cdf[-1]
 
 
 def _cdf(pmf: np.ndarray) -> np.ndarray:
@@ -77,11 +79,11 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     q + p = 1 holds to the truncation tails.  Each Poisson only matters
     inside its own window; each cdf is a compensated prefix sum over it,
     read at the other window's indices as 0 below its window and as its
-    last entry above.  The windows' normalising totals and both series are
-    the last entry of the same compensated prefix sum, within about an ulp
-    of the correctly rounded sum for these nonnegative terms.  CapExceeded,
-    before anything is allocated, where a window is wider than K_MAX_CAP
-    (from x ~ 11,800 at small y).
+    last entry above.  The two windows' cdfs, whose last entries are their
+    normalising totals, and the two series are compensated prefix sums,
+    four in all, each within about an ulp of the correctly rounded sum for
+    these nonnegative terms.  CapExceeded, before anything is allocated,
+    where a window is wider than K_MAX_CAP (from x ~ 11,800 at small y).
     """
     a = 0.5 * args.x * args.x
     b = 0.5 * args.y * args.y
@@ -96,9 +98,9 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     if max(hi_a - lo_a, hi_b - lo_b) >= K_MAX_CAP:
         raise CapExceeded(f"Poisson window wider than K_MAX_CAP={K_MAX_CAP} "
                           f"(x={args.x:g}, y={args.y:g})")
-    pa, pb = _poisson_window(a, lo_a, hi_a), _poisson_window(b, lo_b, hi_b)
-    cdf_b = _cdf(pb)[np.clip(np.arange(lo_a - lo_b + 1, hi_a - lo_b + 2), 0, len(pb))]
-    cdf_a = _cdf(pa)[np.clip(np.arange(lo_b - lo_a, hi_b - lo_a + 1), 0, len(pa))]
+    (pa, ca), (pb, cb) = _poisson_window(a, lo_a, hi_a), _poisson_window(b, lo_b, hi_b)
+    cdf_b = cb[np.clip(np.arange(lo_a - lo_b + 1, hi_a - lo_b + 2), 0, len(pb))]
+    cdf_a = ca[np.clip(np.arange(lo_b - lo_a, hi_b - lo_a + 1), 0, len(pa))]
     return min(float(_cdf(pa * cdf_b)[-1]), 1.0), min(float(_cdf(pb * cdf_a)[-1]), 1.0)
 
 
