@@ -317,11 +317,19 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"steinradar-scan: config error: {err}", file=sys.stderr)
         return 2
-    try:
-        rows = run_scan(config)
-        payload = emit(rows, config, meta=meta)
-    except SteinRadarError as err:
-        print(f"steinradar-scan: numerical failure: {err}", file=sys.stderr)
+    failure = None
+    with warnings.catch_warnings(record=True) as skipped:
+        warnings.simplefilter("always")
+        try:
+            rows = run_scan(config)
+            payload = emit(rows, config, meta=meta)
+        except SteinRadarError as err:
+            failure = err
+    # run_scan warns of each point that --keep-partial skips, in grid order
+    for w in skipped:
+        print(f"steinradar-scan: {w.message}", file=sys.stderr)
+    if failure is not None:
+        print(f"steinradar-scan: numerical failure: {failure}", file=sys.stderr)
         return 3
     if output is None:
         sys.stdout.buffer.write(payload)

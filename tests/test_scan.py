@@ -460,14 +460,34 @@ class TestCli:
         assert capsys.readouterr().err == ""
 
     def test_keep_partial_all_failed_exit_3(self, capsys):
-        with pytest.warns(UserWarning):
-            code = main(["--nb", "50", "--copies", "100", "--points", "2",
-                         "--snr-db-min", "50", "--snr-db-max", "60",
-                         "--tail-tol", "1e-8", "--keep-partial"])
+        code = main(["--nb", "50", "--copies", "100", "--points", "2",
+                     "--snr-db-min", "50", "--snr-db-max", "60",
+                     "--tail-tol", "1e-8", "--keep-partial"])
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "snr_db=50 " in err and "snr_db=60 " in err
+        # each skipped point first, in grid order, then the failure
+        lines = err.splitlines()
+        assert [line.split(" failed: ")[0] for line in lines[:2]] == [
+            "steinradar-scan: scan point snr_db=50", "steinradar-scan: scan point snr_db=60"]
+        assert len(lines) == 3 and lines[2].startswith("steinradar-scan: numerical failure: ")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_keep_partial_reports_skipped_points(self, workers):
+        # 40 and 50 dB fail at nb=50 (40 dB in the child's share at two
+        # workers): one line each, in the CLI's words, with no source
+        # location, warning category or echoed source line
+        proc = run_cli("--nb", "50", "--copies", "100", "--points", "5",
+                       "--snr-db-min", "10", "--snr-db-max", "50", "--tail-tol", "1e-8",
+                       "--keep-partial", "--workers", workers)
+        assert proc.returncode == 0
+        assert len(parse_csv(proc.stdout)) == 3
+        lines = proc.stderr.decode().splitlines()
+        assert [line.split(" failed: ")[0] for line in lines] == [
+            "steinradar-scan: scan point snr_db=40", "steinradar-scan: scan point snr_db=50"]
+        assert all("CapExceeded" not in line and "K_MAX_CAP" in line for line in lines)
+        assert not any(".py:" in line or "Warning" in line for line in lines)
 
 
 def test_public_names_resolve_once():
