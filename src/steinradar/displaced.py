@@ -660,12 +660,11 @@ def third_moment(
     the masses' common rounding cancels.  The result is T (1 - dT) / (1 - dm)
     for the dropped shares dT of T and dm of the mass, each in
     [0, tail_tol/2], so the truncation error is two-sided: within
-    +-tail_tol/2 to first order.
-    Both sums over the window go through _sum, which adds at most one ulp.
-    The captured probability mass (unnormalised) is returned alongside;
-    below 1 - 10*tail_tol, or above 1, by more than the rounding
-    the masses carry (as _skellam_masses bounds it), the sum is considered
-    buggy and ConsistencyError is raised.
+    +-tail_tol/2 to first order.  Both sums over the window go through
+    _sum, which adds at most one ulp.  The captured probability mass
+    (unnormalised) is returned alongside; below 1 - 10*tail_tol, or above
+    1, by more than the rounding the masses carry (as _skellam_masses
+    bounds it), the sum is considered buggy and ConsistencyError is raised.
     """
     x = s.eta * s.ns
     if x == 0.0:

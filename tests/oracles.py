@@ -2,8 +2,8 @@
 
 Frozen constants were computed with mpmath at 50 significant digits via the
 recompute_* functions below (kept runnable under the `slow` marker), except
-T_ORACLE_NB1P5E4_85DB and T_ORACLE_NB1P7E3_80DB, at 30 digits, and BE_SUP_FROZEN, which comes from
-scipy through skellam_normal_distance;
+T_ORACLE_NB1P5E4_85DB and T_ORACLE_NB1P7E3_80DB, at 30 digits, and
+BE_SUP_FROZEN, which comes from scipy through skellam_normal_distance;
 quadratures use mpmath.quad on the defining integrals.  None of the oracle
 code shares an evaluation path with the library: Laguerre values come from
 the plain binomial sum or mpmath.laguerre, Skellam masses from an mpmath

@@ -486,7 +486,7 @@ class TestCli:
         lines = proc.stderr.decode().splitlines()
         assert [line.split(" failed: ")[0] for line in lines] == [
             "steinradar-scan: scan point snr_db=40", "steinradar-scan: scan point snr_db=50"]
-        assert all("CapExceeded" not in line and "K_MAX_CAP" in line for line in lines)
+        assert all("K_MAX_CAP" in line for line in lines)
         assert not any(".py:" in line or "Warning" in line for line in lines)
 
 
