@@ -15,7 +15,8 @@ blocks stitched at their edges.  _skellam_ln_tail sums the law's log tails
 for marcum's heterodyne benchmark.  The support window is certified by a
 Chernoff bound that covers the cubic-weighted tail, so the cost is linear in
 the window width.  Its sums and both routes' captured-mass sums go through
-_sum, a vectorised compensated summation within an ulp of math.fsum.
+_sum, a vectorised summation by error-free extraction, within an ulp of
+math.fsum.
 
 spectral_oracle is the independent cross-check: it sums D, V and T from the
 transition probabilities themselves, and adds them with math.fsum rather
@@ -69,31 +70,44 @@ class TruncationPolicy:
 
 def _sum(x: np.ndarray) -> float:
     """Sum of a 1-D float64 array, as accurate as summing in twice the
-    working precision (Ogita, Rump & Oishi's Sum2, SIAM J. Sci. Comput.
-    26:1955, 2005, vectorised).  Precondition: every element is finite, as
-    the masses and weighted masses of this module are by construction.
+    working precision, by two passes of Rump, Ogita & Oishi's error-free
+    extraction (ExtractVector, SIAM J. Sci. Comput. 31:189, 2008).
+    Precondition: every element is finite, as the masses and weighted
+    masses of this module are by construction.
 
-    np.add.accumulate gives the sequential partial sums s_i, and Knuth's
-    TwoSum recovers the rounding error of each step s_(i-1) + x_i exactly:
-    with b = s_i - s_(i-1), e_i = (s_(i-1) - (s_i - b)) + (x_i - b).  The
-    result is s_n + sum(e).  With u = 2^-53 and g_k = k u / (1 - k u),
+    With u = 2^-53, 2^M > n + 2 and max|x| < 2^e, sigma = 2^(M + e) splits
+    each x_i exactly into q_i = (sigma + x_i) - sigma, a multiple of
+    u sigma, and r_i = x_i - q_i, |r_i| <= u sigma (their Lemma 3.3); as
+    sum(|q|) < sigma, sum(q) is exact in any order.  The second pass splits
+    the r_i at 2^M u sigma, and the result is math.fsum of the two exact
+    sums and the plain sum of the second rests, which errs by at most
+    g_(n-1) 8 n (n+2)^2 u^2 max|x|, g_k = k u / (1 - k u).  For n <= 2^22
+    that keeps the bound of Ogita, Rump & Oishi's Sum2 (SIAM J. Sci.
+    Comput. 26:1955, 2005, Prop. 4.5),
 
-        |result - sum(x)| <= u |sum(x)| + g_(n-1)^2 sum(|x|)
+        |result - sum(x)| <= u |sum(x)| + g_(n-1)^2 sum(|x|),
 
-    (Ogita et al., Prop. 4.5; summing the e_i pairwise only tightens it), so
-    for nonnegative terms the result is within one ulp of math.fsum.
+    so for nonnegative terms the result is within one ulp of math.fsum.
     Arrays shorter than _FSUM_BELOW go to math.fsum over a list instead,
-    which is correctly rounded and at that size cheaper than the kernel.
+    which is correctly rounded and at that size cheaper than the kernel, as
+    do arrays whose sigma would overflow.
     """
-    if len(x) < _FSUM_BELOW:
+    n = len(x)
+    if n < _FSUM_BELOW:
         return math.fsum(x.tolist())
-    s = np.add.accumulate(x)
-    bb = np.subtract(s[1:], s[:-1])
-    e = np.subtract(s[1:], bb)
-    np.subtract(s[:-1], e, out=e)
-    np.subtract(x[1:], bb, out=bb)
-    e += bb
-    return float(s[-1] + np.sum(e))
+    m = (n + 2).bit_length()
+    k = m + math.frexp(max(x.max(), -x.min()))[1]
+    if k > 1023:                               # sigma would overflow
+        return math.fsum(x.tolist())
+    q, r = np.empty(n), np.empty(n)            # not one (2, n) block, which malloc maps afresh
+    parts, rest = [], x
+    for sigma in (math.ldexp(1.0, k), math.ldexp(1.0, k + m - 53)):
+        np.add(rest, sigma, out=q)
+        q -= sigma
+        np.subtract(rest, q, out=r)
+        parts.append(float(q.sum()))
+        rest = r
+    return math.fsum(parts + [float(r.sum())])
 
 
 def _amplitude_rows(x: float, m_lo: int, m_hi: int,
@@ -468,8 +482,9 @@ def _bessel_ln_ratios(z: float, n_hi: int) -> np.ndarray:
     solutions per block, from (y_(T+1), y_T) = (0, 1) and (1, 0) at the
     block's top T, advance together in l numpy steps over arrays of length B;
     a scalar pass down the block edges combines them into the ratio
-    q = y_(T+1) / y_T entering each block and the growth g = y_(T-l) / y_T
-    across it.  For n in the block with top T and T - l < n <= T,
+    q = y_(T+1) / y_T entering each block, and from it a numpy step gives
+    the growth g = y_(T-l) / y_T across each.  For n in the block with top
+    T and T - l < n <= T,
 
         ln(I_n / I_0) = ln(y_n / y_(T-l)) - (sum of ln g over lower blocks),
 
@@ -500,19 +515,18 @@ def _bessel_ln_ratios(z: float, n_hi: int) -> np.ndarray:
     coef = (2.0 / z) * (tops - np.arange(ell, dtype=np.float64)[:, None])
     w = np.empty((ell + 2, 2, nblk))  # w[j + 1, :, b] = both solutions at T_b - j
     w[0, 0], w[0, 1], w[1, 0], w[1, 1] = 0.0, 1.0, 1.0, 0.0
-    for j in range(ell):
-        np.multiply(coef[j], w[j + 1], out=w[j + 2])
-        w[j + 2] += w[j]
+    rows = list(w)                    # row views, bound once
+    for c, lo, mid, hi in zip(coef, rows, rows[1:], rows[2:]):
+        np.multiply(c, mid, out=hi)
+        np.add(hi, lo, out=hi)
 
-    u1, v1 = w[ell, 0].tolist(), w[ell, 1].tolist()
-    u0, v0 = w[ell + 1, 0].tolist(), w[ell + 1, 1].tolist()
-    q, g = [0.0] * nblk, [0.0] * nblk
-    r = 0.0
-    for b in range(nblk):
-        q[b] = r
-        g[b] = u0[b] + r * v0[b]
-        r = (u1[b] + r * v1[b]) / g[b]
-    q, g = np.array(q), np.array(g)
+    q, r = [], 0.0
+    for u1, v1, u0, v0 in zip(*w[ell].tolist(), *w[ell + 1].tolist()):
+        q.append(r)
+        r = (u1 + r * v1) / (u0 + r * v0)
+    q = np.array(q)
+    g = q * w[ell + 1, 1]
+    g += w[ell + 1, 0]
 
     b0 = (nblk * ell - n_hi) // ell   # first block holding an n <= n_hi
     ln_g = np.log(g)
@@ -636,7 +650,10 @@ def _skellam_masses(
     ln_p0 = _skellam_ln_p0(x, m1, m2)
     h = 0.5 * log1p(1.0 / nb)
     d = np.arange(win.lo, win.hi + 1)
-    mass = np.exp(ln_p0 + ln_ratio[np.abs(d)] - h * d)
+    mass = ln_ratio[np.abs(d)]                 # exp(ln_p0 + L_|d| - h d), in place
+    mass += ln_p0
+    mass -= h * d
+    np.exp(mass, out=mass)
 
     def rounding() -> float:
         n = np.abs(d)
@@ -671,9 +688,12 @@ def third_moment(
         return ThirdMomentResult(0.0, 1.0)
     d, mass, rounding = _skellam_masses(s.nb, x, policy)
     captured = _captured_mass(mass, s.nb, x, policy.tail_tol, rounding)
-    lt = log1p(1.0 / s.nb)
-    u = np.abs((d + x) * lt)
-    return ThirdMomentResult(_sum(mass * u**3) / captured, captured)
+    cubic = np.add(d, x)                       # mass |(d + x) lt|^3, in place
+    cubic *= log1p(1.0 / s.nb)
+    np.abs(cubic, out=cubic)
+    np.power(cubic, 3, out=cubic)
+    cubic *= mass
+    return ThirdMomentResult(_sum(cubic) / captured, captured)
 
 
 def spectral_oracle(

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from math import exp, factorial, log, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from oracles import (
     laguerre_binomial,
     skellam_log_pmf,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestTruncationPolicy:
@@ -414,6 +417,22 @@ class TestSkellamRoute:
             cubic = mass * np.abs((d + x) * lt) ** 3
             assert _sum(mass) == math.fsum(mass)
             assert _sum(cubic) == math.fsum(cubic)
+
+    def test_bits_frozen_on_scan_grids(self):
+        # the default scan's grid, nb=600, and every 20th point of nb=0.1,
+        # -10..20 dB, 1000 points: wide windows on the summation kernel,
+        # narrow ones on math.fsum
+        lines = [ln for ln in (DATA / "third_moment_hex.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert lines[0] == "nb,snr_db,t,captured_mass"
+        rows = [ln.split(",") for ln in lines[1:]]
+        grids = [(600.0, s) for s in np.linspace(-15.0, 5.0, 200).tolist()]
+        grids += [(0.1, s) for s in np.linspace(-10.0, 20.0, 1000).tolist()[::20]]
+        assert [(float(nb), float(snr_db)) for nb, snr_db, _, _ in rows] == grids
+        for nb, snr_db, t, captured in rows:
+            gamma = 10.0 ** (float(snr_db) / 10.0)
+            got = third_moment(ThermalScenario(nb=float(nb), eta=1.0, ns=gamma * float(nb)))
+            assert (got.t.hex(), got.captured_mass.hex()) == (t, captured), (nb, snr_db)
 
     def test_width_cap(self):
         # window [-5175750, -4824250]: past K_MAX_CAP, refused before any sum

@@ -222,6 +222,39 @@ def test_sum_within_stated_bound_of_exact(n, seed, lo, span, signed):
         assert abs(got - want) <= math.ulp(want)
 
 
+def _edge_sum_inputs():
+    rng = np.random.default_rng(20)
+    y = 10.0 ** rng.uniform(-3.0, 3.0, 3000)
+    cancel = np.concatenate([y, -y, 1e-20 * rng.random(5)])
+    huge = rng.uniform(-1e304, 1e304, 600)
+    huge[17] = 1.5e308                                  # sigma would pass 2^1023: fsum
+    top = 2.0 ** rng.uniform(1012.0, 1013.0, 600)       # sigma = 2^1023, the kernel's largest
+    return {
+        "zeros": np.zeros(4096),
+        "subnormal": rng.integers(1, 2**40, 4096) * 5e-324,
+        "signed-subnormal": rng.integers(-(2**40), 2**40, 4096) * 5e-324,
+        "near-1e308": huge,
+        "largest-sigma": rng.choice([-1.0, 1.0], 600) * top,
+        "fsum-switch": 10.0 ** rng.uniform(-3.0, 0.0, _FSUM_BELOW),
+        "cancellation": rng.permutation(cancel),
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_sum_inputs()))
+def test_sum_edge_cases_within_stated_bound_of_exact(name):
+    x = _edge_sum_inputs()[name]
+    n = len(x)
+    got = _sum(x)
+    exact = _exact_sum(x.tolist())
+    u = Fraction(1, 2**53)
+    g = (n - 1) * u / (1 - (n - 1) * u)
+    assert math.isfinite(got)
+    assert abs(Fraction(got) - exact) <= u * abs(exact) + g * g * _exact_sum(np.abs(x).tolist())
+    if name in ("zeros", "subnormal", "signed-subnormal", "near-1e308"):
+        # exact sums, and the fsum fallback, leave nothing to round
+        assert got == math.fsum(x.tolist())
+
+
 # Nonnegative arrays of 1 to 5,000 terms, magnitudes 10^lo..10^(lo+span)
 # within [1e-300, 1], some of them exact zeros, as in a Poisson window's tails.
 @settings(max_examples=60, deadline=None)
