@@ -59,10 +59,12 @@ class GaussianState:
     cm: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.asarray(self.mean, dtype=float)
         cm = np.asarray(self.cm, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cm", cm)
+        if mean.ndim != 1:
+            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
         n = len(mean)
         if n == 0 or n % 2:
             raise ValueError(f"mean must have a positive even length, got {n}")

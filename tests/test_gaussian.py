@@ -74,6 +74,12 @@ class TestConstruction:
             with pytest.raises(ValueError, match="positive even length"):
                 GaussianState(mean=np.zeros(n), cm=np.eye(n))
 
+    def test_rejects_mean_that_is_not_a_vector(self):
+        # each has an even number of entries, so flattening would accept it
+        for shape, cm in (((2, 2), np.eye(4)), ((1, 2), np.eye(2))):
+            with pytest.raises(ValueError, match=r"mean must be a vector, got shape \("):
+                GaussianState(mean=np.zeros(shape), cm=cm)
+
     def test_rejects_cm_of_wrong_shape(self):
         for cm in (np.eye(2), np.eye(6), np.ones((4, 2))):
             with pytest.raises(ValueError, match="cm must be 4x4"):
