@@ -329,82 +329,74 @@ def _chernoff_ln_tail(m1: float, m2: float, a: float) -> tuple[float, float]:
     return (a - mean) * (a + mean) / (r + m1 + m2) - s * a, s
 
 
-def _tail_edge(m1: float, m2: float, ln_mass_tol: float,
-               ln_cubic_tol: float) -> tuple[int, float, float]:
+def _tail_edge(m1: float, m2: float, ln_tol: float) -> tuple[int, float, float]:
     """Smallest integer a above the mean of d ~ Skellam(m1, m2) whose upper
-    tail d >= a has certified mass <= e^ln_mass_tol and certified cubic
-    weight sum P(d) |d - mean|^3 <= e^ln_cubic_tol.
+    tail d >= a has certified mass <= e^ln_tol and certified cubic weight
+    sum P(d) |d - mean|^3 <= e^ln_tol sigma^3, sigma^2 = m1 + m2.
 
     For d >= a > mean, |d - mean|^3 <= (3/(e t))^3 e^(t (d - mean)) for any
-    t > 0; with t = 3/(a - mean) <= s this turns the Chernoff bound C(a)
-    into (a - mean)^3 C(a).  Both conditions, and s (a - mean) >= 3, only
-    improve as a grows.  Both log bounds are concave in a, with slopes -s
-    and 3/(a - mean) - s, so Newton's method on the larger of their excesses
-    over the tolerances, from the Gaussian edge, ends at or just above the
-    edge.  The integer condition then settles it, walking down while a - 1
-    qualifies, or galloping and bisecting up if a does not, so the edge is
-    the one a search over that condition alone would find.
-    Returns (a, mass bound, cubic bound).
+    t > 0; with u = a - mean and t = 3/u <= s, this turns the Chernoff
+    bound C(a) into u^3 C(a).  So a qualifies when s u >= 3 and the excess
+    ln C(a) + 3 max(0, ln(u/sigma)) - ln_tol is <= 0: the mass condition
+    binds for u <= sigma, the cubic one beyond.  Both only improve as a
+    grows.  On either side of sigma the excess is concave, with slope -s or
+    3/u - s, so Newton's method on it from the Gaussian edge ends at or just
+    above the edge; left of the cubic bound's peak (s u <= 3) it jumps to
+    u = 6/s instead, past the peak since s grows with u.  The integer
+    condition then settles a, walking up while a fails and down while
+    a - 1 qualifies.  Returns (a, mass bound, cubic bound).
     """
-    mean = m1 - m2
+    mean, sigma = m1 - m2, sqrt(m1 + m2)
     base = math.floor(mean)           # base <= mean never qualifies
 
     def bounds(a: int):
         ln_c, s = _chernoff_ln_tail(m1, m2, a)
         u = a - mean
-        if s * u < 3.0 or ln_c > ln_mass_tol or 3.0 * log(u) + ln_c > ln_cubic_tol:
+        if s * u < 3.0 or ln_c + 3.0 * max(0.0, log(u / sigma)) > ln_tol:
             return None
         return exp(ln_c), u**3 * exp(ln_c)
 
-    # u = a - mean starts at the Gaussian edge, where ln C ~ -u^2 / (2 var):
-    # the mass bound's, or one fixed-point step to the cubic bound's beyond.
-    var = m1 + m2
-    u = sqrt(-2.0 * ln_mass_tol * var)
-    u = max(u, sqrt(2.0 * var * max(0.0, 3.0 * log(u) - ln_cubic_tol)))
+    # u = a - mean starts at the Gaussian edge, where ln C ~ -u^2 / (2 sigma^2):
+    # the mass bound's, sigma sqrt(t), then one fixed-point step to the
+    # cubic's; but not below the first integer above the mean.
+    t = -2.0 * ln_tol
+    u = max(sigma * sqrt(t + 3.0 * log(t)), base + 1 - mean)
     for _ in range(_EDGE_NEWTON_STEPS):
         ln_c, s = _chernoff_ln_tail(m1, m2, mean + u)
-        mass_excess = ln_c - ln_mass_tol
-        cubic_excess = 3.0 * log(u) + ln_c - ln_cubic_tol
-        if mass_excess >= cubic_excess:
-            step = mass_excess / -s
+        ln_u = log(u / sigma)
+        if ln_u <= 0.0:
+            step = (ln_c - ln_tol) / -s
         elif s * u > 3.0:
-            step = cubic_excess / (3.0 / u - s)
-        else:                         # left of the cubic bound's peak: climb below
-            break
-        # Where the cubic bound stays below its tolerance, its tangent can
-        # point past the mean: go at most half way there.
-        step = min(step, 0.5 * u)
+            step = (ln_c + 3.0 * ln_u - ln_tol) / (3.0 / u - s)
+        else:                         # left of the cubic bound's peak
+            u = 6.0 / s
+            continue
+        # Where the excess stays below 0, its tangent can point past the
+        # mean: go at most half way there.  So too where e^s overflows at a
+        # tiny m1 and the step is -inf / -inf: min(x, nan) is x.
+        step = min(0.5 * u, step)
         u -= step
         if abs(step) < 0.5:
             break
     k = max(1, math.ceil(mean + u) - base)
-    found = bounds(base + k)
-    if found is None:
-        stride = 1
-        while (found := bounds(base + k + stride)) is None:
-            k, stride = k + stride, 2 * stride
-        lo, hi = k, k + stride
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (mid_found := bounds(base + mid)) is None:
-                lo = mid
-            else:
-                hi, found = mid, mid_found
-        k = hi
-    else:
-        while k > 1 and (below := bounds(base + k - 1)) is not None:
-            k, found = k - 1, below
+    while (found := bounds(base + k)) is None:
+        k += 1
+    while k > 1 and (below := bounds(base + k - 1)) is not None:
+        k, found = k - 1, below
     return (base + k, *found)
 
 
 def _skellam_window(nb: float, x: float, policy: TruncationPolicy) -> _SkellamWindow:
     """Certified support window of d = k - l ~ Skellam(x nb, x (nb+1)).
 
-    Each side drops at most tail_tol/4 of the mass and at most
-    tail_tol/4 * sigma^3 of the cubic weight, sigma^2 = x (2 nb + 1) being
-    the variance of d.  Since E|d - mean|^3 >= sigma^3 (Lyapunov), the
-    truncated T is low by at most tail_tol/2 relative.  CapExceeded if the
-    variance reaches K_MAX_CAP^2, where one sigma alone passes K_MAX_CAP;
+    Each side is _tail_edge's at the one tolerance tail_tol/4: it drops at
+    most tail_tol/4 of the mass and at most tail_tol/4 * sigma^3 of the
+    cubic weight, sigma^2 = x (2 nb + 1) being the variance of d.  Since
+    E|d - mean|^3 >= sigma^3 (Lyapunov), the truncated T is low by at most
+    tail_tol/2 relative.  The mass condition binds only within sigma of the
+    mean, as at a tiny x nb: nb = 1e-20, x = 0.2, tail_tol = 0.49 keeps
+    hi = 0, where the cubic one alone would drop mass 0.82.  CapExceeded if
+    the variance reaches K_MAX_CAP^2, where one sigma alone passes K_MAX_CAP;
     ConsistencyError if mu1 mu2 underflows (no Bessel argument 2 sqrt(mu1 mu2)).
     """
     m1, m2 = x * nb, x * (nb + 1.0)
@@ -412,10 +404,9 @@ def _skellam_window(nb: float, x: float, policy: TruncationPolicy) -> _SkellamWi
         raise CapExceeded(f"Skellam variance {m1 + m2:g} exceeds K_MAX_CAP^2 (nb={nb}, x={x})")
     if m1 * m2 == 0.0:
         raise ConsistencyError(f"Bessel argument 2 sqrt(mu1 mu2) underflows (nb={nb}, x={x})")
-    ln_mass_tol = log(policy.tail_tol / 4.0)
-    ln_cubic_tol = ln_mass_tol + 1.5 * log(m1 + m2)
-    a, up_mass, up_cubic = _tail_edge(m1, m2, ln_mass_tol, ln_cubic_tol)
-    b, lo_mass, lo_cubic = _tail_edge(m2, m1, ln_mass_tol, ln_cubic_tol)
+    ln_tol = log(policy.tail_tol / 4.0)
+    a, up_mass, up_cubic = _tail_edge(m1, m2, ln_tol)
+    b, lo_mass, lo_cubic = _tail_edge(m2, m1, ln_tol)
     return _SkellamWindow(lo=1 - b, hi=a - 1, tail_mass=up_mass + lo_mass,
                           tail_cubic=up_cubic + lo_cubic)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from steinradar import (
+    ConsistencyError,
     GaussianState,
     SingularGibbs,
     ThermalScenario,
@@ -16,7 +17,7 @@ from steinradar import (
     scenario_states,
     thermal_closed_forms,
 )
-from steinradar.gaussian import sigma_fn, symplectic_eigenvalues, symplectic_form
+from steinradar.gaussian import _clamp_nonneg, sigma_fn, symplectic_eigenvalues, symplectic_form
 
 from oracles import D_600_G1, V_600_G1, thermal_fock_d, thermal_fock_v
 
@@ -219,6 +220,13 @@ class TestSigmaAndRelEntropy:
                 a = random_mixed_state(rng, modes)
                 assert rel_entropy(a, a) == 0.0
                 assert rel_entropy_variance(a, a) == 0.0
+
+    def test_negative_round_off_clamps_and_more_raises(self):
+        # D and V pass through _clamp_nonneg: below zero within CLAMP_TOL
+        # is round-off, further is a bug
+        assert _clamp_nonneg(-1e-12, "relative entropy") == 0.0
+        with pytest.raises(ConsistencyError, match="negative beyond round-off"):
+            _clamp_nonneg(-1e-9, "relative entropy")
 
     def test_sigma_self_is_entropy(self):
         # Sigma(V, V) at zero mean difference is the von Neumann entropy

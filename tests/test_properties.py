@@ -122,15 +122,23 @@ def test_window_certificate_covers_dropped_tails(nb, frac, tail_tol):
        tail_tol=st.sampled_from([2.0**-52, 1e-10, 1e-6, 1e-3]))
 @example(nb=1e-8, x=1e-4, tail_tol=2.0**-52)
 @example(nb=1e4, x=1e6, tail_tol=1e-3)
-@example(nb=0.32258461389977083, x=0.00045215630630056645, tail_tol=2.0**-52)  # climbs
+@example(nb=0.32258461389977083, x=0.00045215630630056645, tail_tol=2.0**-52)  # left of the peak
 @example(nb=4.263088740576631e-05, x=1.302119287544607, tail_tol=2.0**-52)    # walks down
+@example(nb=1e-100, x=0.5, tail_tol=1e-10)    # a Newton step on the mass bound (u <= sigma)
+# e^s overflows at a Newton step: the step is nan, and u must stay finite
+@example(nb=4.981047290676048e-299, x=4.5337476774662653e-13, tail_tol=0.0032577830746079203)
+# The mass condition sets the upper edge at 1 here: by the cubic one alone
+# it would sit at 0, and drop mass 0.82 (0.99) where tail_tol/4 is allowed.
+@example(nb=1e-20, x=0.2, tail_tol=0.49)
+@example(nb=1e-300, x=0.01, tail_tol=1e-2)
 def test_tail_edge_matches_bisection(nb, x, tail_tol):
     m1, m2 = x * nb, x * (nb + 1.0)
     ln_mass_tol = math.log(tail_tol / 4.0)
     ln_cubic_tol = ln_mass_tol + 1.5 * math.log(m1 + m2)
     for upper, lower in ((m1, m2), (m2, m1)):
-        assert (_tail_edge(upper, lower, ln_mass_tol, ln_cubic_tol)
+        assert (_tail_edge(upper, lower, ln_mass_tol)
                 == tail_edge_bisect(upper, lower, ln_mass_tol, ln_cubic_tol))
+    assert _skellam_window(nb, x, TruncationPolicy(tail_tol=tail_tol)).tail_mass <= tail_tol / 2.0
 
 
 def _ln_ratio_bound(z: float, ln_ratio: np.ndarray, ell: int) -> np.ndarray:

@@ -80,6 +80,9 @@ class TestConfig:
                 ScanConfig(workers=bad)
         cfg = ScanConfig(points=np.int64(3), workers=np.int32(2))
         assert (cfg.points, cfg.workers) == (3, 2)
+        # a string is not a real number, even one that reads as one
+        with pytest.raises(ValueError, match="nb must be a real number"):
+            ScanConfig(nb="600")
 
     def test_rejects_non_finite(self):
         for kwargs in (dict(snr_db_max=math.inf), dict(snr_db_min=-math.inf),
@@ -375,11 +378,23 @@ class TestCli:
                          snr_db_max=0.0, tail_tol=1e-8)
         assert proc.stdout == emit(run_scan(cfg), cfg)
 
-    def test_output_file(self, tmp_path):
+    def test_output_file(self, tmp_path, capsysbinary):
+        # the file holds the bytes stdout gets
+        assert main(list(CLI_SMALL)) == 0
+        stdout = capsysbinary.readouterr().out
         out = tmp_path / "scan.csv"
-        proc = run_cli(*CLI_SMALL, "--output", str(out))
-        assert proc.returncode == 0 and proc.stdout == b""
-        assert parse_csv(out.read_bytes())
+        assert main([*CLI_SMALL, "--output", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out.read_bytes() == stdout
+
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        # one line in the CLI's words, no traceback
+        out = tmp_path / "missing" / "scan.csv"
+        assert main([*CLI_SMALL, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"steinradar-scan: cannot write {out}: ")
 
     def test_json_format(self):
         proc = run_cli(*CLI_SMALL, "--format", "json")
