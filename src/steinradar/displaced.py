@@ -443,7 +443,7 @@ def _miller_start(z: float, n_hi: int) -> int:
     For n_hi << z, N ~ sqrt(n_hi^2 + 50 z).  CapExceeded past K_MAX_CAP."""
     n = _asinh_edge(z, n_hi, 0.0, _MILLER_LN_DAMP)
     if n > K_MAX_CAP:
-        raise CapExceeded(f"Bessel recurrence start {n} exceeds K_MAX_CAP={K_MAX_CAP} (z={z:g})")
+        raise CapExceeded(f"Bessel recurrence start {n:g} exceeds K_MAX_CAP={K_MAX_CAP} (z={z:g})")
     return n
 
 

@@ -32,18 +32,6 @@ def symplectic_form(modes: int) -> np.ndarray:
     return omega
 
 
-def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix, ascending.
-
-    Computed as the positive absolute eigenvalues of i*Omega*V; they come in
-    +/- pairs, so every other sorted magnitude is kept.  This avoids a full
-    Williamson decomposition, which is never needed here.
-    """
-    omega = symplectic_form(cm.shape[0] // 2)
-    vals = np.linalg.eigvals(1j * omega @ cm)
-    return np.sort(np.abs(vals))[::2]
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianState:
     """Mean vector and covariance matrix of an N-mode Gaussian state.
@@ -51,16 +39,19 @@ class GaussianState:
     ``mean`` has length 2N ordered (q1, p1, ..., qN, pN); ``cm`` is the real
     symmetric 2N x 2N covariance matrix with vacuum normalization I/2.
     Construction validates the shapes, finiteness, symmetry and the
-    bona-fide condition (all symplectic eigenvalues >= 1/2 up to round-off).
-    Instances are immutable and safe to share between threads.
+    bona-fide condition (all symplectic eigenvalues nu >= 1/2 up to
+    round-off), reading nu off the one eigendecomposition of 2i*V*Omega
+    (eigenvalues +/-2 nu) that gibbs_matrix and sigma_fn reuse.  Instances
+    hold read-only copies of mean and cm, so are safe to share between threads.
     """
 
     mean: np.ndarray
     cm: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cm = np.asarray(self.cm, dtype=float)
+        mean = np.array(self.mean, dtype=float)
+        cm = np.array(self.cm, dtype=float)
+        mean.flags.writeable = cm.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cm", cm)
         if mean.ndim != 1:
@@ -75,10 +66,11 @@ class GaussianState:
         scale = max(np.abs(cm).max(), 1.0)
         if np.abs(cm - cm.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("cm is not symmetric within tolerance")
-        nu = symplectic_eigenvalues(cm)
-        if nu[0] < 0.5 - BONA_FIDE_TOL:
+        object.__setattr__(self, "_eig", np.linalg.eig(2j * cm @ symplectic_form(n // 2)))
+        nu_min = 0.5 * np.abs(self._eig[0]).min()
+        if nu_min < 0.5 - BONA_FIDE_TOL:
             raise ValueError(
-                f"cm violates the bona-fide condition: min symplectic eigenvalue {nu[0]}"
+                f"cm violates the bona-fide condition: min symplectic eigenvalue {nu_min}"
             )
 
     @property
@@ -158,8 +150,8 @@ def scenario_states(s: ThermalScenario) -> tuple[GaussianState, GaussianState]:
 def gibbs_matrix(state: GaussianState) -> np.ndarray:
     """Gibbs matrix G = 2i*Omega*arccoth(2i*V*Omega) of a mixed Gaussian state.
 
-    Evaluated by complex eigendecomposition of 2i*V*Omega with the scalar
-    principal-branch map arccoth(z) = ln((z+1)/(z-1))/2 applied to the
+    Evaluated from the state's eigendecomposition of 2i*V*Omega with the
+    scalar principal-branch map arccoth(z) = ln((z+1)/(z-1))/2 applied to the
     spectrum.  The reassembled matrix must be real (imaginary residue below
     RESIDUE_TOL in max-norm) and is symmetrized before return.
 
@@ -167,16 +159,14 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
     2i*V*Omega is +/-2 nu) comes within PURE_MODE_EPS of 1/2: arccoth diverges
     on pure modes and a loud failure beats returning huge finite garbage.
     """
-    omega = state.omega
-    arg = 2j * state.cm @ omega
-    vals, vecs = np.linalg.eig(arg)
+    vals, vecs = state._eig
     nu_min = 0.5 * np.abs(vals).min()
     if nu_min <= 0.5 + PURE_MODE_EPS:
         raise SingularGibbs(
             f"symplectic eigenvalue {nu_min:.3g} within {PURE_MODE_EPS} of 1/2"
         )
     acoth = 0.5 * np.log((vals + 1.0) / (vals - 1.0))
-    g = 2j * omega @ (vecs * acoth) @ np.linalg.inv(vecs)
+    g = 2j * state.omega @ (vecs * acoth) @ np.linalg.inv(vecs)
     residue = np.abs(g.imag).max()
     if residue >= RESIDUE_TOL:
         raise ConsistencyError(f"Gibbs matrix imaginary residue {residue:.3g}")
@@ -188,17 +178,17 @@ def sigma_fn(v0: GaussianState, v1: GaussianState) -> float:
     """The two-state functional combining ln det(V1 + i*Omega/2), Tr(V0 G1)
     and the mean-difference quadratic form, halved.
 
+    The log det is sum ln(|1 + lambda|/2) over v1's eigenvalues lambda = +/-2 nu
+    of 2i*V1*Omega: det = prod(nu^2 - 1/4) by Williamson's theorem.
     Relative entropy is a difference of two of these; see rel_entropy.
     """
     if v0.modes != v1.modes:
         raise ValueError(f"{v0.modes}-mode state paired with {v1.modes}-mode state")
     g1 = gibbs_matrix(v1)
-    det = np.linalg.det(v1.cm + 0.5j * v1.omega)
-    if abs(det.imag) >= RESIDUE_TOL * max(abs(det.real), 1e-300):
-        raise ConsistencyError(f"det(V + i Omega/2) not real: {det}")
+    ln_det = float(np.log(np.abs(1.0 + v1._eig[0]) / 2.0).sum())
     delta = v0.mean - v1.mean
     return 0.5 * (
-        math.log(det.real) + float(np.trace(v0.cm @ g1)) + float(delta @ g1 @ delta)
+        ln_det + float(np.trace(v0.cm @ g1)) + float(delta @ g1 @ delta)
     )
 
 

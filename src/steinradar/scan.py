@@ -238,7 +238,10 @@ def run_scan(config: ScanConfig) -> list[ScanRow]:
         if isinstance(res, ScanRow):
             rows.append(res)
         elif config.keep_partial:
-            warnings.warn(f"scan point snr_db={snr_db:g} failed: {res}")
+            # no registry, so the "default" filter reports a repeated scan's skips again
+            warnings.warn_explicit(f"scan point snr_db={snr_db:g} failed: {res}", UserWarning,
+                                   __file__, run_scan.__code__.co_firstlineno,
+                                   module=__name__, registry=None)
         else:
             raise type(res)(f"scan point snr_db={snr_db:g} failed: {res}")
     if not rows:

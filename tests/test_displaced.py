@@ -28,6 +28,7 @@ from steinradar.displaced import (
     _skellam_masses,
     _skellam_window,
     _sum,
+    _tail_edge,
     _thermal_cutoff,
 )
 
@@ -39,6 +40,7 @@ from oracles import (
     difference_masses_rowwise,
     laguerre_binomial,
     skellam_log_pmf,
+    tail_edge_bisect,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -404,6 +406,28 @@ class TestSkellamRoute:
                     continue          # the window would pass K_MAX_CAP
                 d, mass, rounding = _skellam_masses(nb, x, policy)
                 assert abs(1.0 - math.fsum(mass)) <= rounding() / 4.0
+
+    def test_tail_edge_walks_up_without_newton(self, monkeypatch):
+        # with no Newton step the search starts at the Gaussian edge, below
+        # most edges, and the integer walk alone must reach the least
+        # qualifying a; every _chernoff_ln_tail call is then one of its tests
+        monkeypatch.setattr(displaced_mod, "_EDGE_NEWTON_STEPS", 0)
+        chernoff = displaced_mod._chernoff_ln_tail
+        tried = []
+        monkeypatch.setattr(displaced_mod, "_chernoff_ln_tail",
+                            lambda m1, m2, a: tried.append(a) or chernoff(m1, m2, a))
+        ln_tol = log(1e-10 / 4.0)
+        walked_up = 0
+        for nb in (600.0, 5.0, 0.1, 1e-3):
+            for x in (1e-3, 10.0, 1e3):
+                m1, m2 = x * nb, x * (nb + 1.0)
+                for upper, lower in ((m1, m2), (m2, m1)):
+                    want = tail_edge_bisect(upper, lower, ln_tol,
+                                            ln_tol + 1.5 * log(m1 + m2))
+                    tried.clear()
+                    assert _tail_edge(upper, lower, ln_tol) == want, (nb, x, upper)
+                    walked_up += any(b > a for a, b in zip(tried, tried[1:]))
+        assert walked_up >= 12
 
     def test_sum_equals_fsum_on_default_grid(self):
         # every window the default scan sums (2,361 to 23,612 wide, all past

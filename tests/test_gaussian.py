@@ -2,6 +2,7 @@
 
 import math
 from math import log, log1p, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from steinradar import (
     scenario_states,
     thermal_closed_forms,
 )
-from steinradar.gaussian import _clamp_nonneg, sigma_fn, symplectic_eigenvalues, symplectic_form
+from steinradar.gaussian import _clamp_nonneg, sigma_fn, symplectic_form
 
 from oracles import D_600_G1, V_600_G1, thermal_fock_d, thermal_fock_v
 
@@ -88,7 +89,19 @@ class TestConstruction:
 
     def test_vacuum_is_accepted(self):
         state = GaussianState(mean=np.zeros(2), cm=0.5 * np.eye(2))
-        assert symplectic_eigenvalues(state.cm) == pytest.approx([0.5])
+        # the spectrum of 2i*V*Omega is +/-2 nu, nu = 1/2 for the vacuum
+        assert 0.5 * np.abs(state._eig[0]) == pytest.approx([0.5, 0.5])
+
+    def test_holds_read_only_copies(self):
+        # the state's eigendecomposition stays that of its cm: the caller's
+        # arrays are copied, and the state's own cannot be written
+        mean, cm = np.zeros(2), np.eye(2)
+        state = GaussianState(mean=mean, cm=cm)
+        cm[0, 0] = 0.1
+        assert np.array_equal(state.cm, np.eye(2))
+        for arr in (state.mean, state.cm):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
     def test_scenario_invariants(self):
         with pytest.raises(ValueError):
@@ -233,6 +246,19 @@ class TestSigmaAndRelEntropy:
         rho = thermal_state(1.0)
         want = 2.0 * math.log(2.0) - 1.0 * math.log(1.0)
         assert sigma_fn(rho, rho) == pytest.approx(want, rel=1e-12)
+
+    def test_one_decomposition_per_state(self, monkeypatch):
+        # the bona-fide check, both Gibbs matrices and the log det all read
+        # the one eig of 2i*V*Omega each state made at construction
+        spies = {name: mock.Mock(wraps=getattr(np.linalg, name))
+                 for name in ("eig", "eigvals", "det")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(np.linalg, name, spy)
+        r0, r1 = scenario_states(ThermalScenario(nb=10.0, eta=1.0, ns=10.0))
+        rel_entropy(r0, r1)
+        rel_entropy_variance(r0, r1)
+        assert {name: spy.call_count for name, spy in spies.items()} == {
+            "eig": 2, "eigvals": 0, "det": 0}
 
 
 class TestClosedForms:

@@ -1,6 +1,7 @@
 """Scaled Bessel, dual-route Marcum Q, and the heterodyne benchmark."""
 
 import math
+import re
 import time
 import tracemalloc
 from math import exp, log, log1p, sqrt
@@ -274,6 +275,13 @@ class TestHeterodyne:
         with pytest.raises(CapExceeded):
             heterodyne_log_pmd(1e17, 1e-3)
         assert time.perf_counter() - start < 0.1
+
+    def test_cap_message_prints_the_start_briefly(self):
+        # the Bessel recurrence would start near 1.6e76, which the message
+        # prints as it prints z, not as a 77-digit integer
+        with pytest.raises(CapExceeded, match=r"start 1\.62119e\+76 exceeds") as err:
+            heterodyne_log_pmd(1e300, 1e-3)
+        assert not re.search(r"\d{16}", str(err.value))
 
     def test_cost_and_memory_near_cap(self):
         # a per-term loop over the Poisson series takes seconds here

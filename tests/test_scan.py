@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -171,6 +172,21 @@ class TestPartialFailure:
         # 40 dB is the child's, 50 dB the parent's
         assert [str(w.message).split(" failed: ")[0] for w in record] == [
             "scan point snr_db=40", "scan point snr_db=50"]
+
+    def test_keep_partial_warns_again_when_repeated(self):
+        # under the "default" filter a second identical scan in one process
+        # reports its skipped points again, in the same words; "ignore" holds
+        cfg = ScanConfig(**self.FAILING, keep_partial=True)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("default")
+            run_scan(cfg)
+            run_scan(cfg)
+        assert [(w.category, str(w.message).split(" failed: ")[0]) for w in record] == [
+            (UserWarning, f"scan point snr_db={s}") for s in (40, 50, 40, 50)]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("ignore")
+            run_scan(cfg)
+        assert record == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_keep_partial_all_failed_names_points(self, workers):
