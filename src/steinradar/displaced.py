@@ -563,13 +563,6 @@ def _bessel_i0_scaled(t: float) -> float:
     return s / sqrt(2.0 * math.pi * t)
 
 
-def _skellam_ln_p0(x: float, m1: float, m2: float) -> float:
-    """ln P(d = 0) = ln(e^-z I_0(z)) + z - m1 - m2, z = 2 sqrt(m1 m2), with
-    z - m1 - m2 written without cancellation as -x^2 / (sqrt(m1) + sqrt(m2))^2."""
-    z = 2.0 * math.sqrt(m1 * m2)
-    return log(_bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
-
-
 _LN_TAIL_TOL = -46.0    # ln of the tail _skellam_ln_tail may drop, relative to its sum
 
 
@@ -581,9 +574,11 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
     t_n q / (1 - q), which must fall below e^_LN_TAIL_TOL of the sum.  n starts
     where the integral of asinh(t/z) - ln rho from the largest term reaches that
     tolerance (I_k / I_(k-1) ~ exp(-asinh(k/z))), and doubles until the bound
-    holds.  CapExceeded where the Miller recurrence would start past K_MAX_CAP."""
-    ln_p0 = _skellam_ln_p0(m1 - m2, m1, m2)
+    holds.  z and ln P(0) = ln(e^-z I_0(z)) - (sqrt(m1) - sqrt(m2))^2 take no
+    product m1 m2, so one past the float range (heterodyne m up to 1e308) ends
+    in CapExceeded, where the Miller recurrence would start past K_MAX_CAP."""
     z = 2.0 * sqrt(m1) * sqrt(m2)              # never underflows
+    ln_p0 = log(_bessel_i0_scaled(z)) - (sqrt(m1) - sqrt(m2)) ** 2
     ln_rho = 0.5 * (log(m1) - log(m2))
     peak = max(first, z * math.sinh(ln_rho))   # the terms rise up to here
     n_hi = _asinh_edge(z, peak, -ln_rho, -_LN_TAIL_TOL)
@@ -607,8 +602,8 @@ def _skellam_masses(
         P(d) = e^(z - mu1 - mu2) (mu1/mu2)^(d/2) e^-z I_|d|(z).
 
     ln(I_n(z) / I_0(z)) comes from _bessel_ln_ratios, Miller's backward
-    recurrence started at _miller_start; e^-z I_0(z) fixes the absolute scale
-    and z - mu1 - mu2 = -x^2 / (sqrt(mu1) + sqrt(mu2))^2 avoids cancellation.
+    recurrence started at _miller_start; ln P(0), written in place, takes e^-z I_0(z)
+    and z - mu1 - mu2 = -x^2 / (sqrt(mu1) + sqrt(mu2))^2, free of cancellation.
     The masses are not renormalised, so their sum is a real diagnostic.
     Returns (d, mass, rounding) for d in [lo, hi].
 
@@ -638,7 +633,7 @@ def _skellam_masses(
                           f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})")
 
     ln_ratio = _bessel_ln_ratios(z, n_hi)
-    ln_p0 = _skellam_ln_p0(x, m1, m2)
+    ln_p0 = log(_bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
     h = 0.5 * log1p(1.0 / nb)
     d = np.arange(win.lo, win.hi + 1)
     mass = ln_ratio[np.abs(d)]                 # exp(ln_p0 + L_|d| - h d), in place

@@ -82,22 +82,21 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     last entry above.  The two windows' cdfs, whose last entries are their
     normalising totals, and the two series are compensated prefix sums,
     four in all, each within about an ulp of the correctly rounded sum for
-    these nonnegative terms.  CapExceeded, before anything is allocated,
-    where a window is wider than K_MAX_CAP (from x ~ 11,800 at small y).
+    these nonnegative terms.  CapExceeded, judged on the half-widths before
+    any window is formed, where a window would reach K_MAX_CAP: for every
+    finite x or y from about 11,800 (with y > 0).
     """
     a = 0.5 * args.x * args.x
     b = 0.5 * args.y * args.y
     if b == 0.0:
         return 1.0, 0.0
 
-    def window(mu):
-        half = 12.0 * sqrt(mu + 1.0) + 60.0
-        return max(0, int(mu - half)), int(mu + half)
-
-    (lo_a, hi_a), (lo_b, hi_b) = window(a), window(b)
-    if max(hi_a - lo_a, hi_b - lo_b) >= K_MAX_CAP:
+    half_a, half_b = 12.0 * sqrt(a + 1.0) + 60.0, 12.0 * sqrt(b + 1.0) + 60.0
+    if 2.0 * max(half_a, half_b) >= K_MAX_CAP:
         raise CapExceeded(f"Poisson window wider than K_MAX_CAP={K_MAX_CAP} "
                           f"(x={args.x:g}, y={args.y:g})")
+    lo_a, hi_a = max(0, int(a - half_a)), int(a + half_a)
+    lo_b, hi_b = max(0, int(b - half_b)), int(b + half_b)
     (pa, ca), (pb, cb) = _poisson_window(a, lo_a, hi_a), _poisson_window(b, lo_b, hi_b)
     cdf_b = cb[np.clip(np.arange(lo_a - lo_b + 1, hi_a - lo_b + 2), 0, len(pb))]
     cdf_a = ca[np.clip(np.arange(lo_b - lo_a, hi_b - lo_a + 1), 0, len(pa))]

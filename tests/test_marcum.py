@@ -155,8 +155,11 @@ class TestMarcumQ:
 
     def test_window_past_cap_fails_fast(self):
         # windows of about 24 sqrt(x^2/2 + 1) + 120 terms: 1.7e6 at x = 1e5,
-        # refused before anything is allocated; at 11,700 they still fit
-        for x, y in ((1e5, 3.7), (3.7, 1e5), (11_900.0, 1.0)):
+        # refused before anything is allocated; at 11,700 they still fit.
+        # From about 2e17 the ulp of x^2/2 passes the half-width, and past
+        # 1.9e154 x^2/2 is inf: refused on the half-widths all the same
+        for x, y in ((1e5, 3.7), (3.7, 1e5), (11_900.0, 1.0),
+                     (2.1e17, 1.0), (3.7, 5.2e17), (1e200, 1.0)):
             start = time.perf_counter()
             with pytest.raises(CapExceeded):
                 marcum_q(MarcumArgs(x, y))

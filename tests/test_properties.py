@@ -414,9 +414,19 @@ def test_closed_forms_keep_the_contract(nb, eta, ns):
 
 @settings(max_examples=150, deadline=None)
 @given(gamma=any_float, p_fa=any_float)
+@example(gamma=3e307, p_fa=1e-3)         # a b once overflowed ln P(0) into log(0)
+@example(gamma=1e306, p_fa=1e-300)
 def test_heterodyne_keeps_the_contract(gamma, p_fa):
-    ln_pmd = _refused(heterodyne_log_pmd, gamma, p_fa)
-    assert ln_pmd is None or -math.inf < ln_pmd <= 0.0
+    # a ValueError only outside the documented domain, a SteinRadarError only inside
+    if not (0.0 <= gamma < math.inf and 0.0 < p_fa < 1.0):
+        with pytest.raises(ValueError):
+            heterodyne_log_pmd(gamma, p_fa)
+        return
+    try:
+        ln_pmd = heterodyne_log_pmd(gamma, p_fa)
+    except SteinRadarError:
+        return
+    assert -math.inf < ln_pmd <= 0.0
 
 
 def _floats_or_specials(lo, hi):
@@ -438,6 +448,8 @@ def _floats_or_specials(lo, hi):
 )
 # 2 nb overflows: V must stay finite, so that T's CapExceeded ends the row (exit 3)
 @example(nb=1e308, snr_lo=-20.0, snr_hi=-10.0, points=2, tail_tol=1e-10, convention=PER_COPY)
+# the heterodyne a b passes the float range: its CapExceeded ends the row (exit 3)
+@example(nb=1e-306, snr_lo=3075.0, snr_hi=3076.0, points=2, tail_tol=1e-10, convention=PER_COPY)
 def test_main_exit_code_contract(nb, snr_lo, snr_hi, points, tail_tol, convention):
     argv = [f"--nb={nb!r}", f"--snr-db-min={snr_lo!r}", f"--snr-db-max={snr_hi!r}",
             f"--points={points}", f"--tail-tol={tail_tol!r}",
