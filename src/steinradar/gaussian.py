@@ -38,11 +38,11 @@ class GaussianState:
 
     ``mean`` has length 2N ordered (q1, p1, ..., qN, pN); ``cm`` is the real
     symmetric 2N x 2N covariance matrix with vacuum normalization I/2.
-    Construction validates the shapes, finiteness, symmetry and the
-    bona-fide condition (all symplectic eigenvalues nu >= 1/2 up to
+    Construction validates the shapes, finiteness (of 2 cm too), symmetry and
+    the bona-fide condition (all symplectic eigenvalues nu >= 1/2 up to
     round-off), reading nu off the one eigendecomposition of 2i*V*Omega
-    (eigenvalues +/-2 nu) that gibbs_matrix and sigma_fn reuse.  Instances
-    hold read-only copies of mean and cm, so are safe to share between threads.
+    (eigenvalues +/-2 nu) that gibbs_matrix and rel_entropy reuse.  Instances
+    hold read-only mean, cm and Omega, so are safe to share between threads.
     """
 
     mean: np.ndarray
@@ -61,12 +61,14 @@ class GaussianState:
             raise ValueError(f"mean must have a positive even length, got {n}")
         if cm.shape != (n, n):
             raise ValueError(f"cm must be {n}x{n}, got {cm.shape}")
-        if not (np.isfinite(mean).all() and np.isfinite(cm).all()):
-            raise ValueError("mean and cm must be finite")
-        scale = max(np.abs(cm).max(), 1.0)
+        scale = max(float(np.abs(cm).max()), 1.0)   # nan or inf where cm is not finite
+        if not (np.isfinite(mean).all() and math.isfinite(2.0 * scale)):
+            raise ValueError("mean and cm must be finite, and 2 cm within the float range")
         if np.abs(cm - cm.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("cm is not symmetric within tolerance")
-        object.__setattr__(self, "_eig", np.linalg.eig(2j * cm @ symplectic_form(n // 2)))
+        object.__setattr__(self, "_omega", symplectic_form(n // 2))
+        self._omega.flags.writeable = False
+        object.__setattr__(self, "_eig", np.linalg.eig(2j * cm @ self._omega))
         nu_min = 0.5 * np.abs(self._eig[0]).min()
         if nu_min < 0.5 - BONA_FIDE_TOL:
             raise ValueError(
@@ -77,11 +79,6 @@ class GaussianState:
     def modes(self) -> int:
         """Mode count N, half the length of the mean."""
         return len(self.mean) // 2
-
-    @property
-    def omega(self) -> np.ndarray:
-        """Symplectic form matching this state's mode count."""
-        return symplectic_form(self.modes)
 
 
 @dataclass(frozen=True)
@@ -150,10 +147,11 @@ def scenario_states(s: ThermalScenario) -> tuple[GaussianState, GaussianState]:
 def gibbs_matrix(state: GaussianState) -> np.ndarray:
     """Gibbs matrix G = 2i*Omega*arccoth(2i*V*Omega) of a mixed Gaussian state.
 
-    Evaluated from the state's eigendecomposition of 2i*V*Omega with the
-    scalar principal-branch map arccoth(z) = ln((z+1)/(z-1))/2 applied to the
-    spectrum.  The reassembled matrix must be real (imaginary residue below
-    RESIDUE_TOL in max-norm) and is symmetrized before return.
+    Evaluated from the state's eigendecomposition of 2i*V*Omega, mapping its
+    real spectrum lambda = +/-2 nu by the odd arccoth(lambda) = sign(lambda)
+    log1p(2/(|lambda| - 1))/2, which keeps the digits a ratio (lambda + 1)/
+    (lambda - 1) rounds off at large nu.  The reassembled matrix must be real
+    (imaginary residue below RESIDUE_TOL in max-norm) and is symmetrized.
 
     Raises SingularGibbs when any symplectic eigenvalue nu (the spectrum of
     2i*V*Omega is +/-2 nu) comes within PURE_MODE_EPS of 1/2: arccoth diverges
@@ -165,8 +163,8 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
         raise SingularGibbs(
             f"symplectic eigenvalue {nu_min:.3g} within {PURE_MODE_EPS} of 1/2"
         )
-    acoth = 0.5 * np.log((vals + 1.0) / (vals - 1.0))
-    g = 2j * state.omega @ (vecs * acoth) @ np.linalg.inv(vecs)
+    acoth = 0.5 * np.sign(vals.real) * np.log1p(2.0 / (np.abs(vals.real) - 1.0))
+    g = 2j * state._omega @ (vecs * acoth) @ np.linalg.inv(vecs)
     residue = np.abs(g.imag).max()
     if residue >= RESIDUE_TOL:
         raise ConsistencyError(f"Gibbs matrix imaginary residue {residue:.3g}")
@@ -174,58 +172,50 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def sigma_fn(v0: GaussianState, v1: GaussianState) -> float:
-    """The two-state functional combining ln det(V1 + i*Omega/2), Tr(V0 G1)
-    and the mean-difference quadratic form, halved.
-
-    The log det is sum ln(|1 + lambda|/2) over v1's eigenvalues lambda = +/-2 nu
-    of 2i*V1*Omega: det = prod(nu^2 - 1/4) by Williamson's theorem.
-    Relative entropy is a difference of two of these; see rel_entropy.
-    """
-    if v0.modes != v1.modes:
-        raise ValueError(f"{v0.modes}-mode state paired with {v1.modes}-mode state")
-    g1 = gibbs_matrix(v1)
-    ln_det = float(np.log(np.abs(1.0 + v1._eig[0]) / 2.0).sum())
-    delta = v0.mean - v1.mean
-    return 0.5 * (
-        ln_det + float(np.trace(v0.cm @ g1)) + float(delta @ g1 @ delta)
-    )
+def _gibbs_pair(rho0: GaussianState, rho1: GaussianState):
+    """G0, G1 and the mean difference rho0 - rho1 of a same-size state pair."""
+    if rho0.modes != rho1.modes:
+        raise ValueError(f"{rho0.modes}-mode state paired with {rho1.modes}-mode state")
+    return gibbs_matrix(rho0), gibbs_matrix(rho1), rho0.mean - rho1.mean
 
 
 def _clamp_nonneg(value: float, what: str) -> float:
-    if value >= 0.0:
-        return value
-    if value >= -CLAMP_TOL:
-        return 0.0
-    raise ConsistencyError(f"{what} = {value} is negative beyond round-off")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is beyond the float range")
+    if value < -CLAMP_TOL:
+        raise ConsistencyError(f"{what} = {value} is negative beyond round-off")
+    return max(value, 0.0)
 
 
 def rel_entropy(rho0: GaussianState, rho1: GaussianState) -> float:
     """Quantum relative entropy D(rho0 || rho1) of two Gaussian states, nats.
 
-    Nonnegative; values within CLAMP_TOL below zero are round-off and clamp
-    to 0, anything more negative raises ConsistencyError.
+    D = [ln det(V1 + i*Omega/2) - ln det(V0 + i*Omega/2) + Tr(V0 (G1 - G0))
+    + delta^T G1 delta] / 2, delta = mean0 - mean1, ln det(V + i*Omega/2) =
+    sum ln(|1 + lambda|/2) over the spectrum lambda of 2i*V*Omega.  For equal
+    covariances the first three terms are exactly 0: no difference of terms
+    the size of ln det cancels at low SNR.  Below 0 by CLAMP_TOL clamps to 0,
+    more raises ConsistencyError; ValueError where D (or V) leaves the float range.
     """
-    d = sigma_fn(rho0, rho1) - sigma_fn(rho0, rho0)
+    g0, g1, delta = _gibbs_pair(rho0, rho1)
+    ln_det0, ln_det1 = (float(np.log(np.abs(1.0 + r._eig[0]) / 2.0).sum()) for r in (rho0, rho1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = 0.5 * (ln_det1 - ln_det0 + float(np.trace(rho0.cm @ (g1 - g0)))
+                   + float(delta @ g1 @ delta))
     return _clamp_nonneg(d, "relative entropy")
 
 
 def rel_entropy_variance(rho0: GaussianState, rho1: GaussianState) -> float:
     """Relative entropy variance V(rho0 || rho1) of two Gaussian states."""
-    if rho0.modes != rho1.modes:
-        raise ValueError(f"{rho0.modes}-mode state paired with {rho1.modes}-mode state")
-    g0 = gibbs_matrix(rho0)
-    g1 = gibbs_matrix(rho1)
+    g0, g1, delta = _gibbs_pair(rho0, rho1)
     gamma = g0 - g1
-    omega = rho0.omega
-    delta = rho0.mean - rho1.mean
-    gv = gamma @ rho0.cm
-    go = gamma @ omega
-    v = (
-        0.5 * float(np.trace(gv @ gv))
-        + 0.125 * float(np.trace(go @ go))
-        + float(delta @ g1 @ rho0.cm @ g1 @ delta)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        gv, go = gamma @ rho0.cm, gamma @ rho0._omega
+        v = (
+            0.5 * float(np.trace(gv @ gv))
+            + 0.125 * float(np.trace(go @ go))
+            + float(delta @ g1 @ rho0.cm @ g1 @ delta)
+        )
     return _clamp_nonneg(v, "relative entropy variance")
 
 

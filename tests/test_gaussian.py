@@ -18,7 +18,8 @@ from steinradar import (
     scenario_states,
     thermal_closed_forms,
 )
-from steinradar.gaussian import _clamp_nonneg, sigma_fn, symplectic_form
+from steinradar import gaussian
+from steinradar.gaussian import _clamp_nonneg, symplectic_form
 
 from oracles import D_600_G1, V_600_G1, thermal_fock_d, thermal_fock_v
 
@@ -65,6 +66,16 @@ class TestConstruction:
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 GaussianState(mean=np.zeros(2), cm=np.diag([value, 1.0]))
+
+    def test_rejects_cm_whose_double_overflows(self):
+        # 2i*V*Omega would overflow in eig; refused before it
+        with pytest.raises(ValueError, match="2 cm within the float range"):
+            GaussianState(mean=np.zeros(2), cm=1e308 * np.eye(2))
+        with pytest.raises(ValueError, match="2 cm within the float range"):
+            scenario_states(ThermalScenario(nb=9e307, eta=1.0, ns=1.0))
+        # just below, the state is accepted and D = ns ln(1 + 1/nb)
+        r0, r1 = scenario_states(ThermalScenario(nb=8e307, eta=1.0, ns=8e307))
+        assert rel_entropy(r0, r1) == pytest.approx(1.0, rel=1e-12)
 
     def test_modes_from_mean_length(self):
         assert GaussianState(mean=np.zeros(4), cm=np.eye(4)).modes == 2
@@ -175,20 +186,23 @@ class TestSigmaAndRelEntropy:
         assert rel_entropy_variance(rho, rho) == 0.0
 
     def test_mean_shift_term(self):
-        # delta^T G1 delta / 2 with scalar G1: 600 ln(601/600)
-        s = ThermalScenario(nb=600.0, eta=1.0, ns=600.0)
-        r0, r1 = scenario_states(s)
-        got = sigma_fn(r0, r1) - sigma_fn(r0, r0)
-        assert got == pytest.approx(600.0 * log(601.0 / 600.0), rel=1e-12)
+        # equal covariances: the log dets and the trace term are exactly 0, so
+        # D is delta^T G1 delta / 2 to the bit; with scalar G1, 600 ln(601/600)
+        for ns in (600.0, 6e-7):
+            r0, r1 = scenario_states(ThermalScenario(nb=600.0, eta=1.0, ns=ns))
+            delta = r0.mean - r1.mean
+            got = rel_entropy(r0, r1)
+            assert got == 0.5 * float(delta @ gibbs_matrix(r1) @ delta)
+            assert got == pytest.approx(ns * log(601.0 / 600.0), rel=1e-12)
 
     def test_sigma_asymmetry(self):
         a, b = thermal_state(1.0), thermal_state(2.0)
-        assert abs(sigma_fn(a, b) - sigma_fn(b, a)) > 0.01
+        assert abs(rel_entropy(a, b) - rel_entropy(b, a)) > 0.01
 
     def test_mode_mismatch(self):
         # pairing a 1-mode with a 2-mode state is a malformed input
         rng = np.random.default_rng(3)
-        for fn in (sigma_fn, rel_entropy, rel_entropy_variance):
+        for fn in (rel_entropy, rel_entropy_variance):
             with pytest.raises(ValueError, match="1-mode state paired with 2-mode state"):
                 fn(thermal_state(1.0), random_mixed_state(rng, 2))
 
@@ -241,24 +255,27 @@ class TestSigmaAndRelEntropy:
         with pytest.raises(ConsistencyError, match="negative beyond round-off"):
             _clamp_nonneg(-1e-9, "relative entropy")
 
-    def test_sigma_self_is_entropy(self):
-        # Sigma(V, V) at zero mean difference is the von Neumann entropy
-        rho = thermal_state(1.0)
-        want = 2.0 * math.log(2.0) - 1.0 * math.log(1.0)
-        assert sigma_fn(rho, rho) == pytest.approx(want, rel=1e-12)
+    def test_refuses_values_past_the_float_range(self):
+        # delta^T G1 delta = 1e400 ln 3 overflows: a ValueError, not inf
+        far, rho = thermal_state(0.5, mean=(1e200, 0.0)), thermal_state(0.5)
+        for fn in (rel_entropy, rel_entropy_variance):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                fn(far, rho)
 
     def test_one_decomposition_per_state(self, monkeypatch):
-        # the bona-fide check, both Gibbs matrices and the log det all read
-        # the one eig of 2i*V*Omega each state made at construction
+        # the bona-fide check, both Gibbs matrices and the log dets all read
+        # the one eig of 2i*V*Omega, and the one Omega, each state made at construction
         spies = {name: mock.Mock(wraps=getattr(np.linalg, name))
                  for name in ("eig", "eigvals", "det")}
         for name, spy in spies.items():
             monkeypatch.setattr(np.linalg, name, spy)
+        spies["symplectic_form"] = mock.Mock(wraps=symplectic_form)
+        monkeypatch.setattr(gaussian, "symplectic_form", spies["symplectic_form"])
         r0, r1 = scenario_states(ThermalScenario(nb=10.0, eta=1.0, ns=10.0))
         rel_entropy(r0, r1)
         rel_entropy_variance(r0, r1)
         assert {name: spy.call_count for name, spy in spies.items()} == {
-            "eig": 2, "eigvals": 0, "det": 0}
+            "eig": 2, "eigvals": 0, "det": 0, "symplectic_form": 2}
 
 
 class TestClosedForms:
@@ -272,9 +289,10 @@ class TestClosedForms:
         assert stats.v == pytest.approx(V_600_G1, rel=1e-13)
 
     def test_matches_general_formulas_on_grid(self):
-        # consistency sweep across nb in [0.1, 1e4], gamma in [1e-3, 1e2]
-        for nb in (0.1, 1.0, 10.0, 600.0, 1e4):
-            for gamma in (1e-3, 0.1, 1.0, 10.0, 100.0):
+        # consistency sweep across nb in [0.1, 1e16], gamma in [1e-9, 1e2]: D
+        # once cancelled below -65 dB, and the Gibbs matrix lost its digits at large nb
+        for nb in (0.1, 1.0, 10.0, 600.0, 1e4, 1e12, 1e16):
+            for gamma in (1e-9, 1e-3, 0.1, 1.0, 10.0, 100.0):
                 s = ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)
                 r0, r1 = scenario_states(s)
                 stats = thermal_closed_forms(s)

@@ -2,8 +2,9 @@
 Lyapunov bound on T, the window certificate against the dropped tails, the
 window edges against a search by bisection, the blocked Bessel-ratio recurrence against the scalar loop, the window
 summation against math.fsum, the monotonicity in SNR of the bound exponents
-and of the heterodyne exponent, the heterodyne exponent's sign, and the CLI
-exit-code contract on arbitrary input."""
+and of the heterodyne exponent, the heterodyne exponent's sign, the general
+N-mode D and V against the thermal closed forms, and the CLI exit-code
+contract on arbitrary input."""
 
 import contextlib
 import io
@@ -26,6 +27,9 @@ from steinradar import (
     heterodyne_log_pmd,
     inv_std_normal_cdf,
     refined_bracket,
+    rel_entropy,
+    rel_entropy_variance,
+    scenario_states,
     std_normal_cdf,
     thermal_closed_forms,
     third_moment,
@@ -410,6 +414,26 @@ def test_closed_forms_keep_the_contract(nb, eta, ns):
     stats = _refused(thermal_closed_forms, scenario)
     if stats is not None:
         assert 0.0 <= stats.d < math.inf and 0.0 <= stats.v < math.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(nb=any_float, eta=any_float, ns=any_float)
+@example(nb=1e16, eta=1.0, ns=1e16)       # the Gibbs matrix once rounded to 0 here
+@example(nb=10.0, eta=1.0, ns=1e-8)       # D once cancelled to 3e-7 off at -90 dB
+@example(nb=1.0, eta=1.0, ns=1e308)       # the mean sqrt(2 ns) overflows
+def test_general_formulas_keep_the_contract(nb, eta, ns):
+    scenario = _refused(ThermalScenario, nb, eta, ns)
+    states = scenario and _refused(scenario_states, scenario)
+    if states is None:
+        return
+    d = _refused(rel_entropy, *states)
+    v = _refused(rel_entropy_variance, *states)
+    assert all(x is None or 0.0 <= x < math.inf for x in (d, v))
+    closed = _refused(thermal_closed_forms, scenario)
+    if None in (d, v, closed) or not (1e-6 <= nb <= 1e20 and scenario.snr >= 1e-12):
+        return
+    assert d == pytest.approx(closed.d, rel=1e-9)
+    assert v == pytest.approx(closed.v, rel=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
