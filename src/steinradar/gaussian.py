@@ -150,7 +150,11 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
     Evaluated from the state's eigendecomposition of 2i*V*Omega, mapping its
     real spectrum lambda = +/-2 nu by the odd arccoth(lambda) = sign(lambda)
     log1p(2/(|lambda| - 1))/2, which keeps the digits a ratio (lambda + 1)/
-    (lambda - 1) rounds off at large nu.  The reassembled matrix must be real
+    (lambda - 1) rounds off at large nu.  Each +/- pair takes one common
+    |lambda|, the mean of the two: eig returns them a few ulps apart, and
+    near nu = 1/2 arccoth's slope 1/(lambda^2 - 1) turns that into an
+    imaginary residue past RESIDUE_TOL (at nb ~ 1e-6, about one state in
+    fifteen would refuse).  The reassembled matrix must be real
     (imaginary residue below RESIDUE_TOL in max-norm) and is symmetrized.
 
     Raises SingularGibbs when any symplectic eigenvalue nu (the spectrum of
@@ -163,7 +167,13 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
         raise SingularGibbs(
             f"symplectic eigenvalue {nu_min:.3g} within {PURE_MODE_EPS} of 1/2"
         )
-    acoth = 0.5 * np.sign(vals.real) * np.log1p(2.0 / (np.abs(vals.real) - 1.0))
+    lam = vals.real.tolist()                   # a few values: Python floats beat numpy calls
+    order = sorted(range(len(lam)), key=lam.__getitem__)   # -2nu by falling nu, then +2nu by rising
+    half = len(lam) // 2
+    acoth = [0.0] * len(lam)
+    for i, j in zip(order[half - 1 :: -1], order[half:]):   # each -/+ pair at its mean |lambda|
+        acoth[j] = f = 0.5 * math.log1p(2.0 / (0.5 * lam[j] - 0.5 * lam[i] - 1.0))
+        acoth[i] = -f
     g = 2j * state._omega @ (vecs * acoth) @ np.linalg.inv(vecs)
     residue = np.abs(g.imag).max()
     if residue >= RESIDUE_TOL:

@@ -115,10 +115,11 @@ def heterodyne_log_pmd(gamma: float, p_fa: float) -> float:
 
     Error budget: the dropped tail is below e^-46 of the sum; ln P(0) rounds
     by a few eps (1 + (sqrt(a) - sqrt(b))^2); each term's exponent
-    L_k + k ln rho by the _bessel_ln_ratios bound on L_k plus eps k |ln rho|;
-    the sum by one ulp.  Through log1p(-Q) the relative error of ln p_MD is
-    at most twice that of Q.  CapExceeded where the Bessel recurrence would
-    start past K_MAX_CAP (gamma ~ 2e16 at p_fa = 1e-3).
+    L_k + k ln rho by the _skellam_ln_tail bound on L_k, whose Perron seed
+    is certified by its bracket, plus eps k |ln rho|; the sum by one ulp.
+    Through log1p(-Q) the relative error of ln p_MD is at most twice that of
+    Q.  No start or window caps the route: every finite gamma returns, in
+    microseconds (gamma = 1.7e308 included).
     """
     if not (0.0 <= gamma < math.inf):
         raise ValueError("gamma must be finite and >= 0")

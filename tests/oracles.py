@@ -11,10 +11,14 @@ Miller recurrence anchored at mpmath.besseli, thermal relative entropies from
 truncated Fock-space sums, normal-CDF inverses from bisection or from Newton
 steps on mpmath's CDF, the heterodyne ln p_MD from mpmath Poisson series
 (of p_MD or of its complement) or from a sum of mpmath.besseli values.
-heterodyne_log_pmd_loop and difference_masses_rowwise are the deliberate
-exceptions: they keep the per-term Poisson loop that the library's Skellam
-route replaced and the one-row-at-a-time Laguerre recurrence that its
-blocked sweep replaced, as double-precision references.
+Bessel ratios come from mpmath's Gauss continued fraction (a Miller
+recurrence) or mpmath.besseli, not from Perron's continued fraction.
+heterodyne_log_pmd_loop, difference_masses_rowwise and
+skellam_ln_tail_miller are the deliberate exceptions: they keep the per-term
+Poisson loop that the library's Skellam route replaced, the
+one-row-at-a-time Laguerre recurrence that its blocked sweep replaced, and
+the Miller-started heterodyne tail that the Perron seed replaced, as
+double-precision references.
 """
 
 from __future__ import annotations
@@ -58,6 +62,14 @@ HET_LN_PMD_BESSEL_FROZEN = {
     1e12: -999994743506.6436125670398,
     4e13: -39999966754868.45464904378,
     1e16: -9999999474347858.345434112,
+}
+
+# ln p_MD at p_fa = 1e-3 where a Miller recurrence would start past
+# K_MAX_CAP, up to the top of the float range, from recompute_het_ln_pmd_bessel.
+HET_LN_PMD_PAST_CAP_FROZEN = {
+    1e17: -99999998337741900.77895622,
+    1e300: -1.00000000000000005250476e+300,
+    1.7e308: -1.699999999999999938830796e+308,
 }
 
 # exp(-t) I0(t)
@@ -306,6 +318,29 @@ def heterodyne_log_pmd_loop(gamma: float, p_fa: float) -> float:
         if a > 0.0:
             ln_cum_a = logaddexp(ln_cum_a, -a + j * ln_a - lgamma(j + 1.0))
         j += 1
+
+
+def skellam_ln_tail_miller(m1: float, m2: float, first: int) -> float:
+    """displaced._skellam_ln_tail as it ran before its Perron seed: the same
+    edge, retry and sum, with the ratios from _bessel_ln_ratios, Miller's
+    recurrence started near sqrt(50 z) (CapExceeded past K_MAX_CAP)."""
+    import numpy as np
+
+    from steinradar import displaced as dm
+
+    z = 2.0 * math.sqrt(m1) * math.sqrt(m2)
+    ln_p0 = log(dm._bessel_i0_scaled(z)) - (math.sqrt(m1) - math.sqrt(m2)) ** 2
+    ln_rho = 0.5 * (log(m1) - log(m2))
+    peak = max(first, z * math.sinh(ln_rho))
+    n_hi = dm._asinh_edge(z, peak, -ln_rho, -dm._LN_TAIL_TOL)
+    while True:
+        ln_t = dm._bessel_ln_ratios(z, n_hi)[first:]
+        ln_t += ln_rho * np.arange(first, n_hi + 1)
+        ln_s = log(dm._sum(np.exp(ln_t)))
+        ln_q = ln_t[-1] - ln_t[-2]
+        if ln_q < 0.0 and ln_t[-1] + ln_q - log(-math.expm1(ln_q)) < ln_s + dm._LN_TAIL_TOL:
+            return ln_p0 + ln_s
+        n_hi *= 2
 
 
 def tail_edge_bisect(m1: float, m2: float, ln_mass_tol: float, ln_cubic_tol: float):
@@ -570,7 +605,9 @@ def recompute_het_ln_pmd_bessel(gamma: float, p_fa: float, dps: int = 50) -> flo
     N_b ~ Pois(-ln p_fa), with each P(X = k) = e^-(a+b) (b/a)^(k/2) I_k(z),
     z = 2 sqrt(a b), from mpmath.besseli rather than a recurrence.  Meant
     for gamma >> -ln p_fa, where the terms fall by about sqrt(b/a) each; the
-    sum stops once a term drops below the working precision.
+    sum stops once a term drops below the working precision.  e^-(a+b) and
+    (b/a)^(k/2) are separate factors: summed in one exponent, k ln(b/a) / 2
+    would drop below the precision of a + b once gamma passes 10^dps.
     """
     import mpmath as mp
 
@@ -578,12 +615,38 @@ def recompute_het_ln_pmd_bessel(gamma: float, p_fa: float, dps: int = 50) -> flo
         a = mp.mpf(gamma)
         b = -mp.log(mp.mpf(p_fa))
         z = 2 * mp.sqrt(a * b)
-        scale = -(a + b)
+        scale, rho = mp.exp(-(a + b)), mp.sqrt(b / a)
         total = mp.mpf(0)
         k = 1
         while True:
-            term = mp.exp(scale + k * (mp.log(b) - mp.log(a)) / 2) * mp.besseli(k, z)
+            term = scale * rho**k * mp.besseli(k, z)
             total += term
             if term < total * mp.mpf(10) ** (-dps - 5):
                 return float(mp.log(total))
             k += 1
+
+
+def bessel_ratio_mp(nu: int, z: float, dps: int = 40):
+    """I_nu(z) / I_(nu-1)(z) at the exact binary value of z, as an mpf.
+
+    For z < nu^2, Gauss's continued fraction run as Miller's recurrence
+    r_n = z / (2n + z r_(n+1)) from r_(N+1) = 0, N where the sum of
+    2 asinh(n / z) from nu, the log of the squared ratios that damp the
+    start's error, passes (dps + 5) ln 10; beyond, mpmath.besseli, whose
+    asymptotic expansion converges there.  (besseli's series stalls in
+    between for nu in the thousands, and the recurrence would take ~sqrt(z)
+    steps above.)"""
+    import mpmath as mp
+
+    if z < float(nu) * nu:
+        target, n, damp = (dps + 5) * log(10.0), nu, 0.0
+        while damp < target:
+            n += 1
+            damp += 2.0 * math.asinh(n / z)
+        with mp.workdps(dps + 10):
+            zz, r = mp.mpf(z), mp.mpf(0)
+            for k in range(n, nu - 1, -1):
+                r = zz / (2 * k + zz * r)
+            return r
+    with mp.workdps(dps + 10):
+        return mp.besseli(nu, z) / mp.besseli(nu - 1, z)

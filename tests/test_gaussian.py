@@ -171,6 +171,16 @@ class TestGibbsMatrix:
             want = log((nbar + 1.0) / nbar)
             assert np.abs(g - want * np.eye(2)).max() < 1e-10 * max(want, 1.0)
 
+    def test_thermal_near_vacuum_is_real(self):
+        # eig returns each +/- 2nu pair a few ulps apart, and near nu = 1/2
+        # arccoth's slope turned that into an imaginary residue past
+        # RESIDUE_TOL for 27 of these 400 states; a common |lambda| per pair
+        # leaves none
+        for nbar in np.logspace(-6.0, log(3e-6) / log(10.0), 400).tolist():
+            g = gibbs_matrix(thermal_state(nbar))
+            want = log1p(1.0 / nbar)
+            assert np.abs(g - want * np.eye(2)).max() < 1e-10 * want
+
     def test_symmetric_on_random_states(self):
         rng = np.random.default_rng(7)
         for modes in (1, 2):

@@ -1,7 +1,7 @@
 """Scaled Bessel, dual-route Marcum Q, and the heterodyne benchmark."""
 
 import math
-import re
+import sys
 import time
 import tracemalloc
 from math import exp, log, log1p, sqrt
@@ -19,6 +19,7 @@ from oracles import (
     HET_LN_PMD_G500,
     HET_LN_PMD_BESSEL_FROZEN,
     HET_LN_PMD_G5E5,
+    HET_LN_PMD_PAST_CAP_FROZEN,
     HET_LN_PMD_Q_FROZEN,
     I0E_1,
     I0E_7_5,
@@ -31,6 +32,7 @@ from oracles import (
     recompute_het_ln_pmd,
     recompute_het_ln_pmd_bessel,
     recompute_het_ln_pmd_q,
+    skellam_ln_tail_miller,
 )
 
 
@@ -271,20 +273,22 @@ class TestHeterodyne:
         with pytest.raises(ValueError):
             heterodyne_log_pmd(1.0, 1.0)
 
-    def test_huge_gamma_fails_fast(self):
-        # the Bessel recurrence would start near sqrt(50 z) ~ 2.9e5, z ~ 1.7e9,
-        # past K_MAX_CAP
+    def test_huge_gamma_is_fast_and_matches_mpmath(self):
+        # a Miller recurrence would start near sqrt(50 z) ~ 2.9e5, z ~ 1.7e9,
+        # past K_MAX_CAP; the Perron seed needs no start
         start = time.perf_counter()
-        with pytest.raises(CapExceeded):
-            heterodyne_log_pmd(1e17, 1e-3)
+        got = heterodyne_log_pmd(1e17, 1e-3)
         assert time.perf_counter() - start < 0.1
+        assert got == pytest.approx(HET_LN_PMD_PAST_CAP_FROZEN[1e17], rel=1e-15, abs=0.0)
 
-    def test_cap_message_prints_the_start_briefly(self):
-        # the Bessel recurrence would start near 1.6e76, which the message
-        # prints as it prints z, not as a 77-digit integer
-        with pytest.raises(CapExceeded, match=r"start 1\.62119e\+76 exceeds") as err:
-            heterodyne_log_pmd(1e300, 1e-3)
-        assert not re.search(r"\d{16}", str(err.value))
+    def test_float_range_gamma_matches_mpmath(self):
+        # z ~ 5e150 and 7e154: the first Perron step from the tail 2z is
+        # written a_K / (2 nu + K), where b_K - 2z would cancel to 0
+        for gamma in (1e300, 1.7e308):
+            got = heterodyne_log_pmd(gamma, 1e-3)
+            assert got == pytest.approx(HET_LN_PMD_PAST_CAP_FROZEN[gamma], rel=1e-15, abs=0.0)
+        top = heterodyne_log_pmd(sys.float_info.max, 1e-3)   # the largest finite gamma
+        assert -math.inf < top < -1.79e308
 
     def test_cost_and_memory_near_cap(self):
         # a per-term loop over the Poisson series takes seconds here
@@ -292,7 +296,7 @@ class TestHeterodyne:
         got = heterodyne_log_pmd(1e12, 1e-3)
         assert time.perf_counter() - start < 2.0
         assert math.isfinite(got) and got < -9.9e11
-        # memory is the Bessel recurrence's arrays, about 0.5 MB here
+        # the Perron-seeded chain holds a few ratios: about 1 kB here
         tracemalloc.start()
         try:
             heterodyne_log_pmd(1e12, 1e-3)
@@ -303,28 +307,43 @@ class TestHeterodyne:
 
     def test_tail_retry_doubles_to_the_same_sum(self, monkeypatch):
         # a first n two terms past the peak fails the geometric tail bound, so
-        # _skellam_ln_tail doubles n until it holds, and sums the same ln p_MD;
-        # only the tail's first edge is shortened, not _miller_start's
+        # _skellam_ln_tail doubles n until it holds, seeds each try afresh at
+        # n + 1, and sums the same ln p_MD
         cases = ((0.03, 1e-3), (3.2, 1e-3), (500.0, 1e-3), (5e5, 1e-3),
                  (1e-7, 0.999999), (665.0, 1e-300))
         calls = []
-        ratios, edge = displaced_mod._bessel_ln_ratios, displaced_mod._asinh_edge
-        monkeypatch.setattr(displaced_mod, "_bessel_ln_ratios",
-                            lambda *args: calls.append(args) or ratios(*args))
+        seed = displaced_mod._perron_bracket
+        monkeypatch.setattr(displaced_mod, "_perron_bracket",
+                            lambda *args: calls.append(args) or seed(*args))
         unpatched = {}
         for case in cases:
             calls.clear()
             unpatched[case] = heterodyne_log_pmd(*case), len(calls)
-        monkeypatch.setattr(
-            displaced_mod, "_asinh_edge",
-            lambda z, lo, c, goal: math.ceil(lo) + 2 if goal == -displaced_mod._LN_TAIL_TOL
-            else edge(z, lo, c, goal))
+        monkeypatch.setattr(displaced_mod, "_asinh_edge", lambda z, lo, c, goal: math.ceil(lo) + 2)
         for case in cases:
             calls.clear()
             got = heterodyne_log_pmd(*case)
             want, want_calls = unpatched[case]
             assert len(calls) > want_calls
             assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_perron_tail_matches_miller_on_benchmark_grids(self):
+        # the low-background scan's 1,000 total-M and 1,000 per-copy gammas:
+        # every tail the heterodyne sums, seeded by Perron's continued
+        # fraction, has the bits the Miller-started recurrence gave; a gamma
+        # whose tail moved would have to stay within 1e-14 of mpmath, as the
+        # frozen oracles above hold it
+        snr = [float(s) for s in np.linspace(-10.0, 20.0, 1000)]
+        b = -log(1e-3)
+        moved = []
+        for gamma in [5000 * 10.0 ** (s / 10.0) for s in snr] + [10.0 ** (s / 10.0) for s in snr]:
+            tails = ([(gamma, b, 0)] if gamma < b else []) + [(b, gamma, 1)]
+            if any(displaced_mod._skellam_ln_tail(*t) != skellam_ln_tail_miller(*t)
+                   for t in tails):
+                moved.append(gamma)
+        for gamma in moved:
+            want = recompute_het_ln_pmd(gamma, 1e-3)
+            assert heterodyne_log_pmd(gamma, 1e-3) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_rejects_non_finite_snr(self):
         # rejected up front, before the series loop can start

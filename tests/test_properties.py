@@ -42,6 +42,7 @@ from steinradar.displaced import (
     _bessel_ln_ratios,
     _miller_block,
     _miller_start,
+    _perron_bracket,
     _skellam_masses,
     _skellam_window,
     _sum,
@@ -50,7 +51,7 @@ from steinradar.displaced import (
 from steinradar.marcum import _cdf
 from steinradar.scan import PER_COPY, TOTAL, main
 
-from oracles import tail_edge_bisect
+from oracles import bessel_ratio_mp, tail_edge_bisect
 
 # Skellam windows stay far inside K_MAX_CAP here, so an example costs ms.
 nbs = st.floats(1e-2, 1e3)
@@ -198,6 +199,26 @@ def test_scalar_bessel_ln_ratios_match_full_store_loop(z, n_hi):
     assume(n_start < _BLOCKED_FROM)
     got = _bessel_ln_ratios(z, n_hi)
     assert got.tobytes() == _full_store_ln_ratios(z, n_hi, n_start).tobytes()
+
+
+# nu and z over the whole range _perron_bracket admits; the examples are
+# the cancelling first step from the tail 2z and the low-background grid's
+# smallest, middle and largest z with the nu its heterodyne tails seed.
+@settings(max_examples=100, deadline=None)
+@given(nu=st.integers(1, 40) | st.integers(1, 10_000),
+       z=st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+@example(nu=2, z=1e150)
+@example(nu=11, z=1.56)
+@example(nu=23, z=117.53940002383999)
+@example(nu=11, z=3716.9221888498387)
+def test_perron_bracket_contains_the_bessel_ratio(nu, z):
+    import mpmath as mp
+
+    lo, hi, e = _perron_bracket(z, nu)
+    want = bessel_ratio_mp(nu, z)
+    assert mp.mpf(lo) * (1 - mp.mpf(e)) <= want <= mp.mpf(hi) * (1 + mp.mpf(e))
+    assert hi - lo <= math.ulp(hi) + e * (lo + hi)
+    assert e < 8.0 * 2.0**-53                  # S < 1
 
 
 def _exact_sum(values) -> Fraction:

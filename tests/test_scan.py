@@ -464,17 +464,22 @@ class TestCli:
         assert main(["--snr-db-min", "3070", "--snr-db-max", "3079", "--points", "2"]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_heterodyne_cap_exit_3(self, capsys):
-        # T fits at x ~ 0.1, but at M gamma ~ 1e17 the benchmark's Bessel
-        # recurrence would start past its cap
+    def test_heterodyne_past_the_old_cap_exit_0(self, capsys):
+        # T fits at x ~ 0.1, and at M gamma ~ 1e17, where a Miller recurrence
+        # for the benchmark would start past K_MAX_CAP, its Perron seed needs
+        # no start: eps_marcum = -ln p_MD / M comes out near gamma
         start = time.perf_counter()
         code = main(["--copies", "1000000000000", "--nb", "1e-6",
                      "--benchmark-m-convention", "total",
                      "--snr-db-min", "50", "--snr-db-max", "51", "--points", "2"])
         assert time.perf_counter() - start < 5.0
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "numerical failure" in err and "snr_db=50 " in err
+        assert code == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        rows = parse_csv(out.out.encode())
+        assert len(rows) == 2
+        for row in rows:
+            assert row["eps_marcum"] == pytest.approx(row["gamma"], rel=1e-7)
 
     def test_heterodyne_exponent_nonnegative_at_tiny_snr(self, capsys):
         # p_MD = 1 - p_fa (1 + O(gamma)) rounds to 1 here; the benchmark
