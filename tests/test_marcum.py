@@ -408,3 +408,10 @@ def test_recompute_frozen_corner_oracles():
         assert recompute_het_ln_pmd_q(gamma, p_fa) == pytest.approx(want, rel=1e-15, abs=0.0)
     for gamma, want in HET_LN_PMD_BESSEL_FROZEN.items():
         assert recompute_het_ln_pmd_bessel(gamma, 1e-3) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.slow
+def test_recompute_past_cap_oracles():
+    """Re-derive the frozen ln p_MD values past the old recurrence cap with mpmath."""
+    for gamma, want in HET_LN_PMD_PAST_CAP_FROZEN.items():
+        assert recompute_het_ln_pmd_bessel(gamma, 1e-3) == pytest.approx(want, rel=1e-15)
