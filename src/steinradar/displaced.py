@@ -9,12 +9,12 @@ input to the Berry-Esseen-corrected bounds.
 third_moment uses the law of that difference directly: d = k - l is
 Skellam(x nb, x (nb+1)), a difference of independent Poissons, whose pmf is
 a ratio chain of Bessel functions I_n anchored at _bessel_i0_scaled.  The
-chain comes from Miller's backward recurrence, whose coefficients are all
-positive: short recurrences run as a scalar loop, long ones in vectorised
-blocks stitched at their edges.  _skellam_ln_tail sums the law's log tails
-for marcum's heterodyne benchmark; its chain starts from one ratio that
-Perron's continued fraction brackets to an ulp in a few dozen levels, so it
-needs no Miller start and no cap.  The support window is certified by a
+chain comes from a backward recurrence, whose coefficients are all positive,
+seeded at its top by one ratio that Perron's continued fraction brackets to
+an ulp in a few dozen levels: short recurrences run as a scalar loop, long
+ones in vectorised blocks stitched at their edges.  _skellam_ln_tail sums
+the law's log tails from the same chain, for marcum's heterodyne benchmark.
+The support window is certified by a
 Chernoff bound that covers the cubic-weighted tail, so the cost is linear in
 the window width.  Its sums and both routes' captured-mass sums go through
 _sum, a vectorised summation by error-free extraction, within an ulp of
@@ -413,9 +413,6 @@ def _skellam_window(nb: float, x: float, policy: TruncationPolicy) -> _SkellamWi
                           tail_cubic=up_cubic + lo_cubic)
 
 
-# The backward recurrence starts where the Bessel ratios it skips would damp
-# a unit error below exp(-2 * _MILLER_LN_DAMP) by the window edge.
-_MILLER_LN_DAMP = 25.0
 _BLOCKED_FROM = 512          # _bessel_ln_ratios: recurrences this long run in blocks
 
 
@@ -437,84 +434,66 @@ def _asinh_edge(z: float, lo: float, c: float, goal: float) -> int:
     return math.ceil(t)
 
 
-def _miller_start(z: float, n_hi: int) -> int:
-    """Least N with int_(n_hi)^N asinh(t/z) dt >= _MILLER_LN_DAMP, the start of
-    the Miller recurrence for Bessel ratios up to n_hi: a unit error at N is
-    damped by about exp(-2 asinh(j/z)) on each step j down to n_hi, and as
-    asinh rises the integral bounds the sum of those exponents from below.
-    For n_hi << z, N ~ sqrt(n_hi^2 + 50 z).  CapExceeded past K_MAX_CAP."""
-    n = _asinh_edge(z, n_hi, 0.0, _MILLER_LN_DAMP)
-    if n > K_MAX_CAP:
-        raise CapExceeded(f"Bessel recurrence start {n:g} exceeds K_MAX_CAP={K_MAX_CAP} (z={z:g})")
-    return n
-
-
-def _miller_block(z: float, n_start: int) -> int:
-    """Block length l of _bessel_ln_ratios: 1 (the scalar loop) below
-    _BLOCKED_FROM, else about sqrt(n_start / 8), which balances the l
-    vectorised steps against the n_start / l block edges.  Within a block the
-    values grow by at most (1 + 2N/z)^l, N < 2 n_start the rounded-up start,
-    and the stitching ratio adds at most z/2 < e^25 (z <= n_start^2 / 50 by
-    _miller_start), so l is capped at 650 / ln(1 + 4 n_start/z) to stay finite."""
-    if n_start < _BLOCKED_FROM:
+def _miller_block(z: float, n: int) -> int:
+    """Block length l of _bessel_ln_ratios for a recurrence seeded at n:
+    1 (the scalar loop) below _BLOCKED_FROM, else about sqrt(n / 8), which
+    balances the l vectorised steps against the n / l block edges.  Within
+    a block the two solutions grow by at most (1 + 2N/z)^l, N < 2n the top
+    rounded up to whole blocks, and the ratio entering the block, within its
+    seed's relative error of a Bessel ratio below 1, adds a factor below 3,
+    so l is capped at 650 / ln(1 + 4n/z) to stay finite."""
+    if n < _BLOCKED_FROM:
         return 1
-    return max(1, min(math.isqrt(n_start // 8), int(650.0 / log1p(4.0 * n_start / z))))
-
-
-def _ln_ratio_chain(z: float, r: float, n_hi: int) -> np.ndarray:
-    """ln(I_n(z) / I_0(z)) for n = 0..n_hi, z > 0, from r = I_(n_hi+1)(z) /
-    I_(n_hi)(z): the ratios rho_n = I_n / I_(n-1) = z / (2n + z rho_(n+1))
-    down to n = 1 as a scalar loop, and cumsum(ln rho).  Every coefficient is
-    positive, and an error in r reaches rho_n damped by the squared ratios
-    between, at most exp(-2 j asinh(n / z)) over j steps."""
-    rho = [1.0] * (n_hi + 1)          # rho[0] = 1, so that cumsum(log(rho))[n] = ln(I_n / I_0)
-    for n in range(n_hi, 0, -1):
-        r = z / (2.0 * n + z * r)
-        rho[n] = r
-    return np.cumsum(np.log(rho))
+    return max(1, min(math.isqrt(n // 8), int(650.0 / log1p(4.0 * n / z))))
 
 
 def _bessel_ln_ratios(z: float, n_hi: int) -> np.ndarray:
-    """ln(I_n(z) / I_0(z)) for n = 0..n_hi, z > 0, by Miller's backward
-    recurrence from n_start = _miller_start(z, n_hi) (Gautschi, SIAM Rev.
-    9:24, 1967), for third_moment's masses; CapExceeded if that start passes
-    K_MAX_CAP.
+    """ln(I_n(z) / I_0(z)) for n = 0..n_hi, z > 0, for both Skellam laws, by
+    the backward recurrence for Bessel ratios (Gautschi, SIAM Rev. 9:24,
+    1967) seeded at N + 1 by the midpoint of _perron_bracket(z, N + 1), so
+    for any z the cost is the N steps and a few dozen levels; the callers
+    bound n_hi.
 
-    With l = _miller_block(z, n_start) = 1 it runs the ratio form
-    rho_n = z / (2n + z rho_(n+1)) from rho_(n_start+1) = 0 as a scalar loop
-    down to n_hi + 1, and _ln_ratio_chain the rest.  Longer recurrences run
-    the linear form y_(n-1) = (2n/z) y_n + y_(n+1) from y_(N+1) = 0,
-    y_N = 1, N = B l the start rounded up to whole blocks.  Its
-    coefficients are all positive, so
-    the N steps can be cut into B blocks of l without cancellation: two
-    solutions per block, from (y_(T+1), y_T) = (0, 1) and (1, 0) at the
-    block's top T, advance together in l numpy steps over arrays of length B;
-    a scalar pass down the block edges combines them into the ratio
-    q = y_(T+1) / y_T entering each block, and from it a numpy step gives
-    the growth g = y_(T-l) / y_T across each.  For n in the block with top
-    T and T - l < n <= T,
+    With l = _miller_block(z, n_hi + 1) = 1, N = n_hi and the ratios
+    rho_n = I_n / I_(n-1) = z / (2n + z rho_(n+1)) run down to n = 1 as a
+    scalar loop, then cumsum(ln rho).  Longer recurrences run the linear
+    form y_(n-1) = (2n/z) y_n + y_(n+1), whose coefficients are all
+    positive, so its N = B l >= n_hi steps can be cut into B blocks of l
+    without cancellation: two solutions per block, from (y_(T+1), y_T) =
+    (0, 1) and (1, 0) at the block's top T, advance together in l numpy
+    steps over arrays of length B; a scalar pass down the block edges, from
+    the seed, combines them into the ratio q = y_(T+1) / y_T entering each
+    block, and from it a numpy step gives the growth g = y_(T-l) / y_T
+    across each.  For n in the block with top T and T - l < n <= T,
 
         ln(I_n / I_0) = ln(y_n / y_(T-l)) - (sum of ln g over lower blocks),
 
-    two terms of one sign wherever the ratios are below 1, as they are up to
-    n_hi, so nothing cancels.  Rounding: with k_n = ceil(n / l) + 1 and
-    D_n = 2 / (1 - exp(-2 asinh(n / z))), each returned value is within
-    eps (k_n |L_n| + 4 (n + l) + D_n) of the exact Miller value L_n
-    (L_0 = 0 exactly).  The logs, and the at most k_n additions, act on
-    parts and partial sums of one sign no larger than |L_n|; each recurrence
-    step from the top of n's block down to 0 adds a few eps; and a rounding
-    made j steps further up reaches L_n damped by the squared ratios there,
-    at most exp(-2 j asinh(n / z)), which sums to D_n.
-    """
-    n_start = _miller_start(z, n_hi)
-    ell = _miller_block(z, n_start)
-    if ell == 1:
-        r = 0.0
-        for n in range(n_start, n_hi, -1):   # the ratios above n_hi are not kept
-            r = z / (2.0 * n + z * r)
-        return _ln_ratio_chain(z, r, n_hi)
+    two terms of one sign, as the ratios are below 1, so nothing cancels.
 
-    nblk = -(-n_start // ell)
+    Rounding, eps = 2^-52: with k_n = ceil(n / l) + 1 and
+    D_n = 2 / (1 - exp(-2 asinh(n / z))) + c exp(-2 (N + 1 - n) asinh(n / z)),
+    each returned value is within eps (k_n |L_n| + 4 (n + l) + D_n) of the
+    exact L_n = ln(I_n / I_0) (L_0 = 0 exactly).  The logs, and the at most
+    k_n additions, act on parts and partial sums of one sign no larger than
+    |L_n|; each recurrence step from the top of n's block down to 0 adds a
+    few eps; and an error in one ratio reaches those below it with
+    alternating sign, damped by the squared ratios between, at most
+    exp(-2 j asinh(n / z)) over j steps.  So the roundings above n sum to
+    the first term of D_n, and the seed gives the second: its bracket is at
+    most ulp + 2 e wide, so it is within c eps of exact, c = 1/2 + (3 + 5 S)
+    with _perron_bracket's S (c < 6.5 where S < 0.6).
+    """
+    ell = _miller_block(z, n_hi + 1)
+    nblk = -(-n_hi // ell)
+    lo, hi, _ = _perron_bracket(z, nblk * ell + 1)
+    r = 0.5 * (lo + hi)               # I_(N+1) / I_N
+    if ell == 1:
+        rho = [1.0] * (n_hi + 1)      # rho[0] = 1, so that cumsum(log(rho))[n] = ln(I_n / I_0)
+        for n in range(n_hi, 0, -1):
+            r = z / (2.0 * n + z * r)
+            rho[n] = r
+        return np.cumsum(np.log(rho))
+
     tops = float(nblk * ell) - ell * np.arange(nblk, dtype=np.float64)
     coef = (2.0 / z) * (tops - np.arange(ell, dtype=np.float64)[:, None])
     w = np.empty((ell + 2, 2, nblk))  # w[j + 1, :, b] = both solutions at T_b - j
@@ -524,7 +503,7 @@ def _bessel_ln_ratios(z: float, n_hi: int) -> np.ndarray:
         np.multiply(c, mid, out=hi)
         np.add(hi, lo, out=hi)
 
-    q, r = [], 0.0
+    q = []
     for u1, v1, u0, v0 in zip(*w[ell].tolist(), *w[ell + 1].tolist()):
         q.append(r)
         r = (u1 + r * v1) / (u0 + r * v0)
@@ -602,7 +581,8 @@ def _perron_bracket(z: float, nu: int) -> tuple[float, float, float]:
     are each off by at most e = (3 + 5 S) u relative, S = q_0 (1 + q_1 (1 +
     ... (1 + q_(K-1)))), summed on the path from 2z, whose q_k are the
     larger as they rise with p_(k+1); S stayed below 0.6 on 6,000 draws
-    over nu in [1, 1e4] and z in [1e-300, 1e300].  K starts at
+    over nu in [1, 1e4] and z in [1e-300, 1e300], and below 0.33 on 6,000
+    with nu up to 2e5, past K_MAX_CAP.  K starts at
     _PERRON_LEVELS and doubles until hi - lo <= ulp(hi) + e (lo + hi).
     """
     c, tz = 2.0 * nu, 2.0 * z
@@ -636,22 +616,12 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
     t_n q / (1 - q), which must fall below e^_LN_TAIL_TOL of the sum.  n starts
     where the integral of asinh(t/z) - ln rho from the largest term reaches that
     tolerance (I_k / I_(k-1) ~ exp(-asinh(k/z))), and doubles until the bound
-    holds.  The ratios come from _ln_ratio_chain, seeded at n + 1 by the
-    midpoint of _perron_bracket, so the cost is the n steps and a few dozen
-    levels at most, for any z.  z and ln P(0) = ln(e^-z I_0(z)) -
+    holds.  The ratios come from _bessel_ln_ratios(z, n), seeded at the top
+    by _perron_bracket, so the cost is the n steps and a few dozen levels at
+    most, for any z, and each L_k = ln(I_k / I_0) is within the rounding
+    budget stated there.  z and ln P(0) = ln(e^-z I_0(z)) -
     (sqrt(m1) - sqrt(m2))^2 take no product m1 m2, so neither over- nor
     underflows while m1 and m2 are finite, as far as heterodyne m = 1.8e308.
-
-    Rounding, eps = 2^-52: the bracket's width, at most ulp + 2 e of its
-    top, puts the seed within c eps of exact, c = 1/2 + 2 e / eps =
-    1/2 + (3 + 5 S) with _perron_bracket's e and S (c < 6.5 where S < 0.6).
-    That error reaches L_k = ln(I_k / I_0) damped by exp(-2 (n + 1 - k)
-    asinh(k / z)), as the Miller start's own did, in place of the roundings
-    of the steps above n; the k + 1 logs and additions of the chain act on
-    parts of one sign no larger than |L_k|, and each step from n down to k
-    adds a few eps, damped likewise.  So L_k is within
-    eps ((k + 1) |L_k| + 4 (k + 1) + D_k) of exact, with
-    D_k = 2 / (1 - exp(-2 asinh(k / z))) + c exp(-2 (n + 1 - k) asinh(k / z)).
     """
     z = 2.0 * sqrt(m1) * sqrt(m2)              # never underflows
     ln_p0 = log(_bessel_i0_scaled(z)) - (sqrt(m1) - sqrt(m2)) ** 2
@@ -659,8 +629,7 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
     peak = max(first, z * math.sinh(ln_rho))   # the terms rise up to here
     n_hi = _asinh_edge(z, peak, -ln_rho, -_LN_TAIL_TOL)
     while True:
-        lo, hi, _ = _perron_bracket(z, n_hi + 1)
-        ln_t = _ln_ratio_chain(z, 0.5 * (lo + hi), n_hi)[first:]
+        ln_t = _bessel_ln_ratios(z, n_hi)[first:]
         ln_t += ln_rho * np.arange(first, n_hi + 1)
         ln_s = log(_sum(np.exp(ln_t)))
         ln_q = ln_t[-1] - ln_t[-2]
@@ -678,17 +647,20 @@ def _skellam_masses(
 
         P(d) = e^(z - mu1 - mu2) (mu1/mu2)^(d/2) e^-z I_|d|(z).
 
-    ln(I_n(z) / I_0(z)) comes from _bessel_ln_ratios, Miller's backward
-    recurrence started at _miller_start; ln P(0), written in place, takes e^-z I_0(z)
+    ln(I_n(z) / I_0(z)) comes from _bessel_ln_ratios, the Perron-seeded
+    backward recurrence; ln P(0), written in place, takes e^-z I_0(z)
     and z - mu1 - mu2 = -x^2 / (sqrt(mu1) + sqrt(mu2))^2, free of cancellation.
     The masses are not renormalised, so their sum is a real diagnostic.
-    Returns (d, mass, rounding) for d in [lo, hi].
+    Returns (d, mass, rounding) for d in [lo, hi].  CapExceeded if the
+    window reaches past K_MAX_CAP or is K_MAX_CAP wide, which also bounds
+    the recurrence, as it runs from the window's edge farthest from 0.
 
     rounding() bounds the rounding error of the sum of the masses.  Here
     ln mass_d = ln P(0) + L_|d| - h d, with L_n = ln(I_n / I_0) and
     h = ln(1 + 1/nb) / 2.  With l the recurrence's block length, L_n is
     within eps (k_n |L_n| + 4 (n + l) + D_n) of exact, k_n = ceil(n / l) + 1
-    and D_n its damped rounding from above (see _bessel_ln_ratios).  Every
+    and D_n its damped rounding and seed error from above, the budget
+    _bessel_ln_ratios states (c = 6.5 there).  Every
     partial sum formed on the way is at most S_d = |ln P(0)| + |L_|d|| + h |d|
     in size (the log-ratios share a sign), so the two additions and the
     product that assemble the exponent round by at most eps S_d each, and
@@ -705,7 +677,7 @@ def _skellam_masses(
     win = _skellam_window(nb, x, policy)
     z = 2.0 * math.sqrt(m1 * m2)
     n_hi = max(-win.lo, win.hi, 1)
-    if win.hi - win.lo >= K_MAX_CAP:
+    if n_hi > K_MAX_CAP or win.hi - win.lo >= K_MAX_CAP:
         raise CapExceeded(f"support window [{win.lo}, {win.hi}] exceeds K_MAX_CAP={K_MAX_CAP} "
                           f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})")
 
@@ -720,9 +692,11 @@ def _skellam_masses(
 
     def rounding() -> float:
         n = np.abs(d)
-        ell = _miller_block(z, _miller_start(z, n_hi))
+        ell = _miller_block(z, n_hi + 1)
+        seed_at = -(-n_hi // ell) * ell + 1    # N + 1
         size = abs(ln_p0) + np.abs(_bessel_ln_ratios(z, n_hi)[n]) + h * n
-        damped = np.where(n > 0, 2.0 / -np.expm1(-2.0 * np.arcsinh(np.maximum(n, 1) / z)), 0.0)
+        ash = 2.0 * np.arcsinh(np.maximum(n, 1) / z)
+        damped = np.where(n > 0, 2.0 / -np.expm1(-ash) + 6.5 * np.exp((n - seed_at) * ash), 0.0)
         per_mass = (-(-n // ell) + 3.0) * size + 4.0 * (n + ell + 2.0) + damped
         return 2.0**-52 * float(np.sum(mass * per_mass))
 

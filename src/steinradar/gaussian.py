@@ -114,7 +114,8 @@ class RelEntStats:
 
     d: relative entropy (nats); v: relative entropy variance (nats^2);
     t: third absolute central moment of the log-likelihood ratio (nats^3),
-    absent until computed by the displaced-Fock machinery.  Each must be finite, >= 0.
+    absent until computed by the displaced-Fock machinery.  Each must be finite, >= 0,
+    and is stored as a Python float, so numpy scalars go no further.
     """
 
     d: float
@@ -126,6 +127,10 @@ class RelEntStats:
             raise ValueError("d and v must be finite and >= 0")
         if not (self.t is None or 0.0 <= self.t < math.inf):
             raise ValueError("t must be None or finite and >= 0")
+        if not (type(self.d) is type(self.v) is float and type(self.t) in (float, type(None))):
+            for name in ("d", "v", "t"):
+                if (value := getattr(self, name)) is not None:
+                    object.__setattr__(self, name, float(value))
 
     def with_t(self, t: float) -> "RelEntStats":
         return RelEntStats(d=self.d, v=self.v, t=t)

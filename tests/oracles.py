@@ -322,8 +322,10 @@ def heterodyne_log_pmd_loop(gamma: float, p_fa: float) -> float:
 
 def skellam_ln_tail_miller(m1: float, m2: float, first: int) -> float:
     """displaced._skellam_ln_tail as it ran before its Perron seed: the same
-    edge, retry and sum, with the ratios from _bessel_ln_ratios, Miller's
-    recurrence started near sqrt(50 z) (CapExceeded past K_MAX_CAP)."""
+    edge, retry and sum, with the ratios from Miller's recurrence, a scalar
+    loop from a zero ratio at the least N whose asinh(n / z) from n_hi + 1
+    sum to 25 or more (near sqrt(n_hi^2 + 50 z) for n_hi << z), so that the
+    start's error is damped by about e^-50 by n_hi."""
     import numpy as np
 
     from steinradar import displaced as dm
@@ -334,7 +336,16 @@ def skellam_ln_tail_miller(m1: float, m2: float, first: int) -> float:
     peak = max(first, z * math.sinh(ln_rho))
     n_hi = dm._asinh_edge(z, peak, -ln_rho, -dm._LN_TAIL_TOL)
     while True:
-        ln_t = dm._bessel_ln_ratios(z, n_hi)[first:]
+        n_start, damp = n_hi, 0.0
+        while damp < 25.0:
+            n_start += 1
+            damp += math.asinh(n_start / z)
+        rho, r = [1.0] * (n_hi + 1), 0.0
+        for n in range(n_start, 0, -1):
+            r = z / (2.0 * n + z * r)
+            if n <= n_hi:
+                rho[n] = r
+        ln_t = np.cumsum(np.log(rho))[first:]
         ln_t += ln_rho * np.arange(first, n_hi + 1)
         ln_s = log(dm._sum(np.exp(ln_t)))
         ln_q = ln_t[-1] - ln_t[-2]

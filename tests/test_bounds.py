@@ -235,6 +235,21 @@ class TestRefinedBracket:
             with pytest.raises(ValueError, match="beyond the float range"):
                 refined_bracket(stats, params)
 
+    def test_numpy_moments_give_python_types(self):
+        # nb=600, -15 dB, with every moment passed as np.float64: the flags
+        # are bool and every number a Python float, as MDBounds documents
+        closed = thermal_closed_forms(ThermalScenario(nb=600.0, eta=1.0,
+                                                      ns=600.0 * 10.0 ** -1.5))
+        t = third_moment(ThermalScenario(nb=600.0, eta=1.0, ns=600.0 * 10.0 ** -1.5)).t
+        stats = RelEntStats(d=np.float64(closed.d), v=np.float64(closed.v), t=np.float64(t))
+        assert all(type(x) is float for x in (stats.d, stats.v, stats.t))
+        bounds = refined_bracket(stats, FIG1)
+        assert type(bounds.refined_upper_valid) is bool
+        assert type(bounds.refined_lower_valid) is bool
+        for x in (bounds.log_first_order, bounds.log_lambda_upper, bounds.log_lambda_lower,
+                  bounds.theta_u, bounds.theta_l, bounds.log_refined_lower):
+            assert type(x) is float
+
     def test_missing_t(self):
         with pytest.raises(ValueError):
             refined_bracket(RelEntStats(d=1.0, v=1.0), FIG1)

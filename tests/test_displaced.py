@@ -3,6 +3,7 @@ Laguerre-sum spectral oracle it is checked against."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from math import exp, factorial, log, sqrt
@@ -462,6 +463,20 @@ class TestSkellamRoute:
         # window [-5175750, -4824250]: past K_MAX_CAP, refused before any sum
         with pytest.raises(CapExceeded):
             third_moment(ThermalScenario(nb=50.0, eta=1.0, ns=50e5))
+
+    def test_index_cap(self):
+        # the Bessel chain runs from the window's edge farthest from 0, so a
+        # window past K_MAX_CAP is refused however narrow: 7,168 wide at
+        # nb=1e-6, 111,155 at nb=50
+        for nb, x, window in ((1e-6, 2.1e5, "[-213594, -206427]"),
+                              (50.0, 5e5, "[-555577, -444423]")):
+            with pytest.raises(CapExceeded, match=re.escape(f"support window {window}")):
+                third_moment(ThermalScenario(nb=nb, eta=1.0, ns=x))
+        # windows within it return, among them [-185708, -14292] at nb=600,
+        # whose Miller start (201,228) once passed K_MAX_CAP
+        for nb, x in ((1e-6, 1.9e5), (600.0, 1e5)):
+            res = third_moment(ThermalScenario(nb=nb, eta=1.0, ns=x))
+            assert math.isfinite(res.t) and abs(res.captured_mass - 1.0) < 1e-9
 
     def test_runtime_imports_numpy_only(self):
         code = (

@@ -41,7 +41,6 @@ from steinradar.displaced import (
     K_MAX_CAP,
     _bessel_ln_ratios,
     _miller_block,
-    _miller_start,
     _perron_bracket,
     _skellam_masses,
     _skellam_window,
@@ -146,42 +145,51 @@ def test_tail_edge_matches_bisection(nb, x, tail_tol):
     assert _skellam_window(nb, x, TruncationPolicy(tail_tol=tail_tol)).tail_mass <= tail_tol / 2.0
 
 
-def _ln_ratio_bound(z: float, ln_ratio: np.ndarray, ell: int) -> np.ndarray:
+def _ln_ratio_bound(z: float, ln_ratio: np.ndarray, ell: int, c: float = 6.5) -> np.ndarray:
     """The rounding bound _bessel_ln_ratios states, at block length ell:
     eps (k_n |L_n| + 4 (n + ell) + D_n), k_n = ceil(n / ell) + 1,
-    D_n = 2 / (1 - exp(-2 asinh(n / z))), and L_0 = 0 exactly."""
+    D_n = 2 / (1 - exp(-2 asinh(n / z))) + c exp(-2 (N + 1 - n) asinh(n / z)),
+    N = ceil(n_hi / ell) ell, and L_0 = 0 exactly.  c = 0 for a Miller run
+    started where its start's error is damped far below eps."""
     n = np.arange(len(ln_ratio), dtype=np.float64)
-    damped = 2.0 / -np.expm1(-2.0 * np.arcsinh(np.maximum(n, 1.0) / z))
+    top = -(-(len(ln_ratio) - 1) // ell) * ell
+    ash = 2.0 * np.arcsinh(np.maximum(n, 1.0) / z)
+    damped = 2.0 / -np.expm1(-ash) + c * np.exp(-(top + 1 - n) * ash)
     bound = 2.0**-52 * ((np.ceil(n / ell) + 1.0) * np.abs(ln_ratio) + 4.0 * (n + ell) + damped)
     bound[0] = 0.0
     return bound
 
 
 # z over 1e-8..1e7 and recurrences up to ~1e5 steps, on both sides of the
-# switch; the example is nb=1e-6, x=1e5, where 2N/z ~ 1e3 caps the block
-# length (85, against sqrt(N/8) = 113) so that the blocks stay finite.
+# switch; the examples are nb=1e-6, x=1e5, where 2N/z ~ 1e3 caps the block
+# length (85, against sqrt(N/8) = 113) so that the blocks stay finite, and
+# a z far above the chain, where every ratio is near 1.
 @settings(max_examples=40, deadline=None)
 @given(z=st.floats(-8.0, 7.0).map(lambda e: 10.0**e),
        n_hi=st.integers(1, 400) | st.integers(1, 40_000))
 @example(z=200.000099999975, n_hi=102_483)
+@example(z=1e12, n_hi=40_000)
 def test_blocked_bessel_ln_ratios_match_scalar_loop(z, n_hi):
-    n_start = _miller_start(z, n_hi)
-    assume(n_start <= 120_000)
     with mock.patch.object(displaced_mod, "_BLOCKED_FROM", 0):
-        ell = _miller_block(z, n_start)
+        ell = _miller_block(z, n_hi + 1)
         blocked = _bessel_ln_ratios(z, n_hi)
     with mock.patch.object(displaced_mod, "_BLOCKED_FROM", K_MAX_CAP + 1):
         loop = _bessel_ln_ratios(z, n_hi)
     got = _bessel_ln_ratios(z, n_hi)
-    assert np.array_equal(got, blocked if n_start >= _BLOCKED_FROM else loop)
+    assert np.array_equal(got, blocked if n_hi + 1 >= _BLOCKED_FROM else loop)
     assert np.all(np.isfinite(blocked)) and np.all(np.isfinite(loop))
     bound = _ln_ratio_bound(z, loop, ell) + _ln_ratio_bound(z, loop, 1)
     assert np.all(np.abs(blocked - loop) <= bound)
 
 
-def _full_store_ln_ratios(z: float, n_hi: int, n_start: int) -> np.ndarray:
-    """The scalar Miller loop storing every ratio down from n_start, as
-    _bessel_ln_ratios first ran it."""
+def _full_store_ln_ratios(z: float, n_hi: int) -> np.ndarray:
+    """ln(I_n / I_0), n = 0..n_hi, by the scalar Miller loop from a zero
+    ratio at the least N whose ratios above n_hi damp that start's error by
+    e^-80 or more, storing every ratio down from N."""
+    n_start, damp = n_hi, 0.0
+    while damp < 40.0:
+        n_start += 1
+        damp += math.asinh(n_start / z)
     rho = np.empty(n_start + 1)
     rho[0] = 1.0
     r = 0.0
@@ -191,14 +199,16 @@ def _full_store_ln_ratios(z: float, n_hi: int, n_start: int) -> np.ndarray:
     return np.cumsum(np.log(rho[: n_hi + 1]))
 
 
+# z over 1e-8..4e3 and chains on the scalar side of the switch; the example
+# is the low-background grid's largest heterodyne z with a short chain.
 @settings(max_examples=200, deadline=None)
 @given(z=st.floats(-8.0, 3.6).map(lambda e: 10.0**e), n_hi=st.integers(1, 500))
 @example(z=3717.0, n_hi=10)
 def test_scalar_bessel_ln_ratios_match_full_store_loop(z, n_hi):
-    n_start = _miller_start(z, n_hi)
-    assume(n_start < _BLOCKED_FROM)
+    assume(n_hi + 1 < _BLOCKED_FROM)
     got = _bessel_ln_ratios(z, n_hi)
-    assert got.tobytes() == _full_store_ln_ratios(z, n_hi, n_start).tobytes()
+    want = _full_store_ln_ratios(z, n_hi)
+    assert np.all(np.abs(got - want) <= _ln_ratio_bound(z, want, 1) + _ln_ratio_bound(z, want, 1, c=0.0))
 
 
 # nu and z over the whole range _perron_bracket admits; the examples are
@@ -343,8 +353,8 @@ def test_bound_exponents_monotone_in_snr(nb, m, p_fa, db1, db2, above):
         assert up1 > up2 and low1 > low2
 
 
-# Up to gamma ~ 1e9, and on to 1e16, near the heterodyne route's cap, where
-# its Bessel recurrence starts near sqrt(50 z), z = 2 sqrt(gamma b) ~ 5e8.
+# Up to gamma ~ 1e9, and on to 1e16, where z = 2 sqrt(gamma b) ~ 5e8 lies
+# far above the heterodyne's short Perron-seeded Bessel chain.
 snrs = st.floats(0.0, 1e9) | st.floats(5e8, 1e9) | st.floats(1e9, 1e16)
 
 
@@ -478,10 +488,9 @@ def _floats_or_specials(lo, hi):
     return st.floats(lo, hi) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
 
 
-# SNR draws span -100..3100 dB: the heterodyne route takes at most about
-# 0.5 ms a row and raises CapExceeded past gamma ~ 2e16, and past the float
-# range the config rejects the grid at once.  The worker count is pinned to 1, never
-# drawn.
+# SNR draws span -100..3100 dB: the heterodyne route takes a few us a row
+# at any finite gamma, and past the float range the config rejects the grid
+# at once.  The worker count is pinned to 1, never drawn.
 @settings(max_examples=60, deadline=None)
 @given(
     nb=_floats_or_specials(-1e3, 1e4) | st.floats(1e-320, 1e308),
@@ -493,7 +502,8 @@ def _floats_or_specials(lo, hi):
 )
 # 2 nb overflows: V must stay finite, so that T's CapExceeded ends the row (exit 3)
 @example(nb=1e308, snr_lo=-20.0, snr_hi=-10.0, points=2, tail_tol=1e-10, convention=PER_COPY)
-# the heterodyne a b passes the float range: its CapExceeded ends the row (exit 3)
+# the heterodyne a b passes the float range, but z and ln P(0) take no
+# product a b, so the table is finite (exit 0)
 @example(nb=1e-306, snr_lo=3075.0, snr_hi=3076.0, points=2, tail_tol=1e-10, convention=PER_COPY)
 def test_main_exit_code_contract(nb, snr_lo, snr_hi, points, tail_tol, convention):
     argv = [f"--nb={nb!r}", f"--snr-db-min={snr_lo!r}", f"--snr-db-max={snr_hi!r}",

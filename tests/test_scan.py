@@ -153,9 +153,10 @@ class TestRunScan:
 
 
 class TestPartialFailure:
-    # above 30 dB the certified support window of k - l is wider than
-    # K_MAX_CAP at nb=50; 40 dB is grid index 3, so at two workers it fails
-    # in the forked child's share and its exception crosses the pipe
+    # from 40 dB the certified support window of k - l reaches past
+    # K_MAX_CAP at nb=50 (|d| up to 555,577 at 40 dB); 40 dB is grid index
+    # 3, so at two workers it fails in the forked child's share and its
+    # exception crosses the pipe
     FAILING = dict(nb=50.0, m=100, points=5, snr_db_min=10.0, snr_db_max=50.0,
                    tail_tol=1e-8)
 
