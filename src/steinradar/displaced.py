@@ -14,11 +14,14 @@ seeded at its top by one ratio that Perron's continued fraction brackets to
 an ulp in a few dozen levels: short recurrences run as a scalar loop, long
 ones in vectorised blocks stitched at their edges.  _skellam_ln_tail sums
 the law's log tails from the same chain, for marcum's heterodyne benchmark.
-The support window is certified by a
-Chernoff bound that covers the cubic-weighted tail, so the cost is linear in
-the window width.  Its sums and both routes' captured-mass sums go through
-_sum, a vectorised summation by error-free extraction, within an ulp of
-math.fsum.
+The masses cover a support window certified by a Chernoff bound, so the
+cost is linear in its width.  T comes from a Poisson Stein identity, which
+needs the cdf at the mean and three masses next to it: so third_moment sums
+the masses alone, in two parts either side of the mean, and never forms
+cubic weights.  The window's bound still covers the cubic-weighted tail,
+because spectral_oracle sums cubic weights over the same window.  Both
+routes' mass sums go through _sum, a vectorised summation by error-free
+extraction, within an ulp of math.fsum.
 
 spectral_oracle is the independent cross-check: it sums D, V and T from the
 transition probabilities themselves, and adds them with math.fsum rather
@@ -282,19 +285,19 @@ class ThirdMomentResult(NamedTuple):
     captured_mass: float
 
 
-def _captured_mass(mass: np.ndarray, nb: float, x: float, tail_tol: float,
+def _captured_mass(captured: float, nb: float, x: float, tail_tol: float,
                    rounding: Callable[[], float]) -> float:
-    """Sum of the masses; ConsistencyError if it falls below 1 - 10*tail_tol
-    or passes 1.
+    """`captured`, the sum of the masses, once checked: ConsistencyError if
+    it falls below 1 - 10*tail_tol or passes 1.
 
-    The sum is _sum's, within one ulp of the correctly rounded one.
+    The callers sum by _sum, each part within one ulp of the correctly
+    rounded one.
     `rounding`, called only when the sum falls short or passes 1, bounds the
     error the masses carry from their own evaluation.  A shortfall within it
     is not a deficit; truncation only ever drops mass, so an excess beyond
     it is a bug, such as masses counted twice.  Both routes' allowances are
     at least 8 eps of the mass, so a smaller excess never calls `rounding`.
     """
-    captured = _sum(mass)
     floor = 1.0 - 10.0 * tail_tol
     if captured < floor or captured - 1.0 > 8.0 * 2.0**-52:
         bound = floor if captured < floor else 1.0
@@ -394,8 +397,9 @@ def _skellam_window(nb: float, x: float, policy: TruncationPolicy) -> _SkellamWi
     Each side is _tail_edge's at the one tolerance tail_tol/4: it drops at
     most tail_tol/4 of the mass and at most tail_tol/4 * sigma^3 of the
     cubic weight, sigma^2 = x (2 nb + 1) being the variance of d.  Since
-    E|d - mean|^3 >= sigma^3 (Lyapunov), the truncated T is low by at most
-    tail_tol/2 relative.  The mass condition binds only within sigma of the
+    E|d - mean|^3 >= sigma^3 (Lyapunov), a T summed by cubic weights over
+    it, as spectral_oracle's, is low by at most tail_tol/2 relative;
+    third_moment's identity needs the mass bound alone.  The mass condition binds only within sigma of the
     mean, as at a tiny x nb: nb = 1e-20, x = 0.2, tail_tol = 0.49 keeps
     hi = 0, where the cubic one alone would drop mass 0.82.  CapExceeded if
     the variance reaches K_MAX_CAP^2, where one sigma alone passes K_MAX_CAP;
@@ -651,9 +655,14 @@ def _skellam_masses(
     backward recurrence; ln P(0), written in place, takes e^-z I_0(z)
     and z - mu1 - mu2 = -x^2 / (sqrt(mu1) + sqrt(mu2))^2, free of cancellation.
     The masses are not renormalised, so their sum is a real diagnostic.
-    Returns (d, mass, rounding) for d in [lo, hi].  CapExceeded if the
-    window reaches past K_MAX_CAP or is K_MAX_CAP wide, which also bounds
-    the recurrence, as it runs from the window's edge farthest from 0.
+    Returns (d, mass, rounding) for d in [lo, hi]: the certified window,
+    widened to hold d = -ceil(x) .. 2 - ceil(x), the three masses next to
+    the mean -x that third_moment reads.  Only a tail_tol near 1 needs
+    that: at nb = x = 2^-9 and tail_tol = 0.49 the window is [-2, 0].
+    It widens by at most 2, as _tail_edge keeps hi >= floor(-x) and
+    lo <= -floor(x).  CapExceeded if [lo, hi] reaches past
+    K_MAX_CAP or is K_MAX_CAP wide, which also bounds the recurrence, as it
+    runs from the edge farthest from 0.
 
     rounding() bounds the rounding error of the sum of the masses.  Here
     ln mass_d = ln P(0) + L_|d| - h d, with L_n = ln(I_n / I_0) and
@@ -676,15 +685,16 @@ def _skellam_masses(
     m1, m2 = x * nb, x * (nb + 1.0)
     win = _skellam_window(nb, x, policy)
     z = 2.0 * math.sqrt(m1 * m2)
-    n_hi = max(-win.lo, win.hi, 1)
-    if n_hi > K_MAX_CAP or win.hi - win.lo >= K_MAX_CAP:
-        raise CapExceeded(f"support window [{win.lo}, {win.hi}] exceeds K_MAX_CAP={K_MAX_CAP} "
+    lo, hi = min(win.lo, -math.ceil(x)), max(win.hi, 2 - math.ceil(x))
+    n_hi = max(-lo, hi)                        # >= ceil(x) >= 1
+    if n_hi > K_MAX_CAP or hi - lo >= K_MAX_CAP:
+        raise CapExceeded(f"support window [{lo}, {hi}] exceeds K_MAX_CAP={K_MAX_CAP} "
                           f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})")
 
     ln_ratio = _bessel_ln_ratios(z, n_hi)
     ln_p0 = log(_bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
     h = 0.5 * log1p(1.0 / nb)
-    d = np.arange(win.lo, win.hi + 1)
+    d = np.arange(lo, hi + 1)
     mass = ln_ratio[np.abs(d)]                 # exp(ln_p0 + L_|d| - h d), in place
     mass += ln_p0
     mass -= h * d
@@ -708,29 +718,55 @@ def third_moment(
 ) -> ThirdMomentResult:
     """Third absolute moment T = sum p(k,l) |(k-l+x) ln(nb/(nb+1))|^3.
 
-    x = eta*ns is the displaced mean photon number.  T is summed over the
-    Skellam law of d = k - l on a window whose dropped share of T is
-    certified below tail_tol/2, and divided by the mass captured there, so
-    the masses' common rounding cancels.  The result is T (1 - dT) / (1 - dm)
-    for the dropped shares dT of T and dm of the mass, each in
-    [0, tail_tol/2], so the truncation error is two-sided: within
-    +-tail_tol/2 to first order.  Both sums over the window go through
-    _sum, which adds at most one ulp.  The captured probability mass
-    (unnormalised) is returned alongside; below 1 - 10*tail_tol, or above
-    1, by more than the rounding the masses carry (as _skellam_masses
-    bounds it), the sum is considered buggy and ConsistencyError is raised.
+    x = eta*ns is the displaced mean photon number.  T = ln(1 + 1/nb)^3
+    E|W|^3 with W = e - x, where e = l - k = -d is the difference
+    N_a - N_b of independent Poissons of means mu_a = x (nb+1) and
+    mu_b = x nb.  With c = ceil(x) - 1, W < 0 exactly where e <= c, and
+    E[W^3] = mu_a - mu_b = x, so E|W|^3 = x - 2 E[W^3; e <= c].  The
+    Poisson Stein identities E[N_a f(e)] = mu_a E[f(e+1)] and
+    E[N_b f(e)] = mu_b E[f(e-1)] (Chen, Ann. Probab. 3:534, 1975) reduce
+    that partial moment to the pmf p and cdf F of e:
+
+        E|W|^3 = x (1 - 2 F(c)) + 2 [2 mu_a^2 p(c-1) + 4 mu_a mu_b p(c)
+                 + 2 mu_b^2 p(c+1) + (c - x)^2 (mu_a p(c) + mu_b p(c+1))
+                 + mu_a p(c)].
+
+    The bracket's terms are all positive, and the one difference,
+    x (1 - 2 F(c)), is at most x <= E|W|^3 in size (|W|^3 >= W^3).  p and F
+    are the Skellam masses of _skellam_masses divided by the mass they
+    capture, which is the sum of the two _sums either side of d = -c; the
+    two parts give F(c) and 1 - F(c).
+
+    Truncation: the window drops mass dl below it and dh above it, each at
+    most tail_tol/4 by its certificate.  With exact masses the identity
+    then returns T (1 + (dl (1 - r) + dh (1 + r)) / (1 - dl - dh)),
+    r = x / E|W|^3 in (0, 1], so T is never low, and high by at most
+    tail_tol / (2 - tail_tol) relative.  Rounding, eps = 2^-52: with a the
+    largest relative error bound of the three masses and R = rounding() /
+    captured, their mass-weighted mean (both as _skellam_masses derives
+    them), T is within 2 (a + R) + 16 eps of that, relative.  An error up
+    to a moves the bracket, one up to R the captured mass, and one up to
+    R x <= R E|W|^3 the difference; the sums, which are within an ulp,
+    the products of positive terms and ln(1 + 1/nb)^3 add a few eps.  The
+    captured probability mass (unnormalised) is returned alongside; below
+    1 - 10*tail_tol, or above 1, by more than the rounding the masses carry,
+    the sum is considered buggy and ConsistencyError is raised.
     """
     x = s.eta * s.ns
     if x == 0.0:
         return ThirdMomentResult(0.0, 1.0)
-    d, mass, rounding = _skellam_masses(s.nb, x, policy)
-    captured = _captured_mass(mass, s.nb, x, policy.tail_tol, rounding)
-    cubic = np.add(d, x)                       # mass |(d + x) lt|^3, in place
-    cubic *= log1p(1.0 / s.nb)
-    np.abs(cubic, out=cubic)
-    np.power(cubic, 3, out=cubic)
-    cubic *= mass
-    return ThirdMomentResult(_sum(cubic) / captured, captured)
+    nb = s.nb
+    d, mass, rounding = _skellam_masses(nb, x, policy)
+    c = math.ceil(x) - 1
+    i = -c - int(d[0])                         # mass[i] is at d = -c, that is e = c
+    above, upto = _sum(mass[:i]), _sum(mass[i:])   # 1 - F(c) and F(c), times the mass
+    captured = _captured_mass(above + upto, nb, x, policy.tail_tol, rounding)
+    p_up, p_c, p_down = mass[i - 1 : i + 2].tolist()   # p(c+1), p(c), p(c-1), times the mass
+    mu_a, mu_b, w = x * (nb + 1.0), x * nb, (c - x) ** 2
+    bracket = (2.0 * mu_a * mu_a * p_down + mu_a * p_c * (4.0 * mu_b + w + 1.0)
+               + mu_b * p_up * (2.0 * mu_b + w))
+    ew3 = (x * (above - upto) + 2.0 * bracket) / captured
+    return ThirdMomentResult(log1p(1.0 / nb) ** 3 * ew3, captured)
 
 
 def spectral_oracle(
@@ -748,7 +784,7 @@ def spectral_oracle(
     if x == 0.0:
         return RelEntStats(d=0.0, v=0.0, t=0.0)
     d, mass, rounding = _difference_masses(s.nb, x, policy)
-    _captured_mass(mass, s.nb, x, policy.tail_tol, rounding)
+    _captured_mass(_sum(mass), s.nb, x, policy.tail_tol, rounding)
     llr = -d * log1p(1.0 / s.nb)
     d1 = math.fsum((mass * llr).tolist())
     centered = llr - d1

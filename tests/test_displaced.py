@@ -174,8 +174,10 @@ class TestThirdMoment:
         assert res.t == 0.0 and res.captured_mass == 1.0
 
     def test_against_brute_force_oracle(self):
+        # the Stein identity reads 3.1e-16 off here, the cubic-weighted sum it
+        # replaced 3.5e-13, low by the window's dropped cubic tail
         res = third_moment(ThermalScenario(nb=1.0, eta=1.0, ns=1.0))
-        assert res.t == pytest.approx(T_ORACLE_NB1_X1, rel=1e-8)
+        assert res.t == pytest.approx(T_ORACLE_NB1_X1, rel=2e-15)
         assert res.captured_mass >= 1.0 - 1e-10
 
     def test_second_moment_identity(self):
@@ -384,14 +386,16 @@ class TestSkellamRoute:
     def test_small_nb_against_frozen_oracle(self):
         # nb=1.5e-4 at 85 dB: the masses' exponent is built from parts of
         # ~2e5, whose rounding (not the truncation: the oracle sums the same
-        # window) T's division by the captured mass cancels to 4.4e-12
+        # window) T's division by the captured mass cancels to 9.6e-12; the
+        # identity reads three masses at the mode, where the error is not
+        # the window's mean (the cubic-weighted sum read -4.4e-12)
         s = ThermalScenario(nb=1.5e-4, eta=1.0, ns=1.5e-4 * 10.0 ** (85.0 / 10.0))
         assert third_moment(s).t == pytest.approx(T_ORACLE_NB1P5E4_85DB, rel=1e-11)
 
     def test_mass_rounding_cancels_in_t(self):
         # here the masses sum to 1 + 8.1e-10 from rounding alone, which an
         # unnormalised T carried (7.8e-10 off); T over its captured mass is
-        # 2.8e-11 off, within the window's +-tail_tol/2
+        # 1.6e-11 off (the cubic-weighted sum: 2.8e-11)
         nb = 0.001708622281030649
         res = third_moment(ThermalScenario(nb=nb, eta=1.0, ns=nb * 10.0 ** (80.35 / 10.0)))
         assert res.captured_mass > 1.0 + 5e-10
@@ -432,16 +436,18 @@ class TestSkellamRoute:
 
     def test_sum_equals_fsum_on_default_grid(self):
         # every window the default scan sums (2,361 to 23,612 wide, all past
-        # the fsum switch): the masses and the T terms alike
+        # the fsum switch): the masses whole and in the two parts T sums
+        # either side of d = -c, and the cubic weights spectral_oracle sums
         nb = 600.0
         lt = math.log1p(1.0 / nb)
         for snr_db in np.linspace(-15.0, 5.0, 200):
             x = 10.0 ** (snr_db / 10.0) * nb
             d, mass, _ = _skellam_masses(nb, x, TruncationPolicy())
             assert len(mass) >= displaced_mod._FSUM_BELOW
+            i = -(math.ceil(x) - 1) - int(d[0])
             cubic = mass * np.abs((d + x) * lt) ** 3
-            assert _sum(mass) == math.fsum(mass)
-            assert _sum(cubic) == math.fsum(cubic)
+            for part in (mass, mass[:i], mass[i:], cubic):
+                assert _sum(part) == math.fsum(part)
 
     def test_bits_frozen_on_scan_grids(self):
         # the default scan's grid, nb=600, and every 20th point of nb=0.1,

@@ -1,6 +1,7 @@
 """Hypothesis properties: the Skellam law against the closed forms, the
-Lyapunov bound on T, the window certificate against the dropped tails, the
-window edges against a search by bisection, the blocked Bessel-ratio recurrence against the scalar loop, the window
+Lyapunov bound on T, T by the Stein identity against mpmath, the window
+certificate against the dropped tails, the window edges against a search by
+bisection, the blocked Bessel-ratio recurrence against the scalar loop, the window
 summation against math.fsum, the monotonicity in SNR of the bound exponents
 and of the heterodyne exponent, the heterodyne exponent's sign, the general
 N-mode D and V against the thermal closed forms, and the CLI exit-code
@@ -50,7 +51,7 @@ from steinradar.displaced import (
 from steinradar.marcum import _cdf
 from steinradar.scan import PER_COPY, TOTAL, main
 
-from oracles import bessel_ratio_mp, tail_edge_bisect
+from oracles import bessel_ratio_mp, recompute_t_skellam, tail_edge_bisect
 
 # Skellam windows stay far inside K_MAX_CAP here, so an example costs ms.
 nbs = st.floats(1e-2, 1e3)
@@ -76,6 +77,38 @@ def test_skellam_mean_and_variance_reproduce_d_and_v(nb, gamma):
 def test_lyapunov(nb, gamma):
     s = ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)
     assert third_moment(s).t >= thermal_closed_forms(s).v ** 1.5
+
+
+# nb and x log-uniform in [1e-4, 1e3], so the mpmath sum stays under 10^5
+# terms; tail_tol log-uniform in [2^-52, 0.49].
+@settings(max_examples=40, deadline=None)
+@given(nb=st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
+       x=st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
+       tail_tol=st.floats(-52.0, math.log2(0.49)).map(lambda e: 2.0**e))
+# the window [-2, 0] misses d = +1, one of the identity's masses
+@example(nb=2.0**-9, x=2.0**-9, tail_tol=0.49)
+def test_stein_identity_within_derived_bound(nb, x, tail_tol):
+    # T by the Stein identity against an mpmath sum over the window at
+    # tail_tol = 4e-16, divided by its mass: never low past the rounding,
+    # never high past the truncation bound tail_tol / (2 - tail_tol) and the
+    # rounding, both as third_moment derives them
+    policy = TruncationPolicy(tail_tol=tail_tol)
+    res = third_moment(ThermalScenario(nb=nb, eta=1.0, ns=x), policy)
+    wide = _skellam_window(nb, x, TruncationPolicy(tail_tol=4e-16))
+    t_ref, m_ref = recompute_t_skellam(nb, x, wide.lo, wide.hi)
+    ref = t_ref / m_ref
+
+    d, mass, rounding = _skellam_masses(nb, x, policy)
+    r_mean = rounding() / res.captured_mass
+    i = -(math.ceil(x) - 1) - int(d[0])            # mass[i] is at d = -c
+    near = mass[i - 1 : i + 2].copy()
+    mass[:] = 0.0       # rounding() weights each mass's bound by the mass it reads
+    mass[i - 1 : i + 2] = near
+    a_near = rounding() / near.min()
+    # + the reference's own truncation (2e-16) and conversion to a float
+    slack = 2.0 * (a_near + r_mean) + 16.0 * 2.0**-52 + 4e-16
+    assert ref * (1.0 - slack) <= res.t
+    assert res.t <= ref * (1.0 + tail_tol / (2.0 - tail_tol)) * (1.0 + slack)
 
 
 # Terms of each dropped tail summed one by one; a geometric series bounds the rest.
@@ -505,6 +538,8 @@ def _floats_or_specials(lo, hi):
 # the heterodyne a b passes the float range, but z and ln P(0) take no
 # product a b, so the table is finite (exit 0)
 @example(nb=1e-306, snr_lo=3075.0, snr_hi=3076.0, points=2, tail_tol=1e-10, convention=PER_COPY)
+# T's window [-2, 0] misses d = +1, a mass its Stein identity reads (exit 0)
+@example(nb=2.0**-9, snr_lo=0.0, snr_hi=1.0, points=2, tail_tol=0.49, convention=PER_COPY)
 def test_main_exit_code_contract(nb, snr_lo, snr_hi, points, tail_tol, convention):
     argv = [f"--nb={nb!r}", f"--snr-db-min={snr_lo!r}", f"--snr-db-max={snr_hi!r}",
             f"--points={points}", f"--tail-tol={tail_tol!r}",
