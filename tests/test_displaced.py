@@ -174,8 +174,7 @@ class TestThirdMoment:
         assert res.t == 0.0 and res.captured_mass == 1.0
 
     def test_against_brute_force_oracle(self):
-        # the Stein identity reads 3.1e-16 off here, the cubic-weighted sum it
-        # replaced 3.5e-13, low by the window's dropped cubic tail
+        # the Stein identity reads 3.1e-16 off here
         res = third_moment(ThermalScenario(nb=1.0, eta=1.0, ns=1.0))
         assert res.t == pytest.approx(T_ORACLE_NB1_X1, rel=2e-15)
         assert res.captured_mass >= 1.0 - 1e-10
@@ -387,15 +386,15 @@ class TestSkellamRoute:
         # nb=1.5e-4 at 85 dB: the masses' exponent is built from parts of
         # ~2e5, whose rounding (not the truncation: the oracle sums the same
         # window) T's division by the captured mass cancels to 9.6e-12; the
-        # identity reads three masses at the mode, where the error is not
-        # the window's mean (the cubic-weighted sum read -4.4e-12)
+        # identity reads three masses at the mode, whose error is not the
+        # window's mass-weighted mean
         s = ThermalScenario(nb=1.5e-4, eta=1.0, ns=1.5e-4 * 10.0 ** (85.0 / 10.0))
         assert third_moment(s).t == pytest.approx(T_ORACLE_NB1P5E4_85DB, rel=1e-11)
 
     def test_mass_rounding_cancels_in_t(self):
         # here the masses sum to 1 + 8.1e-10 from rounding alone, which an
         # unnormalised T carried (7.8e-10 off); T over its captured mass is
-        # 1.6e-11 off (the cubic-weighted sum: 2.8e-11)
+        # 1.6e-11 off
         nb = 0.001708622281030649
         res = third_moment(ThermalScenario(nb=nb, eta=1.0, ns=nb * 10.0 ** (80.35 / 10.0)))
         assert res.captured_mass > 1.0 + 5e-10
