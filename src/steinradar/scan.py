@@ -251,20 +251,28 @@ def run_scan(config: ScanConfig) -> list[ScanRow]:
     return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return f"{value:.12g}"
+# One %-template per CSV row, by which refined sides are blank: "%.0s"
+# takes a blank side's None and prints nothing; every number takes "%.12g",
+# and the two flags, which follow the sides, "true" or "false".
+_CSV_ROW = {
+    (upper, lower): ",".join({"eps_refined_upper": "%.12g" if upper else "%.0s",
+                              "eps_refined_lower": "%.12g" if lower else "%.0s",
+                              "upper_valid": "%s", "lower_valid": "%s"}.get(name, "%.12g")
+                             for name in ScanRow._fields)
+    for upper in (True, False) for lower in (True, False)
+}
+_CSV_FLAG = ("false", "true")
+_FLAGS_AT = ScanRow._fields.index("upper_valid")
 
 
 def emit(rows: list[ScanRow], config: ScanConfig, meta: bool = False) -> bytes:
     """Serialize rows per config.output_format.
 
     CSV: exact header naming every row field in order, floats with 12
-    significant digits, LF line endings, invalid bound sides as empty
-    fields; `meta` prepends the defining config as '# ' comment lines.
+    significant digits ("%.12g"), the validity flags as true or false, LF
+    line endings, invalid bound sides as empty fields; each row is one
+    %-template from _CSV_ROW, chosen by which sides are blank.  `meta`
+    prepends the defining config as '# ' comment lines.
     JSON: an object {"config": ..., "rows": [...]} with booleans for the
     validity flags and null for invalid sides.
     """
@@ -278,7 +286,10 @@ def emit(rows: list[ScanRow], config: ScanConfig, meta: bool = False) -> bytes:
     if meta:
         lines.extend(f"# {name} = {value!r}" for name, value in cfg.items())
     lines.append(",".join(ScanRow._fields))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    lines.extend(_CSV_ROW[row.eps_refined_upper is not None, row.eps_refined_lower is not None]
+                 % (row[:_FLAGS_AT] + (_CSV_FLAG[row.upper_valid], _CSV_FLAG[row.lower_valid])
+                    + row[_FLAGS_AT + 2:])
+                 for row in rows)
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -433,6 +433,32 @@ class TestSkellamRoute:
                     walked_up += any(b > a for a, b in zip(tried, tried[1:]))
         assert walked_up >= 12
 
+    def test_tail_edge_evaluation_budget(self, monkeypatch):
+        # both edges of every window on the low-background grid (nb = 0.1,
+        # -10..20 dB, 1,000 points) and the default grid (nb = 600, -15..5 dB,
+        # 200 points): an edge takes at most 3.5 Chernoff evaluations on
+        # average, against 4.75 and 4.0 when Newton ran from the Gaussian edge
+        # to convergence, and is still the least qualifying a
+        chernoff = displaced_mod._chernoff_ln_tail
+        calls = []
+        monkeypatch.setattr(displaced_mod, "_chernoff_ln_tail",
+                            lambda m1, m2, a: calls.append(a) or chernoff(m1, m2, a))
+        ln_tol = log(1e-10 / 4.0)
+        for nb, lo_db, hi_db, points in ((0.1, -10.0, 20.0, 1000), (600.0, -15.0, 5.0, 200)):
+            calls.clear()
+            edges = 0
+            for snr_db in np.linspace(lo_db, hi_db, points):
+                x = 10.0 ** (snr_db / 10.0) * nb
+                m1, m2 = x * nb, x * (nb + 1.0)
+                for upper, lower in ((m1, m2), (m2, m1)):
+                    got = _tail_edge(upper, lower, ln_tol)
+                    edges += 1
+                    with monkeypatch.context() as bare:
+                        bare.setattr(displaced_mod, "_chernoff_ln_tail", chernoff)
+                        assert got == tail_edge_bisect(upper, lower, ln_tol,
+                                                       ln_tol + 1.5 * log(m1 + m2)), (nb, snr_db)
+            assert len(calls) / edges <= 3.5, nb
+
     def test_sum_equals_fsum_on_default_grid(self):
         # every window the default scan sums (2,361 to 23,612 wide, all past
         # the fsum switch): the masses whole and in the two parts T sums

@@ -1,5 +1,6 @@
 """Scan driver, emission formats, CLI contract, and determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -255,6 +256,29 @@ class TestEmit:
             if not row["upper_valid"]:
                 assert row["eps_refined_upper"] is None
 
+    def test_blank_side_patterns_match_field_rule(self):
+        # every pattern of blank refined sides, with numpy floats among the
+        # numbers, against the rule field by field: 12 significant digits,
+        # an empty field for None, true or false for a flag
+        def field(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return f"{value:.12g}"
+
+        base = ScanRow(-3.5, np.float64(0.44668359215096315), 1e-300, np.float64(2.5e12),
+                       123456789.123456789, 1.0, -0.0, np.float64(-1.25e-7), 7.0, True,
+                       False, np.float64(math.pi), 1e22, np.float32(0.1))
+        rows = [base._replace(eps_refined_upper=upper, eps_refined_lower=lower,
+                              upper_valid=upper is not None, lower_valid=lower is not None)
+                for upper in (base.eps_refined_upper, None)
+                for lower in (base.eps_refined_lower, None)]
+        rows.append(base._replace(upper_valid=False, lower_valid=True))
+        lines = emit(rows, ScanConfig(**SMALL)).decode().split("\n")
+        assert lines[1:-1] == [",".join(map(field, row)) for row in rows]
+        assert lines[-1] == ""
+
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             emit([], ScanConfig(**SMALL))
@@ -361,6 +385,14 @@ class TestDeterminism:
         # byte is a changed result, to be made on purpose with this file
         assert main(["--meta"]) == 0
         assert capsysbinary.readouterr().out == (DATA / "default_scan_meta.csv").read_bytes()
+
+    def test_low_background_table_pinned(self):
+        # the benchmark's low-background table (1,000 total-M rows at nb = 0.1)
+        # by its sha256 as committed; any changed byte is a changed result
+        cfg = ScanConfig(nb=0.1, benchmark_m_convention="total", snr_db_min=-10.0,
+                         snr_db_max=20.0, points=1000)
+        digest = hashlib.sha256(emit(run_scan(cfg), cfg)).hexdigest()
+        assert digest == "3cb26955b683eaef8cbfdeee28a9524414f42bc6d632ccb8109a11c9b3d5adb2"
 
 
 def run_cli(*args):
