@@ -339,17 +339,16 @@ def _edge_start(m1: float, m2: float, t: float) -> float:
     for d ~ Skellam(m1, m2) and t = -ln_tol > ln 4, from the two limits of
     the Chernoff exponent -ln C(mean + u), sigma^2 = m1 + m2.
 
-    Within its variance of the mean the law is near Gaussian, -ln C ~
+    While the optimal s stays small the tail is near Gaussian, -ln C ~
     u^2 / (2 sigma^2), and v = u / sigma > sqrt(2t) > 1 solves v^2 = 2t +
     6 ln v; three fixed-point steps from sqrt(2t) leave v within 1.1e-4 of
-    it at tail_tol = 1e-10 (0.04 at tail_tol = 0.49).
-    The optimal s is then about u / sigma^2; where that passes 1, the tail
-    is the m1 Poisson's: for a >> 2 sqrt(m1 m2), -ln C ~ a ln(a / m1) - a +
+    it at tail_tol = 1e-10 (0.04 at tail_tol = 0.49).  There s ~ u /
+    sigma^2; where that passes 1, the tail is the m1 Poisson's: for a >> 2 sqrt(m1 m2), -ln C ~ a ln(a / m1) - a +
     m1 + m2, and with the cubic term held at 3 ln v, r = t + 3 ln v - m1 - m2
     gives a = r / W(r / (e m1)), W Lambert's function by Winitzki's uniform
     approximation (within 2 %; Lect. Notes Comput. Sci. 2667:780, 2003).
-    Both limits put u a little low: on the low-background and default scan
-    grids it lies 0.1 to 0.9 below the real crossing.
+    On the low-background and default scan grids the estimate lies between
+    1.04 below and 0.12 above the real crossing.
     """
     v = sqrt(2.0 * t)
     for _ in range(3):
@@ -376,8 +375,8 @@ def _tail_edge(m1: float, m2: float, ln_tol: float) -> tuple[int, float, float]:
 
     The search holds lo, the largest a seen to fail (first floor(mean),
     which never qualifies), and hi, the least seen to qualify.  It starts
-    at ceil(mean + _edge_start - 1/4): a start a quarter below the estimate
-    is at the edge or one below it for estimates up to 1/4 too high.  Each
+    at ceil(mean + _edge_start - 1/4), which is the edge or one below it
+    for any estimate from 3/4 below the real crossing to 1/4 above it.  Each
     test also gives the excess and its slope there, -s or 3/u - s, and the
     next a tested is the ceiling of that tangent's root, held within
     (lo, hi): as the excess is concave on either side of sigma, the root
@@ -388,8 +387,8 @@ def _tail_edge(m1: float, m2: float, ln_tol: float) -> tuple[int, float, float]:
     e^s overflows at a tiny m1) it walks: up while no a qualifies, else
     down from hi.  Two tests are the floor: a is the edge only once a is
     seen to qualify and a - 1 to fail, unless a - 1 is floor(mean).  On
-    the low-background and default scan grids an edge takes 2.0 tests on
-    average.  Returns (a, mass bound, cubic bound).
+    the low-background and default scan grids an edge takes 2.06 and 2.0
+    tests on average.  Returns (a, mass bound, cubic bound).
     """
     mean, sigma = m1 - m2, sqrt(m1 + m2)
     lo, hi = math.floor(mean), None
