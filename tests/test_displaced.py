@@ -299,6 +299,24 @@ class TestSpectralOracle:
             floored += floors > 0
         assert rescaled >= 3 and floored >= 3
 
+    def test_bits_frozen(self):
+        # the crosscheck grid's every 10th point, the eight sweeps above and
+        # three transition_prob calls, as float.hex: any moved bit fails
+        lines = [ln for ln in (DATA / "spectral_oracle_hex.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert lines[0] == "call,args,hex"
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [call for call, _, _ in rows] == ["spectral_oracle"] * 28 + ["transition_prob"] * 3
+        for call, args, want in rows:
+            if call == "spectral_oracle":
+                nb, ns = map(float, args.split())
+                r = spectral_oracle(ThermalScenario(nb=nb, eta=1.0, ns=ns))
+                got = f"{r.d.hex()} {r.v.hex()} {r.t.hex()}"
+            else:
+                k, l, x = args.split()
+                got = transition_prob(int(k), int(l), float(x)).hex()
+            assert got == want, (call, args)
+
     def test_bright_displacement_matches_closed_forms(self):
         # x = 1e5: the certified window spans diagonals ~9e4 to ~1.1e5
         for nb in (1e-6, 0.1, 1.0):
