@@ -47,7 +47,7 @@ from math import exp, lgamma, log, log1p, sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CapExceeded, ConsistencyError
 from .gaussian import RelEntStats, ThermalScenario
@@ -57,6 +57,7 @@ _RESCALE_AT = 1e100
 _RESCALE_BY = 1e-150
 _LN_RESCALE = -log(_RESCALE_BY)
 _BLOCK_ROWS = 16             # _amplitude_rows: rows per block, and the rescale period
+_TABLE_ENTRIES = 2**13       # _amplitude_rows: entries per coefficient table and chunk
 K_MAX_CAP = 200_000          # hard cap on every summation index and window width
 _FSUM_BELOW = 512            # _sum: shorter arrays go to math.fsum over a list
 _I0_CROSSOVER = 19.0         # _bessel_i0_scaled: power series below, asymptotic beyond
@@ -129,48 +130,61 @@ def _amplitude_rows(x: float, m_lo: int, m_hi: int,
         beta = sqrt(n(n+m) / ((n+1)(n+m+1)))
 
     runs vectorized over the diagonals from the seeds
-    A(0, m) = e^(-x/2) x^(m/2) / sqrt(m!).  Per block, alpha and beta are
-    built as tables from sliding-window views of 1/sqrt(j), sqrt(j/(j+1))
-    and j + m_lo + 1 - x (stepping 2 a row), with no gathers, so each row
-    costs three ufunc calls on row views bound once.  ls <= 0 absorbs seeds far
-    below the representable range, and at each block end the entries past
-    _RESCALE_AT are scaled down into ls, then a new array (so a consumer may
-    cache functions of it by identity).  The buffer is reused: read a block
-    before drawing the next.  CapExceeded if n_max + m_hi passes K_MAX_CAP.
+    A(0, m) = e^(-x/2) x^(m/2) / sqrt(m!).  alpha and beta are built as
+    tables from one strided view of 1/sqrt(j), sqrt(j/(j+1)) and
+    j + m_lo + 1 - x (stepping 2 a row), with no gathers, a chunk of rows at
+    a time: as many as fill about _TABLE_ENTRIES entries each, a multiple of
+    _BLOCK_ROWS and at most the sweep.  They are stored interleaved, row n
+    as the pair (beta, alpha), so that one product with the pair of rows
+    (A(n-1), A(n)) gives both terms, and a row costs two ufunc calls on
+    views bound once: that product, then the difference of its halves.
+    ls <= 0 absorbs seeds far below the representable range, and at each
+    block end the entries past _RESCALE_AT are scaled down into ls, then a
+    new array (so a consumer may cache functions of it by identity).  The
+    buffer is reused: read a block before drawing the next.  CapExceeded if
+    n_max + m_hi passes K_MAX_CAP.
     """
     if n_max + m_hi > K_MAX_CAP:
         raise CapExceeded(f"required indices {n_max + m_hi} exceed K_MAX_CAP={K_MAX_CAP} (x={x})")
+    width = m_hi - m_lo + 1
     marr = np.arange(m_lo, m_hi + 1, dtype=np.float64)
     lg = np.array([lgamma(m + 1.0) for m in range(m_lo, m_hi + 1)])
     ln_a0 = -0.5 * x + 0.5 * marr * log(x) - 0.5 * lg
     ls = np.where(ln_a0 < _LN_TINY, ln_a0 - _LN_TINY, 0.0)
     jmax, n_last = n_max + m_hi + 2, max(n_max, 1)
     n_blk = min(_BLOCK_ROWS, n_last - 1)       # the most rows a block holds
-    buf = np.empty((n_blk + 2, len(marr)))     # rows n-1, n, then the block
+    buf = np.empty((n_blk + 2, width))         # rows n-1, n, then the block
     buf[0] = np.exp(ln_a0 - ls)
     buf[1] = buf[0] * (1.0 + marr - x) / np.sqrt(marr + 1.0)
 
-    coef = np.zeros((3, max(jmax + 1, 2 * n_last + len(marr))))
+    coef = np.zeros((3, max(jmax + 1, 2 * n_last + width)))
     rsq, gr, v = coef                          # 1/sqrt(j), sqrt(j / (j+1)), j + m_lo + 1 - x
     sq = np.sqrt(np.arange(jmax + 1, dtype=np.float64))
     rsq[1 : jmax + 1] = 1.0 / sq[1:]
     gr[:jmax] = sq[:jmax] * rsq[1 : jmax + 1]
     v[:] = np.arange(len(v), dtype=np.float64) + (m_lo + 1.0 - x)
-    rsq_w, gr_w, v_w = sliding_window_view(coef, len(marr), axis=1)   # rsq_w[j] = rsq[j : j+width]
+    rsq_w, gr_w, v_w = as_strided(coef, (3, coef.shape[1] - width + 1, width),
+                                  (coef.strides[0], 8, 8), writeable=False)   # rsq_w[j] = rsq[j : j+width]
     v_w = v_w[::2]                             # v_w[n] = m + 2n + 1 - x over the diagonals
-    (alpha, beta), t = np.empty((2, n_blk, len(marr))), np.empty(len(marr))
-    rows, al, be = list(buf), list(alpha), list(beta)   # row views, bound once
-    n, first, k = 1, 0, _BLOCK_ROWS - 2
+    chunk = max(1, _TABLE_ENTRIES // (_BLOCK_ROWS * width)) * _BLOCK_ROWS
+    cf = np.empty((min(chunk, n_last - 1), 2, width))   # cf[n - tab] = (beta, alpha) of row n
+    prod, t = np.empty((2, width)), np.empty(width)
+    b_prev, a_cur = prod                       # beta A(n-1), alpha A(n)
+    pairs = [buf[j : j + 2] for j in range(n_blk)]      # views bound once
+    outs, cfs = list(buf[2:]), list(cf)
+    n, first, k, tab, tab_end = 1, 0, _BLOCK_ROWS - 2, 0, 0
     while True:                                # the block holds rows n+1..n+k
         k = min(k, n_last - n)
-        a, bt = alpha[:k], beta[:k]
-        np.multiply(v_w[n : n + k], rsq_w[n + 1 + m_lo : n + 1 + m_lo + k], out=a)
-        a *= rsq[n + 1 : n + 1 + k, None]
-        np.multiply(gr_w[n + m_lo : n + m_lo + k], gr[n : n + k, None], out=bt)
-        for j in range(k):
-            np.multiply(al[j], rows[j + 1], out=rows[j + 2])
-            np.multiply(be[j], rows[j], out=t)
-            np.subtract(rows[j + 2], t, out=rows[j + 2])
+        if n + k > tab_end:                    # tables for rows n+1..n+r
+            r = min(len(cf), n_last - n)
+            a, bt = cf[:r, 1], cf[:r, 0]
+            np.multiply(v_w[n : n + r], rsq_w[n + 1 + m_lo : n + 1 + m_lo + r], out=a)
+            a *= rsq[n + 1 : n + 1 + r, None]
+            np.multiply(gr_w[n + m_lo : n + m_lo + r], gr[n : n + r, None], out=bt)
+            tab, tab_end = n, n + r
+        for c, pair, row in zip(cfs[n - tab : n - tab + k], pairs, outs):
+            np.multiply(c, pair, prod)
+            np.subtract(a_cur, b_prev, row)
         yield buf[first : k + 2], ls
         n += k
         if n == n_last:
@@ -592,6 +606,7 @@ def _bessel_i0_scaled(t: float) -> float:
 
 
 _LN_TAIL_TOL = -46.0    # ln of the tail _skellam_ln_tail may drop, relative to its sum
+_LN_SUMMABLE = 690.0    # _skellam_ln_tail: K_MAX_CAP terms below e^690 sum below 1e306
 
 
 def _perron_bracket(z: float, nu: int) -> tuple[float, float, float]:
@@ -669,20 +684,26 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
     budget stated there.  z and ln P(0) = ln(e^-z I_0(z)) -
     (sqrt(m1) - sqrt(m2))^2 take no product m1 m2, so neither over- nor
     underflows while m1 and m2 are finite, as far as heterodyne m = 1.8e308.
+    Where m1 <= m2, as in the heterodyne, every t_k <= 1; where m1 > m2 the
+    terms t_k = P(k) / P(0) can pass the float range, and a pass whose
+    largest exceeds e^_LN_SUMMABLE fails the tail test unsummed.
+    CapExceeded once n would pass K_MAX_CAP.
     """
     z = 2.0 * sqrt(m1) * sqrt(m2)              # never underflows
     ln_p0 = log(_bessel_i0_scaled(z)) - (sqrt(m1) - sqrt(m2)) ** 2
     ln_rho = 0.5 * (log(m1) - log(m2))
     peak = max(first, z * math.sinh(ln_rho))   # the terms rise up to here
     n_hi = _asinh_edge(z, peak, -ln_rho, -_LN_TAIL_TOL)
-    while True:
+    while n_hi <= K_MAX_CAP:
         ln_t = _bessel_ln_ratios(z, n_hi)[first:]
         ln_t += ln_rho * np.arange(first, n_hi + 1)
-        ln_s = log(_sum(np.exp(ln_t)))
-        ln_q = ln_t[-1] - ln_t[-2]
-        if ln_q < 0.0 and ln_t[-1] + ln_q - log(-math.expm1(ln_q)) < ln_s + _LN_TAIL_TOL:
-            return ln_p0 + ln_s
+        if ln_rho <= 0.0 or ln_t.max() < _LN_SUMMABLE:
+            ln_s = log(_sum(np.exp(ln_t)))
+            ln_q = ln_t[-1] - ln_t[-2]
+            if ln_q < 0.0 and ln_t[-1] + ln_q - log(-math.expm1(ln_q)) < ln_s + _LN_TAIL_TOL:
+                return ln_p0 + ln_s
         n_hi *= 2
+    raise CapExceeded(f"Skellam tail past K_MAX_CAP={K_MAX_CAP} terms (m1={m1}, m2={m2})")
 
 
 def _skellam_masses(

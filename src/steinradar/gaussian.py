@@ -42,7 +42,10 @@ class GaussianState:
     the bona-fide condition (all symplectic eigenvalues nu >= 1/2 up to
     round-off), reading nu off the one eigendecomposition of 2i*V*Omega
     (eigenvalues +/-2 nu) that gibbs_matrix and rel_entropy reuse.  Instances
-    hold read-only mean, cm and Omega, so are safe to share between threads.
+    hold read-only mean, cm and Omega, and the read-only Gibbs matrix once
+    gibbs_matrix has built it, so are safe to share between threads: two
+    threads that race to the first gibbs_matrix only build the same matrix
+    twice.
     """
 
     mean: np.ndarray
@@ -69,6 +72,7 @@ class GaussianState:
         object.__setattr__(self, "_omega", symplectic_form(n // 2))
         self._omega.flags.writeable = False
         object.__setattr__(self, "_eig", np.linalg.eig(2j * cm @ self._omega))
+        object.__setattr__(self, "_gibbs", None)
         nu_min = 0.5 * np.abs(self._eig[0]).min()
         if nu_min < 0.5 - BONA_FIDE_TOL:
             raise ValueError(
@@ -165,7 +169,13 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
     Raises SingularGibbs when any symplectic eigenvalue nu (the spectrum of
     2i*V*Omega is +/-2 nu) comes within PURE_MODE_EPS of 1/2: arccoth diverges
     on pure modes and a loud failure beats returning huge finite garbage.
+
+    The matrix is built once per state and kept on it, read-only, so
+    rel_entropy and rel_entropy_variance share it; a failure keeps nothing,
+    so every call on that state raises again.
     """
+    if state._gibbs is not None:
+        return state._gibbs
     vals, vecs = state._eig
     nu_min = 0.5 * np.abs(vals).min()
     if nu_min <= 0.5 + PURE_MODE_EPS:
@@ -184,7 +194,10 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
     if residue >= RESIDUE_TOL:
         raise ConsistencyError(f"Gibbs matrix imaginary residue {residue:.3g}")
     g = g.real
-    return 0.5 * (g + g.T)
+    g = 0.5 * (g + g.T)
+    g.flags.writeable = False
+    object.__setattr__(state, "_gibbs", g)
+    return g
 
 
 def _gibbs_pair(rho0: GaussianState, rho1: GaussianState):

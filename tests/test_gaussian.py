@@ -165,6 +165,15 @@ class TestGibbsMatrix:
         with pytest.raises(SingularGibbs):
             gibbs_matrix(state)
 
+    def test_failure_is_not_cached(self):
+        # nu = 1/2 + 1e-10, within PURE_MODE_EPS: every call raises afresh
+        state = GaussianState(mean=np.zeros(2), cm=(0.5 + 1e-10) * np.eye(2))
+        for _ in range(2):
+            with pytest.raises(SingularGibbs):
+                gibbs_matrix(state)
+        with pytest.raises(SingularGibbs):
+            rel_entropy(state, state)
+
     def test_thermal_identity_on_grid(self):
         for nbar in (0.1, 0.7, 1.0, 5.0, 42.0, 1e4):
             g = gibbs_matrix(thermal_state(nbar))
@@ -274,9 +283,10 @@ class TestSigmaAndRelEntropy:
 
     def test_one_decomposition_per_state(self, monkeypatch):
         # the bona-fide check, both Gibbs matrices and the log dets all read
-        # the one eig of 2i*V*Omega, and the one Omega, each state made at construction
+        # the one eig of 2i*V*Omega, and the one Omega, each state made at
+        # construction; each state's Gibbs matrix is built, by one inv, once
         spies = {name: mock.Mock(wraps=getattr(np.linalg, name))
-                 for name in ("eig", "eigvals", "det")}
+                 for name in ("eig", "eigvals", "det", "inv")}
         for name, spy in spies.items():
             monkeypatch.setattr(np.linalg, name, spy)
         spies["symplectic_form"] = mock.Mock(wraps=symplectic_form)
@@ -285,7 +295,11 @@ class TestSigmaAndRelEntropy:
         rel_entropy(r0, r1)
         rel_entropy_variance(r0, r1)
         assert {name: spy.call_count for name, spy in spies.items()} == {
-            "eig": 2, "eigvals": 0, "det": 0, "symplectic_form": 2}
+            "eig": 2, "eigvals": 0, "det": 0, "inv": 2, "symplectic_form": 2}
+        g = gibbs_matrix(r0)
+        assert g is gibbs_matrix(r0) and not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 0.0
 
 
 class TestClosedForms:

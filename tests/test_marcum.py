@@ -4,6 +4,7 @@ import math
 import sys
 import time
 import tracemalloc
+import warnings
 from math import exp, log, log1p, sqrt
 
 import numpy as np
@@ -326,6 +327,19 @@ class TestHeterodyne:
             want, want_calls = unpatched[case]
             assert len(calls) > want_calls
             assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_tail_past_the_float_range_raises_fast(self):
+        # m1 >> m2, which the heterodyne never passes: at (1e3, 1) the terms
+        # P(k) / P(0) pass the float range, at (1e8, 1) the first n passes
+        # K_MAX_CAP; both end in CapExceeded, with no RuntimeWarning, where
+        # n once doubled until memory ran out
+        for m1 in (1e3, 1e8):
+            start = time.perf_counter()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(CapExceeded):
+                    displaced_mod._skellam_ln_tail(m1, 1.0, 1)
+            assert time.perf_counter() - start < 1.0
 
     def test_perron_tail_matches_miller_on_benchmark_grids(self):
         # the low-background scan's 1,000 total-M and 1,000 per-copy gammas:
