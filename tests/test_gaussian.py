@@ -161,18 +161,13 @@ class TestGibbsMatrix:
         assert g == pytest.approx(log(601.0 / 600.0) * np.eye(2), abs=1e-14)
 
     def test_vacuum_raises(self):
-        state = GaussianState(mean=np.zeros(2), cm=0.5 * np.eye(2))
-        with pytest.raises(SingularGibbs):
-            gibbs_matrix(state)
-
-    def test_failure_is_not_cached(self):
-        # nu = 1/2 + 1e-10, within PURE_MODE_EPS: every call raises afresh
-        state = GaussianState(mean=np.zeros(2), cm=(0.5 + 1e-10) * np.eye(2))
-        for _ in range(2):
-            with pytest.raises(SingularGibbs):
-                gibbs_matrix(state)
-        with pytest.raises(SingularGibbs):
-            rel_entropy(state, state)
+        # nu = 1/2, and 1/2 + 1e-10 within PURE_MODE_EPS: a failure is not
+        # kept on the state, so every call raises afresh
+        for nu in (0.5, 0.5 + 1e-10):
+            state = GaussianState(mean=np.zeros(2), cm=nu * np.eye(2))
+            for fn in (gibbs_matrix, gibbs_matrix, lambda r: rel_entropy(r, r)):
+                with pytest.raises(SingularGibbs):
+                    fn(state)
 
     def test_thermal_identity_on_grid(self):
         for nbar in (0.1, 0.7, 1.0, 5.0, 42.0, 1e4):
