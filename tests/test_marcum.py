@@ -331,8 +331,7 @@ class TestHeterodyne:
     def test_tail_past_the_float_range_raises_fast(self):
         # m1 >> m2, which the heterodyne never passes: at (1e3, 1) the terms
         # P(k) / P(0) pass the float range, at (1e8, 1) the first n passes
-        # K_MAX_CAP; both end in CapExceeded, with no RuntimeWarning, where
-        # n once doubled until memory ran out
+        # K_MAX_CAP; both end in CapExceeded at once, with no RuntimeWarning
         for m1 in (1e3, 1e8):
             start = time.perf_counter()
             with warnings.catch_warnings():
