@@ -8,6 +8,7 @@ literature (vacuum = I and vacuum = 2I); everything here assumes I/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ BONA_FIDE_TOL = 1e-12
 PURE_MODE_EPS = 1e-9       # minimum distance of symplectic eigenvalues from 1/2
 RESIDUE_TOL = 1e-10        # max allowed imaginary leakage in assembled matrices
 CLAMP_TOL = 1e-10          # negative round-off clamped to zero below this
+_SPECTRUM_MEMO = 128       # distinct covariance matrices whose _Spectrum is kept
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -32,6 +34,41 @@ def symplectic_form(modes: int) -> np.ndarray:
     return omega
 
 
+class _Spectrum:
+    """What a covariance matrix V alone fixes, shared by every state with it.
+
+    Omega, the eigendecomposition (vals, vecs) of 2i*V*Omega (eigenvalues
+    +/-2 nu) and the least symplectic eigenvalue nu_min, the arrays
+    read-only; the Gibbs matrix (gibbs_matrix) and ln det(V + i*Omega/2)
+    (ln_det) are built on first use and kept, and a failed build keeps
+    nothing.
+    """
+
+    __slots__ = ("omega", "vals", "vecs", "nu_min", "gibbs", "_ln_det")
+
+    def __init__(self, cm: np.ndarray):
+        self.omega = symplectic_form(len(cm) // 2)
+        self.vals, self.vecs = np.linalg.eig(2j * cm @ self.omega)
+        for arr in (self.omega, self.vals, self.vecs):
+            arr.flags.writeable = False
+        self.nu_min = 0.5 * float(np.abs(self.vals).min())
+        self.gibbs = None
+        self._ln_det = None
+
+    def ln_det(self) -> float:
+        """ln det(V + i*Omega/2) = sum ln(|1 + lambda|/2) over the spectrum."""
+        if self._ln_det is None:
+            self._ln_det = float(np.log(np.abs(1.0 + self.vals) / 2.0).sum())
+        return self._ln_det
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_MEMO)
+def _spectrum(cm_bytes: bytes, n: int) -> _Spectrum:
+    """The one _Spectrum of the n x n float matrix whose C-order bytes are
+    cm_bytes: states with equal covariance matrices share it."""
+    return _Spectrum(np.frombuffer(cm_bytes).reshape(n, n))
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianState:
     """Mean vector and covariance matrix of an N-mode Gaussian state.
@@ -40,12 +77,15 @@ class GaussianState:
     symmetric 2N x 2N covariance matrix with vacuum normalization I/2.
     Construction validates the shapes, finiteness (of 2 cm too), symmetry and
     the bona-fide condition (all symplectic eigenvalues nu >= 1/2 up to
-    round-off), reading nu off the one eigendecomposition of 2i*V*Omega
-    (eigenvalues +/-2 nu) that gibbs_matrix and rel_entropy reuse.  Instances
-    hold read-only mean, cm and Omega, and the read-only Gibbs matrix once
-    gibbs_matrix has built it, so are safe to share between threads: two
-    threads that race to the first gibbs_matrix only build the same matrix
-    twice.
+    round-off), reading nu off the eigendecomposition of 2i*V*Omega
+    (eigenvalues +/-2 nu) that gibbs_matrix and rel_entropy reuse.  That
+    decomposition, Omega, the Gibbs matrix and the log det are fixed by cm
+    alone, so they live in one record per distinct cm (a memo of the last
+    _SPECTRUM_MEMO, keyed on cm's bytes) that every state with that cm
+    shares; each state still runs every check.  Instances hold read-only
+    mean and cm, and the record's arrays are read-only, so are safe to share
+    between threads: two threads that race to the first gibbs_matrix only
+    build the same matrix twice.
     """
 
     mean: np.ndarray
@@ -69,15 +109,12 @@ class GaussianState:
             raise ValueError("mean and cm must be finite, and 2 cm within the float range")
         if np.abs(cm - cm.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("cm is not symmetric within tolerance")
-        object.__setattr__(self, "_omega", symplectic_form(n // 2))
-        self._omega.flags.writeable = False
-        object.__setattr__(self, "_eig", np.linalg.eig(2j * cm @ self._omega))
-        object.__setattr__(self, "_gibbs", None)
-        nu_min = 0.5 * np.abs(self._eig[0]).min()
-        if nu_min < 0.5 - BONA_FIDE_TOL:
+        spec = _spectrum(cm.tobytes(), n)
+        if spec.nu_min < 0.5 - BONA_FIDE_TOL:
             raise ValueError(
-                f"cm violates the bona-fide condition: min symplectic eigenvalue {nu_min}"
+                f"cm violates the bona-fide condition: min symplectic eigenvalue {spec.nu_min}"
             )
+        object.__setattr__(self, "_spec", spec)
 
     @property
     def modes(self) -> int:
@@ -170,17 +207,19 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
     2i*V*Omega is +/-2 nu) comes within PURE_MODE_EPS of 1/2: arccoth diverges
     on pure modes and a loud failure beats returning huge finite garbage.
 
-    The matrix is built once per state and kept on it, read-only, so
-    rel_entropy and rel_entropy_variance share it; a failure keeps nothing,
-    so every call on that state raises again.
+    The matrix is built once per distinct covariance matrix and kept,
+    read-only, on the record that every state with that cm shares, so
+    rel_entropy and rel_entropy_variance, and both states of a pair with
+    equal covariances, share one build; a failure keeps nothing, so every
+    call on any state with that cm raises again.
     """
-    if state._gibbs is not None:
-        return state._gibbs
-    vals, vecs = state._eig
-    nu_min = 0.5 * np.abs(vals).min()
-    if nu_min <= 0.5 + PURE_MODE_EPS:
+    spec = state._spec
+    if spec.gibbs is not None:
+        return spec.gibbs
+    vals, vecs = spec.vals, spec.vecs
+    if spec.nu_min <= 0.5 + PURE_MODE_EPS:
         raise SingularGibbs(
-            f"symplectic eigenvalue {nu_min:.3g} within {PURE_MODE_EPS} of 1/2"
+            f"symplectic eigenvalue {spec.nu_min:.3g} within {PURE_MODE_EPS} of 1/2"
         )
     lam = vals.real.tolist()                   # a few values: Python floats beat numpy calls
     order = sorted(range(len(lam)), key=lam.__getitem__)   # -2nu by falling nu, then +2nu by rising
@@ -189,14 +228,14 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
     for i, j in zip(order[half - 1 :: -1], order[half:]):   # each -/+ pair at its mean |lambda|
         acoth[j] = f = 0.5 * math.log1p(2.0 / (0.5 * lam[j] - 0.5 * lam[i] - 1.0))
         acoth[i] = -f
-    g = 2j * state._omega @ (vecs * acoth) @ np.linalg.inv(vecs)
+    g = 2j * spec.omega @ (vecs * acoth) @ np.linalg.inv(vecs)
     residue = np.abs(g.imag).max()
     if residue >= RESIDUE_TOL:
         raise ConsistencyError(f"Gibbs matrix imaginary residue {residue:.3g}")
     g = g.real
     g = 0.5 * (g + g.T)
     g.flags.writeable = False
-    object.__setattr__(state, "_gibbs", g)
+    spec.gibbs = g
     return g
 
 
@@ -226,7 +265,7 @@ def rel_entropy(rho0: GaussianState, rho1: GaussianState) -> float:
     more raises ConsistencyError; ValueError where D (or V) leaves the float range.
     """
     g0, g1, delta = _gibbs_pair(rho0, rho1)
-    ln_det0, ln_det1 = (float(np.log(np.abs(1.0 + r._eig[0]) / 2.0).sum()) for r in (rho0, rho1))
+    ln_det0, ln_det1 = rho0._spec.ln_det(), rho1._spec.ln_det()
     with np.errstate(over="ignore", invalid="ignore"):
         d = 0.5 * (ln_det1 - ln_det0 + float(np.trace(rho0.cm @ (g1 - g0)))
                    + float(delta @ g1 @ delta))
@@ -238,7 +277,7 @@ def rel_entropy_variance(rho0: GaussianState, rho1: GaussianState) -> float:
     g0, g1, delta = _gibbs_pair(rho0, rho1)
     gamma = g0 - g1
     with np.errstate(over="ignore", invalid="ignore"):
-        gv, go = gamma @ rho0.cm, gamma @ rho0._omega
+        gv, go = gamma @ rho0.cm, gamma @ rho0._spec.omega
         v = (
             0.5 * float(np.trace(gv @ gv))
             + 0.125 * float(np.trace(go @ go))

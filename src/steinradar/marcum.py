@@ -98,8 +98,11 @@ def marcum_q(args: MarcumArgs) -> tuple[float, float]:
     lo_a, hi_a = max(0, int(a - half_a)), int(a + half_a)
     lo_b, hi_b = max(0, int(b - half_b)), int(b + half_b)
     (pa, ca), (pb, cb) = _poisson_window(a, lo_a, hi_a), _poisson_window(b, lo_b, hi_b)
-    cdf_b = cb[np.clip(np.arange(lo_a - lo_b + 1, hi_a - lo_b + 2), 0, len(pb))]
-    cdf_a = ca[np.clip(np.arange(lo_b - lo_a, hi_b - lo_a + 1), 0, len(pa))]
+    at_b = np.arange(lo_a - lo_b + 1, hi_a - lo_b + 2)
+    at_a = np.arange(lo_b - lo_a, hi_b - lo_a + 1)
+    # clamped in place, two ufunc calls each: np.clip's Python wrapper costs more
+    cdf_b = cb[np.minimum(np.maximum(at_b, 0, out=at_b), len(pb), out=at_b)]
+    cdf_a = ca[np.minimum(np.maximum(at_a, 0, out=at_a), len(pa), out=at_a)]
     return min(float(_cdf(pa * cdf_b)[-1]), 1.0), min(float(_cdf(pb * cdf_a)[-1]), 1.0)
 
 

@@ -101,7 +101,7 @@ class TestConstruction:
     def test_vacuum_is_accepted(self):
         state = GaussianState(mean=np.zeros(2), cm=0.5 * np.eye(2))
         # the spectrum of 2i*V*Omega is +/-2 nu, nu = 1/2 for the vacuum
-        assert 0.5 * np.abs(state._eig[0]) == pytest.approx([0.5, 0.5])
+        assert 0.5 * np.abs(state._spec.vals) == pytest.approx([0.5, 0.5])
 
     def test_holds_read_only_copies(self):
         # the state's eigendecomposition stays that of its cm: the caller's
@@ -168,6 +168,17 @@ class TestGibbsMatrix:
             for fn in (gibbs_matrix, gibbs_matrix, lambda r: rel_entropy(r, r)):
                 with pytest.raises(SingularGibbs):
                     fn(state)
+
+    def test_failed_build_is_not_shared(self):
+        # two states with nu = 1/2 + 1e-10 share one record, and the failed
+        # Gibbs build is kept on neither, so every call on either raises
+        cm = (0.5 + 1e-10) * np.eye(2)
+        states = [GaussianState(mean=np.zeros(2), cm=cm), GaussianState(mean=np.ones(2), cm=cm)]
+        assert states[0]._spec is states[1]._spec
+        for state in states + states:
+            with pytest.raises(SingularGibbs):
+                gibbs_matrix(state)
+        assert states[0]._spec.gibbs is None
 
     def test_thermal_identity_on_grid(self):
         for nbar in (0.1, 0.7, 1.0, 5.0, 42.0, 1e4):
@@ -278,21 +289,34 @@ class TestSigmaAndRelEntropy:
 
     def test_one_decomposition_per_state(self, monkeypatch):
         # the bona-fide check, both Gibbs matrices and the log dets all read
-        # the one eig of 2i*V*Omega, and the one Omega, each state made at
-        # construction; each state's Gibbs matrix is built, by one inv, once
+        # one eig of 2i*V*Omega and one Omega, made for the first state with
+        # that cm and shared by every later one; the Gibbs matrix is built,
+        # by one inv, once per cm
+        gaussian._spectrum.cache_clear()
         spies = {name: mock.Mock(wraps=getattr(np.linalg, name))
                  for name in ("eig", "eigvals", "det", "inv")}
         for name, spy in spies.items():
             monkeypatch.setattr(np.linalg, name, spy)
         spies["symplectic_form"] = mock.Mock(wraps=symplectic_form)
         monkeypatch.setattr(gaussian, "symplectic_form", spies["symplectic_form"])
-        r0, r1 = scenario_states(ThermalScenario(nb=10.0, eta=1.0, ns=10.0))
-        rel_entropy(r0, r1)
-        rel_entropy_variance(r0, r1)
-        assert {name: spy.call_count for name, spy in spies.items()} == {
-            "eig": 2, "eigvals": 0, "det": 0, "inv": 2, "symplectic_form": 2}
+
+        def pair(nb, ns):
+            r0, r1 = scenario_states(ThermalScenario(nb=nb, eta=1.0, ns=ns))
+            rel_entropy(r0, r1)
+            rel_entropy_variance(r0, r1)
+            return r0, r1
+
+        def calls(n):
+            return {"eig": n, "eigvals": 0, "det": 0, "inv": n, "symplectic_form": n}
+
+        r0, r1 = pair(10.0, 10.0)
+        assert {name: spy.call_count for name, spy in spies.items()} == calls(1)
+        pair(10.0, 3.0)     # a second scenario at the same nb costs nothing
+        assert {name: spy.call_count for name, spy in spies.items()} == calls(1)
+        pair(20.0, 10.0)    # a new nb costs one of each
+        assert {name: spy.call_count for name, spy in spies.items()} == calls(2)
         g = gibbs_matrix(r0)
-        assert g is gibbs_matrix(r0) and not g.flags.writeable
+        assert g is gibbs_matrix(r1) and not g.flags.writeable
         with pytest.raises(ValueError):
             g[0, 0] = 0.0
 
@@ -317,6 +341,26 @@ class TestClosedForms:
                 stats = thermal_closed_forms(s)
                 assert rel_entropy(r0, r1) == pytest.approx(stats.d, rel=1e-9)
                 assert rel_entropy_variance(r0, r1) == pytest.approx(stats.v, rel=1e-9)
+
+    def test_memo_keeps_the_bits(self, monkeypatch):
+        # on the grid above, D and V from states that share their cm's record
+        # match, to the bit, those from states that each build their own
+        grid = [ThermalScenario(nb=nb, eta=1.0, ns=gamma * nb)
+                for nb in (0.1, 1.0, 10.0, 600.0, 1e4, 1e12, 1e16)
+                for gamma in (1e-9, 1e-3, 0.1, 1.0, 10.0, 100.0)]
+
+        def bits(share):
+            out = []
+            for s in grid:
+                r0, r1 = scenario_states(s)
+                assert (r0._spec is r1._spec) is share
+                out.append((rel_entropy(r0, r1).hex(), rel_entropy_variance(r0, r1).hex()))
+            return out
+
+        gaussian._spectrum.cache_clear()
+        shared = bits(True)
+        monkeypatch.setattr(gaussian, "_spectrum", gaussian._spectrum.__wrapped__)
+        assert bits(False) == shared
 
     def test_large_nb_proximity(self):
         stats = thermal_closed_forms(ThermalScenario(nb=600.0, eta=1.0, ns=600.0))
