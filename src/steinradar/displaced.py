@@ -14,12 +14,13 @@ seeded at its top by one ratio that Perron's continued fraction brackets to
 an ulp in a few dozen levels: short recurrences run as a scalar loop, long
 ones in vectorised blocks stitched at their edges.  _skellam_ln_tail sums
 the law's log tails from the same chain, for marcum's heterodyne benchmark.
-The masses cover a support window certified by a Chernoff bound, so the
-cost is linear in its width.  T comes from a Poisson Stein identity, which
-needs the cdf at the mean and three masses next to it: so third_moment sums
-the masses alone, in two parts either side of the mean, and never forms
-cubic weights.  The window's bound still covers the cubic-weighted tail,
-because spectral_oracle sums cubic weights over the same window.  Both
+The masses cover a support window that the law's log-concavity certifies
+from the two masses at each of its edges, so the cost is linear in its
+width.  T comes from a Poisson Stein identity, which needs the cdf at the
+mean and three masses next to it: so third_moment sums the masses alone, in
+two parts either side of the mean, and never forms cubic weights.  The
+window's certificate still covers the cubic-weighted tail, because
+spectral_oracle sums cubic weights over the same window.  Both
 routes' mass sums go through _sum, a vectorised summation by error-free
 extraction, within an ulp of math.fsum.
 
@@ -247,8 +248,8 @@ def _difference_masses(
     nb: float, x: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], float]]:
     """Probability masses of the difference d = k - l under p(k, l), over
-    the certified window of _skellam_window, the same support third_moment
-    sums over.
+    the certified window of _skellam_window (its lo and hi only), the same
+    support third_moment sums over.
 
     Returns (d, mass, rounding) for d in [lo, hi].  The mass at d = -m sums
     gamma_n A(n, m)^2 over the thermal rows n <= n_max = _sweep_rows; at
@@ -322,47 +323,35 @@ def _captured_mass(captured: float, nb: float, x: float, tail_tol: float,
 
 
 class _SkellamWindow(NamedTuple):
-    """Kept support [lo, hi] of d = k - l and certified bounds on what it
-    drops: the probability mass, and the mass weighted by |d - mean|^3."""
+    """Certified support [lo, hi] of d = k - l, with the chain
+    ln_ratio[n] = ln(I_n(z) / I_0(z)), n <= max(-lo, hi), and ln P(0)."""
 
     lo: int
     hi: int
-    tail_mass: float
-    tail_cubic: float
-
-
-_EDGE_NEWTON_STEPS = 64      # _tail_edge: a bound on its Newton-guided tries, which end in one or two
-
-
-def _chernoff_ln_tail(m1: float, m2: float, a: float) -> tuple[float, float]:
-    """(ln bound on P(d >= a), optimal s) for d ~ Skellam(m1, m2), a > m1 - m2.
-
-    The bound is min_s exp(m1 (e^s - 1) + m2 (e^-s - 1) - s a), attained at
-    e^s = (a + r) / (2 m1) with r = sqrt(a^2 + 4 m1 m2); there the exponent
-    is r - m1 - m2 - s a, written without cancellation.
-    """
-    mean = m1 - m2
-    r = math.hypot(a, 2.0 * math.sqrt(m1 * m2))
-    a_plus_r = a + r if a >= 0.0 else 4.0 * m1 * m2 / (r - a)
-    s = log(a_plus_r / (2.0 * m1))
-    return (a - mean) * (a + mean) / (r + m1 + m2) - s * a, s
+    ln_ratio: np.ndarray
+    ln_p0: float
 
 
 def _edge_start(m1: float, m2: float, t: float) -> float:
-    """Estimate of the u = a - mean at which _tail_edge's excess crosses 0,
-    for d ~ Skellam(m1, m2) and t = -ln_tol > ln 4, from the two limits of
-    the Chernoff exponent -ln C(mean + u), sigma^2 = m1 + m2.
+    """Where one side of _skellam_window starts, for d ~ Skellam(m1, m2) and
+    t = -ln(tail_tol/4) > ln 4: an estimate of the u = a - mean at which the
+    Chernoff bound C(a) on the mass of d >= a, times (u/sigma)^3 for the
+    cubic weight, sigma^2 = m1 + m2, falls to e^-t.
 
-    While the optimal s stays small the tail is near Gaussian, -ln C ~
-    u^2 / (2 sigma^2), and v = u / sigma > sqrt(2t) > 1 solves v^2 = 2t +
-    6 ln v; three fixed-point steps from sqrt(2t) leave v within 1.1e-4 of
-    it at tail_tol = 1e-10 (0.04 at tail_tol = 0.49).  There s ~ u /
-    sigma^2; where that passes 1, the tail is the m1 Poisson's: for a >> 2 sqrt(m1 m2), -ln C ~ a ln(a / m1) - a +
-    m1 + m2, and with the cubic term held at 3 ln v, r = t + 3 ln v - m1 - m2
-    gives a = r / W(r / (e m1)), W Lambert's function by Winitzki's uniform
-    approximation (within 2 %; Lect. Notes Comput. Sci. 2667:780, 2003).
-    On the low-background and default scan grids the estimate lies between
-    1.04 below and 0.12 above the real crossing.
+    Near the mean the tail is near Gaussian, -ln C ~ u^2 / (2 sigma^2), and
+    v = u / sigma solves v^2 = 2t + 6 ln v; three fixed-point steps from
+    sqrt(2t) leave v within 1.1e-4 of it at tail_tol = 1e-10 (0.04 at
+    0.49).  Where the optimal s ~ u / sigma^2 passes 1, the tail is the m1
+    Poisson's, -ln C ~ a ln(a / m1) - a + m1 + m2, and with the cubic term
+    held at 3 ln v, r = t + 3 ln v - m1 - m2 gives a = r / W(r / (e m1)),
+    W Lambert's function by Winitzki's uniform approximation (within 2 %;
+    Lect. Notes Comput. Sci. 2667:780, 2003); where r / (e m1) overflows,
+    at a subnormal m1, the Gaussian estimate stands.  The certificate of
+    _edge_steps is tighter than C: the start, one integer past this
+    estimate, lies 0 to 3 terms past the narrowest edge it certifies on the
+    low-background scan grid (nb = 0.1) and 0.39 sigma past it on the
+    default grid (nb = 600); on the crosscheck grid (nb = 10) 10 of 200
+    windows start one or two terms short on a side.
     """
     v = sqrt(2.0 * t)
     for _ in range(3):
@@ -372,95 +361,93 @@ def _edge_start(m1: float, m2: float, t: float) -> float:
     if u <= var or not r > 0.0:
         return u
     lw = log1p(r / (math.e * m1))
+    if lw == math.inf:
+        return u
     return r / (lw * (1.0 - log1p(lw) / (2.0 + lw))) - (m1 - m2)
 
 
-def _tail_edge(m1: float, m2: float, ln_tol: float) -> tuple[int, float, float]:
-    """Smallest integer a above the mean of d ~ Skellam(m1, m2) whose upper
-    tail d >= a has certified mass <= e^ln_tol and certified cubic weight
-    sum P(d) |d - mean|^3 <= e^ln_tol sigma^3, sigma^2 = m1 + m2.
+def _ln_geometric_tail(ln_last: float, ln_prev: float) -> float:
+    """ln(t_n q / (1 - q)), q = t_n / t_(n-1), from ln t_n and ln t_(n-1):
+    a bound on sum_(k > n) t_k wherever the ratios t_(k+1) / t_k fall, as in
+    a log-concave sequence; inf where q >= 1."""
+    ln_q = ln_last - ln_prev
+    if not ln_q < 0.0:
+        return math.inf
+    return ln_last + ln_q - log(-math.expm1(ln_q))
 
-    For d >= a > mean, |d - mean|^3 <= (3/(e t))^3 e^(t (d - mean)) for any
-    t > 0; with u = a - mean and t = 3/u <= s, this turns the Chernoff
-    bound C(a) into u^3 C(a).  So a qualifies when s u >= 3 and the excess
-    ln C(a) + 3 max(0, ln(u/sigma)) - ln_tol is <= 0: the mass condition
-    binds for u <= sigma, the cubic one beyond.  Both only improve as a
-    grows.
 
-    The search holds lo, the largest a seen to fail (first floor(mean),
-    which never qualifies), and hi, the least seen to qualify.  It starts
-    at ceil(mean + _edge_start - 1/4), which is the edge or one below it
-    for any estimate from 3/4 below the real crossing to 1/4 above it.  Each
-    test also gives the excess and its slope there, -s or 3/u - s, and the
-    next a tested is the ceiling of that tangent's root, held within
-    (lo, hi): as the excess is concave on either side of sigma, the root
-    lies at or past the real crossing, so from a start within one of the
-    edge it names the edge.  Left of the cubic bound's peak (s u <= 3) the
-    next try is at u = 6/s instead, past the peak since s grows with u.
-    Without a usable root (after _EDGE_NEWTON_STEPS tries, or a nan where
-    e^s overflows at a tiny m1) it walks: up while no a qualifies, else
-    down from hi.  Two tests are the floor: a is the edge only once a is
-    seen to qualify and a - 1 to fail, unless a - 1 is floor(mean).  On
-    the low-background and default scan grids an edge takes 2.06 and 2.0
-    tests on average.  Returns (a, mass bound, cubic bound).
-    """
-    mean, sigma = m1 - m2, sqrt(m1 + m2)
-    lo, hi = math.floor(mean), None
-    guess = mean + _edge_start(m1, m2, -ln_tol) - 0.25
-    tries = _EDGE_NEWTON_STEPS
-    while True:
-        if hi is None:
-            a = math.ceil(guess) if lo + 1 < guess < math.inf else lo + 1
-        elif guess <= lo + 1:
-            a = lo + 1
-        else:                         # a nan guess, too, walks down
-            a = min(math.ceil(guess), hi - 1) if guess < hi else hi - 1
-        ln_c, s = _chernoff_ln_tail(m1, m2, a)
-        u = a - mean
-        q = u / sigma
-        cubic = 3.0 * log(q) if q > 1.0 else 0.0
-        if s * u < 3.0 or ln_c + cubic > ln_tol:
-            lo = a
-        else:
-            hi, c = a, exp(ln_c)
-            found = c, u**3 * c
-        if hi is not None and hi - lo == 1:
-            return (hi, *found)
-        guess = math.nan
-        if tries > 0:
-            tries -= 1
-            if s * u > 3.0:
-                slope = (3.0 / u if q > 1.0 else 0.0) - s
-                if slope < 0.0:
-                    guess = a - (ln_c + cubic - ln_tol) / slope
-            elif s > 0.0:             # left of the cubic bound's peak
-                guess = mean + 6.0 / s
+def _edge_steps(ln_last: float, ln_prev: float, u: float, sigma: float, ln_tol: float) -> int:
+    """Steps by which an edge of _skellam_window moves out: 0 when the tail
+    past it has mass <= e^ln_tol and cubic weight sum P(d) |d - mean|^3 <=
+    e^ln_tol sigma^3, from the last two kept masses, e^ln_last at distance
+    u > 0 from the mean and e^ln_prev next to it.  Past the edge each mass
+    is at most the last times q^j (log-concavity), and (u + j)^3 <=
+    u^3 e^(3j/u), so _ln_geometric_tail bounds the mass at ratio q and the
+    cubic weight, over u^3, at q' = q e^(3/u).  j steps out scale either by
+    at most q^j or q'^j: a miss moves the edge by the j its ratio
+    certifies, or by u where that ratio is >= 1."""
+    steps = 0
+    for shift, weight in ((0.0, 0.0), (3.0 / u, 3.0 * log(u / sigma))):
+        miss = _ln_geometric_tail(ln_last, ln_prev - shift) + weight - ln_tol
+        if miss > 0.0:
+            ln_q = ln_last - ln_prev + shift
+            steps = max(steps, math.ceil(miss / -ln_q) if ln_q < 0.0 else math.ceil(u))
+    return steps
 
 
 def _skellam_window(nb: float, x: float, policy: TruncationPolicy) -> _SkellamWindow:
-    """Certified support window of d = k - l ~ Skellam(x nb, x (nb+1)).
+    """Certified support window of d = k - l ~ Skellam(mu1, mu2), mu1 = x nb,
+    mu2 = x (nb+1), with the Bessel chain of its masses.
 
-    Each side is _tail_edge's at the one tolerance tail_tol/4: it drops at
-    most tail_tol/4 of the mass and at most tail_tol/4 * sigma^3 of the
-    cubic weight, sigma^2 = x (2 nb + 1) being the variance of d.  Since
-    E|d - mean|^3 >= sigma^3 (Lyapunov), a T summed by cubic weights over
-    it, as spectral_oracle's, is low by at most tail_tol/2 relative;
-    third_moment's identity needs the mass bound alone.  The mass condition binds only within sigma of the
-    mean, as at a tiny x nb: nb = 1e-20, x = 0.2, tail_tol = 0.49 keeps
-    hi = 0, where the cubic one alone would drop mass 0.82.  CapExceeded if
-    the variance reaches K_MAX_CAP^2, where one sigma alone passes K_MAX_CAP;
-    ConsistencyError if mu1 mu2 underflows (no Bessel argument 2 sqrt(mu1 mu2)).
+    Each side drops at most tail_tol/4 of the mass and tail_tol/4 sigma^3 of
+    the cubic weight, sigma^2 = x (2 nb + 1): since E|d - mean|^3 >= sigma^3
+    (Lyapunov), a T summed by cubic weights over it, as spectral_oracle's,
+    is low by at most tail_tol/2 relative; third_moment's identity needs the
+    mass bound alone.  The Skellam pmf is log-concave, as a convolution of
+    two Poisson pmfs (Keilson & Gerber, JASA 66:386, 1971), so _edge_steps
+    certifies each side from the log-masses at its edge and next to it,
+    formed as _skellam_masses forms them and moved by the rounding bound
+    derived there, at its largest over the four, the way that enlarges the
+    tail.  Each side starts one integer past _edge_start, the window
+    widened to hold d = -ceil(x) .. 2 - ceil(x), the three masses next to
+    the mean that third_moment reads.  The chain is _bessel_ln_ratios(z,
+    max(-lo, hi)), z = 2 sqrt(mu1 mu2), and ln P(0) = ln(e^-z I_0(z)) -
+    x^2 / (sqrt(mu1) + sqrt(mu2))^2, free of cancellation.  A side that
+    misses moves out by _edge_steps and the chain is built again: on the
+    low-background and default scan grids never, and at the windows kept
+    the bound lies at least e^0.23 and e^2.93 below its target there.
+    CapExceeded if the variance reaches K_MAX_CAP^2, or once [lo, hi]
+    reaches past K_MAX_CAP or is K_MAX_CAP wide, which bounds the chain;
+    ConsistencyError if mu1 mu2 underflows (no Bessel argument).
     """
     m1, m2 = x * nb, x * (nb + 1.0)
     if not m1 + m2 < float(K_MAX_CAP) ** 2:
         raise CapExceeded(f"Skellam variance {m1 + m2:g} exceeds K_MAX_CAP^2 (nb={nb}, x={x})")
     if m1 * m2 == 0.0:
         raise ConsistencyError(f"Bessel argument 2 sqrt(mu1 mu2) underflows (nb={nb}, x={x})")
-    ln_tol = log(policy.tail_tol / 4.0)
-    a, up_mass, up_cubic = _tail_edge(m1, m2, ln_tol)
-    b, lo_mass, lo_cubic = _tail_edge(m2, m1, ln_tol)
-    return _SkellamWindow(lo=1 - b, hi=a - 1, tail_mass=up_mass + lo_mass,
-                          tail_cubic=up_cubic + lo_cubic)
+    z, h, sigma = 2.0 * math.sqrt(m1 * m2), 0.5 * log1p(1.0 / nb), sqrt(m1 + m2)
+    ln_p0 = log(_bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
+    ln_tol, mean = log(policy.tail_tol / 4.0), m1 - m2
+    hi = max(math.ceil(mean + _edge_start(m1, m2, -ln_tol) + 0.75) - 1, 2 - math.ceil(x))
+    lo = min(1 - math.ceil(_edge_start(m2, m1, -ln_tol) - mean + 0.75), -math.ceil(x))
+    while True:
+        n_hi = max(-lo, hi)
+        if n_hi > K_MAX_CAP or hi - lo >= K_MAX_CAP:
+            raise CapExceeded(f"support window [{lo}, {hi}] exceeds K_MAX_CAP={K_MAX_CAP} "
+                              f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})")
+        ln_ratio = _bessel_ln_ratios(z, n_hi)
+        ends = (hi, hi - 1, lo, lo + 1)
+        ln_l = [ln_ratio.item(abs(d)) for d in ends]
+        ln_m = [v + ln_p0 - h * d for v, d in zip(ln_l, ends)]
+        ell = _miller_block(z, n_hi + 1)       # _skellam_masses' rounding() at its largest
+        size = abs(ln_p0) + max(map(abs, ln_l)) + h * n_hi
+        damped = 2.0 / -math.expm1(-2.0 * math.asinh(max(1, min(map(abs, ends))) / z)) + 6.5
+        slack = 2.0**-52 * ((-(-n_hi // ell) + 3.0) * size + 4.0 * (n_hi + ell + 2.0) + damped)
+        hi_steps = _edge_steps(ln_m[0] + slack, ln_m[1] - slack, hi + x, sigma, ln_tol)
+        lo_steps = _edge_steps(ln_m[2] + slack, ln_m[3] - slack, -x - lo, sigma, ln_tol)
+        if hi_steps == lo_steps == 0:
+            return _SkellamWindow(lo, hi, ln_ratio, ln_p0)
+        hi, lo = hi + hi_steps, lo - lo_steps
 
 
 _BLOCKED_FROM = 512          # _bessel_ln_ratios: recurrences this long run in blocks
@@ -674,11 +661,11 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
     """ln P(Y >= first) for Y ~ Skellam(m1, m2), m1, m2 > 0, first >= 0:
     ln P(0) + ln sum_(k >= first) t_k, t_k = rho^k I_k(z) / I_0(z), with
     rho = sqrt(m1 / m2) and z = 2 sqrt(m1 m2).  t_(k+1) / t_k = rho I_(k+1) / I_k
-    falls with k, so past t_n, at q = t_n / t_(n-1) < 1, the rest is at most
-    t_n q / (1 - q), which must fall below e^_LN_TAIL_TOL of the sum.  n starts
-    where the integral of asinh(t/z) - ln rho from the largest term reaches that
-    tolerance (I_k / I_(k-1) ~ exp(-asinh(k/z))), and doubles until the bound
-    holds.  The ratios come from _bessel_ln_ratios(z, n), seeded at the top
+    falls with k, so past t_n the rest is at most _ln_geometric_tail's
+    t_n q / (1 - q), q = t_n / t_(n-1), which must fall below e^_LN_TAIL_TOL
+    of the sum.  n starts where the integral of asinh(t/z) - ln rho from the
+    largest term reaches that tolerance (I_k / I_(k-1) ~ exp(-asinh(k/z))),
+    and doubles until the bound holds.  The ratios come from _bessel_ln_ratios(z, n), seeded at the top
     by _perron_bracket, so the cost is the n steps and a few dozen levels at
     most, for any z, and each L_k = ln(I_k / I_0) is within the rounding
     budget stated there.  z and ln P(0) = ln(e^-z I_0(z)) -
@@ -699,8 +686,7 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
         ln_t += ln_rho * np.arange(first, n_hi + 1)
         if ln_rho <= 0.0 or ln_t.max() < _LN_SUMMABLE:
             ln_s = log(_sum(np.exp(ln_t)))
-            ln_q = ln_t[-1] - ln_t[-2]
-            if ln_q < 0.0 and ln_t[-1] + ln_q - log(-math.expm1(ln_q)) < ln_s + _LN_TAIL_TOL:
+            if _ln_geometric_tail(ln_t[-1], ln_t[-2]) < ln_s + _LN_TAIL_TOL:
                 return ln_p0 + ln_s
         n_hi *= 2
     raise CapExceeded(f"Skellam tail past K_MAX_CAP={K_MAX_CAP} terms (m1={m1}, m2={m2})")
@@ -709,24 +695,17 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
 def _skellam_masses(
     nb: float, x: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], float]]:
-    """Probability masses of d = k - l under p(k, l), over a certified window.
+    """Probability masses of d = k - l under p(k, l), over the certified
+    window of _skellam_window, from its chain and ln P(0).
 
     d is Skellam(mu1, mu2) with mu1 = x nb, mu2 = x (nb+1), z = 2 sqrt(mu1 mu2):
 
         P(d) = e^(z - mu1 - mu2) (mu1/mu2)^(d/2) e^-z I_|d|(z).
 
-    ln(I_n(z) / I_0(z)) comes from _bessel_ln_ratios, the Perron-seeded
-    backward recurrence; ln P(0), written in place, takes e^-z I_0(z)
-    and z - mu1 - mu2 = -x^2 / (sqrt(mu1) + sqrt(mu2))^2, free of cancellation.
     The masses are not renormalised, so their sum is a real diagnostic.
-    Returns (d, mass, rounding) for d in [lo, hi]: the certified window,
-    widened to hold d = -ceil(x) .. 2 - ceil(x), the three masses next to
-    the mean -x that third_moment reads.  Only a tail_tol near 1 needs
-    that: at nb = x = 2^-9 and tail_tol = 0.49 the window is [-2, 0].
-    It widens by at most 2, as _tail_edge keeps hi >= floor(-x) and
-    lo <= -floor(x).  CapExceeded if [lo, hi] reaches past
-    K_MAX_CAP or is K_MAX_CAP wide, which also bounds the recurrence, as it
-    runs from the edge farthest from 0.
+    Returns (d, mass, rounding) for d in [lo, hi], which holds
+    d = -ceil(x) .. 2 - ceil(x), the three masses next to the mean -x that
+    third_moment reads.
 
     rounding() bounds the rounding error of the sum of the masses.  Here
     ln mass_d = ln P(0) + L_|d| - h d, with L_n = ln(I_n / I_0) and
@@ -741,23 +720,13 @@ def _skellam_masses(
     relative eps ((k_|d| + 2) S_d + 4 (|d| + l + 2) + D_|d|) at most, and the
     sum by that weighted by mass.  For the scalar loop (l = 1), k_|d| =
     |d| + 1 counts its cumulative sum of log-ratios; in blocks, the
-    ceil(|d| / l) block scales summed take their place.  rounding() recomputes
-    the log-ratios, bit for bit, rather than hold them: held, they slow T's
-    sums, and rounding() is rarely called.  Over random nb in [1e-8, 1e7] and
-    x in [1e-3, 1e6] the observed |1 - sum| stayed below 1/8 of this bound.
+    ceil(|d| / l) block scales summed take their place.  Over random nb in
+    [1e-8, 1e7] and x in [1e-3, 1e6] the observed |1 - sum| stayed below 1/8
+    of this bound.
     """
+    lo, hi, ln_ratio, ln_p0 = _skellam_window(nb, x, policy)
     m1, m2 = x * nb, x * (nb + 1.0)
-    win = _skellam_window(nb, x, policy)
-    z = 2.0 * math.sqrt(m1 * m2)
-    lo, hi = min(win.lo, -math.ceil(x)), max(win.hi, 2 - math.ceil(x))
-    n_hi = max(-lo, hi)                        # >= ceil(x) >= 1
-    if n_hi > K_MAX_CAP or hi - lo >= K_MAX_CAP:
-        raise CapExceeded(f"support window [{lo}, {hi}] exceeds K_MAX_CAP={K_MAX_CAP} "
-                          f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})")
-
-    ln_ratio = _bessel_ln_ratios(z, n_hi)
-    ln_p0 = log(_bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
-    h = 0.5 * log1p(1.0 / nb)
+    z, h = 2.0 * math.sqrt(m1 * m2), 0.5 * log1p(1.0 / nb)
     d = np.arange(lo, hi + 1)
     # exp(ln_p0 + L_|d| - h d), in place; L_|d| is read by two slices, the
     # one below d = 0 reversed (lo < 0 always, hi may be too)
@@ -767,10 +736,10 @@ def _skellam_masses(
     np.exp(mass, out=mass)
 
     def rounding() -> float:
-        n = np.abs(d)
+        n, n_hi = np.abs(d), len(ln_ratio) - 1
         ell = _miller_block(z, n_hi + 1)
         seed_at = -(-n_hi // ell) * ell + 1    # N + 1
-        size = abs(ln_p0) + np.abs(_bessel_ln_ratios(z, n_hi)[n]) + h * n
+        size = abs(ln_p0) + np.abs(ln_ratio[n]) + h * n
         ash = 2.0 * np.arcsinh(np.maximum(n, 1) / z)
         damped = np.where(n > 0, 2.0 / -np.expm1(-ash) + 6.5 * np.exp((n - seed_at) * ash), 0.0)
         per_mass = (-(-n // ell) + 3.0) * size + 4.0 * (n + ell + 2.0) + damped

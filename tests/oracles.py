@@ -159,17 +159,17 @@ BE_SUP_FROZEN = {
     (5000, 600.0, 100.0): 8.14224359435567e-06,
 }
 
-# T summed exactly over third_moment's certified window [-49148, -45742] at
+# T summed exactly over third_moment's certified window [-49138, -45730] at
 # nb = 1.5e-4, 85 dB (x = eta*ns = 1.5e-4 * 10**8.5), default tail_tol, from
 # recompute_t_skellam at dps 30 (dps 50 agrees to every digit of the double).
 # The masses' exponent there is built from parts of size ~2e5, so this
 # checks their rounding, not the truncation.
-T_ORACLE_NB1P5E4_85DB = 11258873237.239769
+T_ORACLE_NB1P5E4_85DB = 11258873237.239254
 
-# The same sum over third_moment's window [-188584, -181842] at
+# The same sum over third_moment's window [-188574, -181831] at
 # nb = 0.001708622281030649, 80.35 dB (x = nb * 10**8.035), where the
 # masses' rounding puts their sum 8.1e-10 past 1; dps 30 and 50 agree.
-T_ORACLE_NB1P7E3_80DB = 33101821559.85216
+T_ORACLE_NB1P7E3_80DB = 33101821559.85185
 
 # thermal closed forms at nb=600, gamma=1
 D_600_G1 = 0.9991675914367262547721
@@ -352,35 +352,6 @@ def skellam_ln_tail_miller(m1: float, m2: float, first: int) -> float:
         if ln_q < 0.0 and ln_t[-1] + ln_q - log(-math.expm1(ln_q)) < ln_s + dm._LN_TAIL_TOL:
             return ln_p0 + ln_s
         n_hi *= 2
-
-
-def tail_edge_bisect(m1: float, m2: float, ln_mass_tol: float, ln_cubic_tol: float):
-    """displaced._tail_edge by the search it ran before its Newton start:
-    the same integer condition on the same Chernoff bound, whose least
-    qualifying offset above floor(mean) is bracketed by doubling from
-    5 sigma and then bisected.  Returns (a, mass bound, cubic bound)."""
-    from steinradar.displaced import _chernoff_ln_tail
-
-    mean = m1 - m2
-    base = math.floor(mean)
-
-    def bounds(a: int):
-        ln_c, s = _chernoff_ln_tail(m1, m2, a)
-        u = a - mean
-        if s * u < 3.0 or ln_c > ln_mass_tol or 3.0 * log(u) + ln_c > ln_cubic_tol:
-            return None
-        return exp(ln_c), u**3 * exp(ln_c)
-
-    lo, hi = 0, max(1, int(5.0 * math.sqrt(m1 + m2)))
-    while bounds(base + hi) is None:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bounds(base + mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    return (base + hi, *bounds(base + hi))
 
 
 def difference_masses_rowwise(nb: float, x: float, tail_tol: float):

@@ -29,7 +29,6 @@ from steinradar.displaced import (
     _skellam_masses,
     _skellam_window,
     _sum,
-    _tail_edge,
     _thermal_cutoff,
 )
 
@@ -41,7 +40,6 @@ from oracles import (
     difference_masses_rowwise,
     laguerre_binomial,
     skellam_log_pmf,
-    tail_edge_bisect,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -384,26 +382,27 @@ class TestSkellamRoute:
             assert third_moment(s).t >= thermal_closed_forms(s).v ** 1.5
 
     def test_dropped_tail_within_certified_bound(self):
-        # the whole pmf outside the window, from scipy's scaled Bessel
+        # the whole pmf outside the window, from scipy's scaled Bessel: each
+        # side drops at most tail_tol/4 of the mass and tail_tol/4 sigma^3 of
+        # the cubic weight
         from scipy.special import ive
 
         nb, x = 600.0, 1897.0
         m1, m2 = x * nb, x * (nb + 1.0)
         z = 2.0 * sqrt(m1 * m2)
+        tol = TruncationPolicy().tail_tol / 4.0
         win = _skellam_window(nb, x, TruncationPolicy())
         reach = int(20.0 * sqrt(m1 + m2))
-        d = np.concatenate((np.arange(win.lo - reach, win.lo),
-                            np.arange(win.hi + 1, win.hi + reach + 1))).astype(float)
-        pmf = np.exp(0.5 * d * log(m1 / m2) + z - m1 - m2) * ive(np.abs(d), z)
-        dropped_mass = math.fsum(pmf)
-        dropped_cubic = math.fsum(pmf * np.abs(d + x) ** 3)
-        assert 0.0 < dropped_mass <= win.tail_mass <= TruncationPolicy().tail_tol / 2.0
-        assert 0.0 < dropped_cubic <= win.tail_cubic
+        for d in (np.arange(win.lo - reach, win.lo), np.arange(win.hi + 1, win.hi + reach + 1)):
+            d = d.astype(float)
+            pmf = np.exp(0.5 * d * log(m1 / m2) + z - m1 - m2) * ive(np.abs(d), z)
+            assert 0.0 < math.fsum(pmf) <= tol
+            assert 0.0 < math.fsum(pmf * np.abs(d + x) ** 3) <= tol * (m1 + m2) ** 1.5
 
     def test_small_nb_against_frozen_oracle(self):
         # nb=1.5e-4 at 85 dB: the masses' exponent is built from parts of
         # ~2e5, whose rounding (not the truncation: the oracle sums the same
-        # window) T's division by the captured mass cancels to 9.6e-12; the
+        # window) T's division by the captured mass cancels to 9.7e-12; the
         # identity reads three masses at the mode, whose error is not the
         # window's mass-weighted mean
         s = ThermalScenario(nb=1.5e-4, eta=1.0, ns=1.5e-4 * 10.0 ** (85.0 / 10.0))
@@ -429,54 +428,26 @@ class TestSkellamRoute:
                 d, mass, rounding = _skellam_masses(nb, x, policy)
                 assert abs(1.0 - math.fsum(mass)) <= rounding() / 4.0
 
-    def test_tail_edge_walks_up_without_newton(self, monkeypatch):
-        # with no Newton step the search starts at the Gaussian edge, below
-        # most edges, and the integer walk alone must reach the least
-        # qualifying a; every _chernoff_ln_tail call is then one of its tests
-        monkeypatch.setattr(displaced_mod, "_EDGE_NEWTON_STEPS", 0)
-        chernoff = displaced_mod._chernoff_ln_tail
-        tried = []
-        monkeypatch.setattr(displaced_mod, "_chernoff_ln_tail",
-                            lambda m1, m2, a: tried.append(a) or chernoff(m1, m2, a))
-        ln_tol = log(1e-10 / 4.0)
-        walked_up = 0
-        for nb in (600.0, 5.0, 0.1, 1e-3):
-            for x in (1e-3, 10.0, 1e3):
-                m1, m2 = x * nb, x * (nb + 1.0)
-                for upper, lower in ((m1, m2), (m2, m1)):
-                    want = tail_edge_bisect(upper, lower, ln_tol,
-                                            ln_tol + 1.5 * log(m1 + m2))
-                    tried.clear()
-                    assert _tail_edge(upper, lower, ln_tol) == want, (nb, x, upper)
-                    walked_up += any(b > a for a, b in zip(tried, tried[1:]))
-        assert walked_up >= 12
-
-    def test_tail_edge_evaluation_budget(self, monkeypatch):
-        # both edges of every window on the low-background grid (nb = 0.1,
-        # -10..20 dB, 1,000 points) and the default grid (nb = 600, -15..5 dB,
-        # 200 points): an edge takes at most 3.5 Chernoff evaluations on
-        # average, against 4.75 and 4.0 when Newton ran from the Gaussian edge
-        # to convergence, and is still the least qualifying a
-        chernoff = displaced_mod._chernoff_ln_tail
+    def test_one_chain_per_t_on_scan_grids(self, monkeypatch):
+        # every window on the low-background grid (nb = 0.1, -10..20 dB,
+        # 1,000 points) and the default grid (nb = 600, -15..5 dB, 200
+        # points) is certified where it starts, so T builds one Bessel chain;
+        # at nb = 10, x = 1.39 the start misses, and the window is built twice
+        chain = displaced_mod._bessel_ln_ratios
         calls = []
-        monkeypatch.setattr(displaced_mod, "_chernoff_ln_tail",
-                            lambda m1, m2, a: calls.append(a) or chernoff(m1, m2, a))
-        ln_tol = log(1e-10 / 4.0)
+        monkeypatch.setattr(displaced_mod, "_bessel_ln_ratios",
+                            lambda z, n_hi: calls.append(n_hi) or chain(z, n_hi))
         for nb, lo_db, hi_db, points in ((0.1, -10.0, 20.0, 1000), (600.0, -15.0, 5.0, 200)):
-            used = 0
             for snr_db in np.linspace(lo_db, hi_db, points):
-                x = 10.0 ** (snr_db / 10.0) * nb
-                m1, m2 = x * nb, x * (nb + 1.0)
-                for upper, lower in ((m1, m2), (m2, m1)):
-                    before = len(calls)
-                    got = _tail_edge(upper, lower, ln_tol)
-                    used += len(calls) - before
-                    assert got == tail_edge_bisect(upper, lower, ln_tol,
-                                                   ln_tol + 1.5 * log(m1 + m2)), (nb, snr_db)
-            assert used / (2 * points) <= 3.5, nb
+                calls.clear()
+                third_moment(ThermalScenario(nb=nb, eta=1.0, ns=10.0 ** (snr_db / 10.0) * nb))
+                assert len(calls) == 1, (nb, snr_db)
+        calls.clear()
+        third_moment(ThermalScenario(nb=10.0, eta=1.0, ns=1.39))
+        assert len(calls) == 2 and calls[1] > calls[0]
 
     def test_sum_equals_fsum_on_default_grid(self):
-        # every window the default scan sums (2,361 to 23,612 wide, all past
+        # every window the default scan sums (2,363 to 23,613 wide, all past
         # the fsum switch): the masses whole and in the two parts T sums
         # either side of d = -c, and the cubic weights spectral_oracle sums
         nb = 600.0
@@ -507,23 +478,33 @@ class TestSkellamRoute:
             assert (got.t.hex(), got.captured_mass.hex()) == (t, captured), (nb, snr_db)
 
     def test_width_cap(self):
-        # window [-5175750, -4824250]: past K_MAX_CAP, refused before any sum
+        # window [-5175749, -4824251]: past K_MAX_CAP, refused before any sum
         with pytest.raises(CapExceeded):
             third_moment(ThermalScenario(nb=50.0, eta=1.0, ns=50e5))
 
     def test_index_cap(self):
         # the Bessel chain runs from the window's edge farthest from 0, so a
-        # window past K_MAX_CAP is refused however narrow: 7,168 wide at
+        # window past K_MAX_CAP is refused however narrow: 7,169 wide at
         # nb=1e-6, 111,155 at nb=50
-        for nb, x, window in ((1e-6, 2.1e5, "[-213594, -206427]"),
+        for nb, x, window in ((1e-6, 2.1e5, "[-213584, -206416]"),
                               (50.0, 5e5, "[-555577, -444423]")):
             with pytest.raises(CapExceeded, match=re.escape(f"support window {window}")):
                 third_moment(ThermalScenario(nb=nb, eta=1.0, ns=x))
-        # windows within it return, among them [-185708, -14292] at nb=600,
+        # windows within it return, among them [-185707, -14293] at nb=600,
         # whose Miller start (201,228) once passed K_MAX_CAP
         for nb, x in ((1e-6, 1.9e5), (600.0, 1e5)):
             res = third_moment(ThermalScenario(nb=nb, eta=1.0, ns=x))
             assert math.isfinite(res.t) and abs(res.captured_mass - 1.0) < 1e-9
+
+    def test_window_at_subnormal_mean(self):
+        # x nb is subnormal, so r / (e x nb) in _edge_start's Poisson estimate
+        # overflows; the window starts from the Gaussian one instead, and
+        # still drops at most tail_tol/2
+        policy = TruncationPolicy(tail_tol=0.0032577830746079203)
+        res = third_moment(ThermalScenario(nb=4.981047290676048e-299, eta=1.0,
+                                           ns=4.5337476774662653e-13), policy)
+        assert math.isfinite(res.t)
+        assert 1.0 - policy.tail_tol / 2.0 <= res.captured_mass <= 1.0
 
     def test_runtime_imports_numpy_only(self):
         code = (
@@ -554,15 +535,15 @@ def test_recompute_frozen_small_nb_t():
     """Re-derive the two small-nb T oracles with an mpmath Miller recurrence (about a second)."""
     from oracles import recompute_t_skellam
 
-    cases = ((1.5e-4, 85.0, (-49148, -45742), T_ORACLE_NB1P5E4_85DB),
-             (0.001708622281030649, 80.35, (-188584, -181842), T_ORACLE_NB1P7E3_80DB))
+    cases = ((1.5e-4, 85.0, (-49138, -45730), T_ORACLE_NB1P5E4_85DB),
+             (0.001708622281030649, 80.35, (-188574, -181831), T_ORACLE_NB1P7E3_80DB))
     for nb, snr_db, window, want in cases:
         x = nb * 10.0 ** (snr_db / 10.0)
         win = _skellam_window(nb, x, TruncationPolicy())
         assert (win.lo, win.hi) == window
         t, mass = recompute_t_skellam(nb, x, win.lo, win.hi)
         assert t == pytest.approx(want, rel=1e-15)
-        assert 1.0 - win.tail_mass <= mass <= 1.0
+        assert 1.0 - TruncationPolicy().tail_tol / 2.0 <= mass <= 1.0
 
 
 @pytest.mark.slow
