@@ -14,15 +14,15 @@ seeded at its top by one ratio that Perron's continued fraction brackets to
 an ulp in a few dozen levels: short recurrences run as a scalar loop, long
 ones in vectorised blocks stitched at their edges.  _skellam_ln_tail sums
 the law's log tails from the same chain, for marcum's heterodyne benchmark.
-The masses cover a support window that the law's log-concavity certifies
-from the two masses at each of its edges, so the cost is linear in its
-width.  T comes from a Poisson Stein identity, which needs the cdf at the
-mean and three masses next to it: so third_moment sums the masses alone, in
-two parts either side of the mean, and never forms cubic weights.  The
-window's certificate still covers the cubic-weighted tail, because
-spectral_oracle sums cubic weights over the same window.  Both
-routes' mass sums go through _sum, a vectorised summation by error-free
-extraction, within an ulp of math.fsum.
+_skellam_masses forms the masses' exponent over a support window, which the
+law's log-concavity certifies from the two log-masses at each edge of that
+exponent, so the cost is linear in its width.  T comes from a Poisson Stein
+identity, which needs the cdf at the mean and three masses next to it: so
+third_moment sums the masses alone, in two parts either side of the mean,
+and never forms cubic weights.  The window's certificate still covers the
+cubic-weighted tail, because spectral_oracle sums cubic weights over the
+same window.  Both routes' mass sums go through _sum, a vectorised
+summation by error-free extraction, within an ulp of math.fsum.
 
 spectral_oracle is the independent cross-check: it sums D, V and T from the
 transition probabilities themselves, and adds them with math.fsum rather
@@ -248,8 +248,8 @@ def _difference_masses(
     nb: float, x: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], float]]:
     """Probability masses of the difference d = k - l under p(k, l), over
-    the certified window of _skellam_window (its lo and hi only), the same
-    support third_moment sums over.
+    the certified window of _skellam_masses (its d only), the same support
+    third_moment sums over.
 
     Returns (d, mass, rounding) for d in [lo, hi].  The mass at d = -m sums
     gamma_n A(n, m)^2 over the thermal rows n <= n_max = _sweep_rows; at
@@ -267,8 +267,9 @@ def _difference_masses(
     more.  Squared into a probability, mass_d is thus off by a relative
     2 eps (S_|d| + n_max + 4) at most, and the sum by that weighted by mass.
     """
-    win = _skellam_window(nb, x, policy)
-    m_lo, m_hi = max(0, -win.hi), max(-win.lo, win.hi)
+    d = _skellam_masses(nb, x, policy)[0]
+    lo, hi = d.item(0), d.item(-1)
+    m_lo, m_hi = max(0, -hi), max(-lo, hi)
     n_max = _sweep_rows(nb, policy.tail_tol)
     g = np.exp(-log(nb + 1.0) - log1p(1.0 / nb) * np.arange(max(n_max, 1) + 1))
     acc = np.zeros(m_hi - m_lo + 1)
@@ -282,7 +283,6 @@ def _difference_masses(
         acc += (g[n : n + k] @ sq[:k]) * exp2ls
         n += k
 
-    d = np.arange(win.lo, win.hi + 1)
     mass = acc[np.abs(d) - m_lo] * np.power(nb / (nb + 1.0), np.maximum(d, 0))
 
     def rounding() -> float:
@@ -322,21 +322,11 @@ def _captured_mass(captured: float, nb: float, x: float, tail_tol: float,
     return captured
 
 
-class _SkellamWindow(NamedTuple):
-    """Certified support [lo, hi] of d = k - l, with the chain
-    ln_ratio[n] = ln(I_n(z) / I_0(z)), n <= max(-lo, hi), and ln P(0)."""
-
-    lo: int
-    hi: int
-    ln_ratio: np.ndarray
-    ln_p0: float
-
-
 def _edge_start(m1: float, m2: float, t: float) -> float:
-    """Where one side of _skellam_window starts, for d ~ Skellam(m1, m2) and
-    t = -ln(tail_tol/4) > ln 4: an estimate of the u = a - mean at which the
-    Chernoff bound C(a) on the mass of d >= a, times (u/sigma)^3 for the
-    cubic weight, sigma^2 = m1 + m2, falls to e^-t.
+    """Where one side of _skellam_masses' window starts, for
+    d ~ Skellam(m1, m2) and t = -ln(tail_tol/4) > ln 4: an estimate of the
+    u = a - mean at which the Chernoff bound C(a) on the mass of d >= a,
+    times (u/sigma)^3 for the cubic weight, sigma^2 = m1 + m2, falls to e^-t.
 
     Near the mean the tail is near Gaussian, -ln C ~ u^2 / (2 sigma^2), and
     v = u / sigma solves v^2 = 2t + 6 ln v; three fixed-point steps from
@@ -377,15 +367,15 @@ def _ln_geometric_tail(ln_last: float, ln_prev: float) -> float:
 
 
 def _edge_steps(ln_last: float, ln_prev: float, u: float, sigma: float, ln_tol: float) -> int:
-    """Steps by which an edge of _skellam_window moves out: 0 when the tail
-    past it has mass <= e^ln_tol and cubic weight sum P(d) |d - mean|^3 <=
-    e^ln_tol sigma^3, from the last two kept masses, e^ln_last at distance
-    u > 0 from the mean and e^ln_prev next to it.  Past the edge each mass
-    is at most the last times q^j (log-concavity), and (u + j)^3 <=
-    u^3 e^(3j/u), so _ln_geometric_tail bounds the mass at ratio q and the
-    cubic weight, over u^3, at q' = q e^(3/u).  j steps out scale either by
-    at most q^j or q'^j: a miss moves the edge by the j its ratio
-    certifies, or by u where that ratio is >= 1."""
+    """Steps by which an edge of _skellam_masses' window moves out: 0 when
+    the tail past it has mass <= e^ln_tol and cubic weight sum
+    P(d) |d - mean|^3 <= e^ln_tol sigma^3, from the last two kept masses,
+    e^ln_last at distance u > 0 from the mean and e^ln_prev next to it.
+    Past the edge each mass is at most the last times q^j (log-concavity),
+    and (u + j)^3 <= u^3 e^(3j/u), so _ln_geometric_tail bounds the mass at
+    ratio q and the cubic weight, over u^3, at q' = q e^(3/u).  j steps out
+    scale either by at most q^j or q'^j: a miss moves the edge by the j its
+    ratio certifies, or by u where that ratio is >= 1."""
     steps = 0
     for shift, weight in ((0.0, 0.0), (3.0 / u, 3.0 * log(u / sigma))):
         miss = _ln_geometric_tail(ln_last, ln_prev - shift) + weight - ln_tol
@@ -393,61 +383,6 @@ def _edge_steps(ln_last: float, ln_prev: float, u: float, sigma: float, ln_tol: 
             ln_q = ln_last - ln_prev + shift
             steps = max(steps, math.ceil(miss / -ln_q) if ln_q < 0.0 else math.ceil(u))
     return steps
-
-
-def _skellam_window(nb: float, x: float, policy: TruncationPolicy) -> _SkellamWindow:
-    """Certified support window of d = k - l ~ Skellam(mu1, mu2), mu1 = x nb,
-    mu2 = x (nb+1), with the Bessel chain of its masses.
-
-    Each side drops at most tail_tol/4 of the mass and tail_tol/4 sigma^3 of
-    the cubic weight, sigma^2 = x (2 nb + 1): since E|d - mean|^3 >= sigma^3
-    (Lyapunov), a T summed by cubic weights over it, as spectral_oracle's,
-    is low by at most tail_tol/2 relative; third_moment's identity needs the
-    mass bound alone.  The Skellam pmf is log-concave, as a convolution of
-    two Poisson pmfs (Keilson & Gerber, JASA 66:386, 1971), so _edge_steps
-    certifies each side from the log-masses at its edge and next to it,
-    formed as _skellam_masses forms them and moved by the rounding bound
-    derived there, at its largest over the four, the way that enlarges the
-    tail.  Each side starts one integer past _edge_start, the window
-    widened to hold d = -ceil(x) .. 2 - ceil(x), the three masses next to
-    the mean that third_moment reads.  The chain is _bessel_ln_ratios(z,
-    max(-lo, hi)), z = 2 sqrt(mu1 mu2), and ln P(0) = ln(e^-z I_0(z)) -
-    x^2 / (sqrt(mu1) + sqrt(mu2))^2, free of cancellation.  A side that
-    misses moves out by _edge_steps and the chain is built again: on the
-    low-background and default scan grids never, and at the windows kept
-    the bound lies at least e^0.23 and e^2.93 below its target there.
-    CapExceeded if the variance reaches K_MAX_CAP^2, or once [lo, hi]
-    reaches past K_MAX_CAP or is K_MAX_CAP wide, which bounds the chain;
-    ConsistencyError if mu1 mu2 underflows (no Bessel argument).
-    """
-    m1, m2 = x * nb, x * (nb + 1.0)
-    if not m1 + m2 < float(K_MAX_CAP) ** 2:
-        raise CapExceeded(f"Skellam variance {m1 + m2:g} exceeds K_MAX_CAP^2 (nb={nb}, x={x})")
-    if m1 * m2 == 0.0:
-        raise ConsistencyError(f"Bessel argument 2 sqrt(mu1 mu2) underflows (nb={nb}, x={x})")
-    z, h, sigma = 2.0 * math.sqrt(m1 * m2), 0.5 * log1p(1.0 / nb), sqrt(m1 + m2)
-    ln_p0 = log(_bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
-    ln_tol, mean = log(policy.tail_tol / 4.0), m1 - m2
-    hi = max(math.ceil(mean + _edge_start(m1, m2, -ln_tol) + 0.75) - 1, 2 - math.ceil(x))
-    lo = min(1 - math.ceil(_edge_start(m2, m1, -ln_tol) - mean + 0.75), -math.ceil(x))
-    while True:
-        n_hi = max(-lo, hi)
-        if n_hi > K_MAX_CAP or hi - lo >= K_MAX_CAP:
-            raise CapExceeded(f"support window [{lo}, {hi}] exceeds K_MAX_CAP={K_MAX_CAP} "
-                              f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})")
-        ln_ratio = _bessel_ln_ratios(z, n_hi)
-        ends = (hi, hi - 1, lo, lo + 1)
-        ln_l = [ln_ratio.item(abs(d)) for d in ends]
-        ln_m = [v + ln_p0 - h * d for v, d in zip(ln_l, ends)]
-        ell = _miller_block(z, n_hi + 1)       # _skellam_masses' rounding() at its largest
-        size = abs(ln_p0) + max(map(abs, ln_l)) + h * n_hi
-        damped = 2.0 / -math.expm1(-2.0 * math.asinh(max(1, min(map(abs, ends))) / z)) + 6.5
-        slack = 2.0**-52 * ((-(-n_hi // ell) + 3.0) * size + 4.0 * (n_hi + ell + 2.0) + damped)
-        hi_steps = _edge_steps(ln_m[0] + slack, ln_m[1] - slack, hi + x, sigma, ln_tol)
-        lo_steps = _edge_steps(ln_m[2] + slack, ln_m[3] - slack, -x - lo, sigma, ln_tol)
-        if hi_steps == lo_steps == 0:
-            return _SkellamWindow(lo, hi, ln_ratio, ln_p0)
-        hi, lo = hi + hi_steps, lo - lo_steps
 
 
 _BLOCKED_FROM = 512          # _bessel_ln_ratios: recurrences this long run in blocks
@@ -695,49 +630,89 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
 def _skellam_masses(
     nb: float, x: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], float]]:
-    """Probability masses of d = k - l under p(k, l), over the certified
-    window of _skellam_window, from its chain and ln P(0).
+    """Probability masses of d = k - l under p(k, l), over a support window
+    [lo, hi] that the law's log-concavity certifies.
 
     d is Skellam(mu1, mu2) with mu1 = x nb, mu2 = x (nb+1), z = 2 sqrt(mu1 mu2):
 
-        P(d) = e^(z - mu1 - mu2) (mu1/mu2)^(d/2) e^-z I_|d|(z).
+        P(d) = e^(z - mu1 - mu2) (mu1/mu2)^(d/2) e^-z I_|d|(z),
 
-    The masses are not renormalised, so their sum is a real diagnostic.
-    Returns (d, mass, rounding) for d in [lo, hi], which holds
-    d = -ceil(x) .. 2 - ceil(x), the three masses next to the mean -x that
-    third_moment reads.
+    so ln mass_d = ln P(0) + L_|d| - h d, with the chain L_n = ln(I_n / I_0)
+    of _bessel_ln_ratios(z, max(-lo, hi)), h = ln(1 + 1/nb) / 2 and
+    ln P(0) = ln(e^-z I_0(z)) - x^2 / (sqrt(mu1) + sqrt(mu2))^2, free of
+    cancellation.  The masses are not renormalised, so their sum is a real
+    diagnostic.  Returns (d, mass, rounding) for d in [lo, hi].
 
-    rounding() bounds the rounding error of the sum of the masses.  Here
-    ln mass_d = ln P(0) + L_|d| - h d, with L_n = ln(I_n / I_0) and
-    h = ln(1 + 1/nb) / 2.  With l the recurrence's block length, L_n is
-    within eps (k_n |L_n| + 4 (n + l) + D_n) of exact, k_n = ceil(n / l) + 1
-    and D_n its damped rounding and seed error from above, the budget
-    _bessel_ln_ratios states (c = 6.5 there).  Every
-    partial sum formed on the way is at most S_d = |ln P(0)| + |L_|d|| + h |d|
-    in size (the log-ratios share a sign), so the two additions and the
-    product that assemble the exponent round by at most eps S_d each, and
-    its exponential and h add a few eps more.  mass_d is thus off by a
-    relative eps ((k_|d| + 2) S_d + 4 (|d| + l + 2) + D_|d|) at most, and the
-    sum by that weighted by mass.  For the scalar loop (l = 1), k_|d| =
-    |d| + 1 counts its cumulative sum of log-ratios; in blocks, the
-    ceil(|d| / l) block scales summed take their place.  Over random nb in
-    [1e-8, 1e7] and x in [1e-3, 1e6] the observed |1 - sum| stayed below 1/8
-    of this bound.
+    Each side of the window drops at most tail_tol/4 of the mass and
+    tail_tol/4 sigma^3 of the cubic weight, sigma^2 = x (2 nb + 1): since
+    E|d - mean|^3 >= sigma^3 (Lyapunov), a T summed by cubic weights over
+    it, as spectral_oracle's, is low by at most tail_tol/2 relative;
+    third_moment's identity needs the mass bound alone.  The Skellam pmf is
+    log-concave, as a convolution of two Poisson pmfs (Keilson & Gerber,
+    JASA 66:386, 1971), so _edge_steps certifies each side from the two
+    log-masses at its edge, read off the exponent before it is exponentiated
+    and moved by the rounding bound below, at its largest over the four, the
+    way that enlarges the tail.  Each side starts one integer past
+    _edge_start, the window widened to hold d = -ceil(x) .. 2 - ceil(x), the
+    three masses next to the mean -x that third_moment reads.  A side that
+    misses moves out by _edge_steps and the chain and exponent are built
+    again: on the low-background and default scan grids never, and at the
+    windows kept the bound lies at least e^0.23 and e^2.93 below its target
+    there.  CapExceeded if the variance reaches K_MAX_CAP^2, or once
+    [lo, hi] reaches past K_MAX_CAP or is K_MAX_CAP wide, which bounds the
+    chain; ConsistencyError if mu1 mu2 underflows (no Bessel argument).
+
+    rounding() bounds the rounding error of the sum of the masses.  With l
+    the recurrence's block length, L_n is within eps (k_n |L_n| + 4 (n + l)
+    + D_n) of exact, k_n = ceil(n / l) + 1 and D_n its damped rounding and
+    seed error from above, the budget _bessel_ln_ratios states (c = 6.5
+    there).  Every partial sum formed on the way is at most
+    S_d = |ln P(0)| + |L_|d|| + h |d| in size (the log-ratios share a sign),
+    so the two additions and the product that assemble the exponent round
+    by at most eps S_d each, and its exponential and h add a few eps more.
+    mass_d is thus off by a relative eps ((k_|d| + 2) S_d + 4 (|d| + l + 2)
+    + D_|d|) at most, and the sum by that weighted by mass.  For the scalar
+    loop (l = 1), k_|d| = |d| + 1 counts its cumulative sum of log-ratios;
+    in blocks, the ceil(|d| / l) block scales summed take their place.
+    Over random nb in [1e-8, 1e7] and x in [1e-3, 1e6] the observed
+    |1 - sum| stayed below 1/8 of this bound.
     """
-    lo, hi, ln_ratio, ln_p0 = _skellam_window(nb, x, policy)
     m1, m2 = x * nb, x * (nb + 1.0)
-    z, h = 2.0 * math.sqrt(m1 * m2), 0.5 * log1p(1.0 / nb)
-    d = np.arange(lo, hi + 1)
-    # exp(ln_p0 + L_|d| - h d), in place; L_|d| is read by two slices, the
-    # one below d = 0 reversed (lo < 0 always, hi may be too)
-    mass = np.concatenate((ln_ratio[-lo : max(-hi, 1) - 1 : -1], ln_ratio[: max(hi + 1, 0)]))
-    mass += ln_p0
-    mass -= h * d
+    if not m1 + m2 < float(K_MAX_CAP) ** 2:
+        raise CapExceeded(f"Skellam variance {m1 + m2:g} exceeds K_MAX_CAP^2 (nb={nb}, x={x})")
+    if m1 * m2 == 0.0:
+        raise ConsistencyError(f"Bessel argument 2 sqrt(mu1 mu2) underflows (nb={nb}, x={x})")
+    z, h, sigma = 2.0 * math.sqrt(m1 * m2), 0.5 * log1p(1.0 / nb), sqrt(m1 + m2)
+    ln_p0 = log(_bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
+    ln_tol, mean = log(policy.tail_tol / 4.0), m1 - m2
+    hi = max(math.ceil(mean + _edge_start(m1, m2, -ln_tol) + 0.75) - 1, 2 - math.ceil(x))
+    lo = min(1 - math.ceil(_edge_start(m2, m1, -ln_tol) - mean + 0.75), -math.ceil(x))
+    while True:
+        n_hi = max(-lo, hi)
+        if n_hi > K_MAX_CAP or hi - lo >= K_MAX_CAP:
+            raise CapExceeded(f"support window [{lo}, {hi}] exceeds K_MAX_CAP={K_MAX_CAP} "
+                              f"(nb={nb}, x={x}, tail_tol={policy.tail_tol})")
+        ln_ratio = _bessel_ln_ratios(z, n_hi)
+        d = np.arange(lo, hi + 1)
+        # ln_p0 + L_|d| - h d; L_|d| is read by two slices, the one below
+        # d = 0 reversed (lo < 0 always, hi may be too)
+        mass = np.concatenate((ln_ratio[-lo : max(-hi, 1) - 1 : -1], ln_ratio[: max(hi + 1, 0)]))
+        mass += ln_p0
+        mass -= h * d
+        ends = (hi, hi - 1, lo, lo + 1)
+        ell = _miller_block(z, n_hi + 1)       # rounding()'s bound at its largest over the ends
+        size = abs(ln_p0) + max(abs(ln_ratio.item(abs(e))) for e in ends) + h * n_hi
+        damped = 2.0 / -math.expm1(-2.0 * math.asinh(max(1, min(map(abs, ends))) / z)) + 6.5
+        slack = 2.0**-52 * ((-(-n_hi // ell) + 3.0) * size + 4.0 * (n_hi + ell + 2.0) + damped)
+        hi_steps = _edge_steps(mass.item(-1) + slack, mass.item(-2) - slack, hi + x, sigma, ln_tol)
+        lo_steps = _edge_steps(mass.item(0) + slack, mass.item(1) - slack, -x - lo, sigma, ln_tol)
+        if hi_steps == lo_steps == 0:
+            break
+        hi, lo = hi + hi_steps, lo - lo_steps
     np.exp(mass, out=mass)
 
     def rounding() -> float:
-        n, n_hi = np.abs(d), len(ln_ratio) - 1
-        ell = _miller_block(z, n_hi + 1)
+        n = np.abs(d)
         seed_at = -(-n_hi // ell) * ell + 1    # N + 1
         size = abs(ln_p0) + np.abs(ln_ratio[n]) + h * n
         ash = 2.0 * np.arcsinh(np.maximum(n, 1) / z)

@@ -368,11 +368,11 @@ def difference_masses_rowwise(nb: float, x: float, tail_tol: float):
     import numpy as np
 
     from steinradar import TruncationPolicy
-    from steinradar.displaced import _skellam_window, _sweep_rows
+    from steinradar.displaced import _skellam_masses, _sweep_rows
 
     ln_tiny, rescale_at, rescale_by = log(1e-250), 1e100, 1e-150
-    win = _skellam_window(nb, x, TruncationPolicy(tail_tol=tail_tol))
-    m_lo, m_hi = max(0, -win.hi), max(-win.lo, win.hi)
+    lo, hi = _skellam_masses(nb, x, TruncationPolicy(tail_tol=tail_tol))[0][[0, -1]].tolist()
+    m_lo, m_hi = max(0, -hi), max(-lo, hi)
     n_max = _sweep_rows(nb, tail_tol)
     marr = np.arange(m_lo, m_hi + 1, dtype=np.float64)
     lg = np.array([math.lgamma(m + 1.0) for m in range(m_lo, m_hi + 1)])
@@ -403,7 +403,7 @@ def difference_masses_rowwise(nb: float, x: float, tail_tol: float):
             ls[idx] -= log(rescale_by)
             exp2ls = np.exp(2.0 * ls)
             rescales += 1
-    d = np.arange(win.lo, win.hi + 1)
+    d = np.arange(lo, hi + 1)
     mass = acc[np.abs(d) - m_lo] * np.power(nb / (nb + 1.0), np.maximum(d, 0))
     return d, mass, rescales, floored
 

@@ -27,7 +27,6 @@ from steinradar.displaced import (
     K_MAX_CAP,
     _difference_masses,
     _skellam_masses,
-    _skellam_window,
     _sum,
     _thermal_cutoff,
 )
@@ -297,6 +296,22 @@ class TestSpectralOracle:
             floored += floors > 0
         assert rescaled >= 3 and floored >= 3
 
+    def test_one_support_with_skellam_route(self, monkeypatch):
+        # the sweep's d is T's certified window on the crosscheck grid
+        # (nb = 10, -15..5 dB, 200 points), 10 of whose windows widen, and at
+        # x = 1.39, where the start misses
+        chain = displaced_mod._bessel_ln_ratios
+        calls = []
+        monkeypatch.setattr(displaced_mod, "_bessel_ln_ratios",
+                            lambda z, n_hi: calls.append(n_hi) or chain(z, n_hi))
+        policy, widened = TruncationPolicy(), 0
+        for x in [10.0 ** (db / 10.0) * 10.0 for db in np.linspace(-15.0, 5.0, 200).tolist()] + [1.39]:
+            calls.clear()
+            d = _skellam_masses(10.0, x, policy)[0]
+            widened += len(calls) > 1
+            assert np.array_equal(_difference_masses(10.0, x, policy)[0], d), x
+        assert widened == 11
+
     def test_bits_frozen(self):
         # the crosscheck grid's every 10th point, the eight sweeps above and
         # three transition_prob calls, as float.hex: any moved bit fails
@@ -391,9 +406,9 @@ class TestSkellamRoute:
         m1, m2 = x * nb, x * (nb + 1.0)
         z = 2.0 * sqrt(m1 * m2)
         tol = TruncationPolicy().tail_tol / 4.0
-        win = _skellam_window(nb, x, TruncationPolicy())
+        lo, hi = _skellam_masses(nb, x, TruncationPolicy())[0][[0, -1]].tolist()
         reach = int(20.0 * sqrt(m1 + m2))
-        for d in (np.arange(win.lo - reach, win.lo), np.arange(win.hi + 1, win.hi + reach + 1)):
+        for d in (np.arange(lo - reach, lo), np.arange(hi + 1, hi + reach + 1)):
             d = d.astype(float)
             pmf = np.exp(0.5 * d * log(m1 / m2) + z - m1 - m2) * ive(np.abs(d), z)
             assert 0.0 < math.fsum(pmf) <= tol
@@ -539,9 +554,9 @@ def test_recompute_frozen_small_nb_t():
              (0.001708622281030649, 80.35, (-188574, -181831), T_ORACLE_NB1P7E3_80DB))
     for nb, snr_db, window, want in cases:
         x = nb * 10.0 ** (snr_db / 10.0)
-        win = _skellam_window(nb, x, TruncationPolicy())
-        assert (win.lo, win.hi) == window
-        t, mass = recompute_t_skellam(nb, x, win.lo, win.hi)
+        lo, hi = _skellam_masses(nb, x, TruncationPolicy())[0][[0, -1]].tolist()
+        assert (lo, hi) == window
+        t, mass = recompute_t_skellam(nb, x, lo, hi)
         assert t == pytest.approx(want, rel=1e-15)
         assert 1.0 - TruncationPolicy().tail_tol / 2.0 <= mass <= 1.0
 

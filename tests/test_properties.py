@@ -44,7 +44,6 @@ from steinradar.displaced import (
     _miller_block,
     _perron_bracket,
     _skellam_masses,
-    _skellam_window,
     _sum,
 )
 from steinradar.marcum import _cdf
@@ -93,8 +92,8 @@ def test_stein_identity_within_derived_bound(nb, x, tail_tol):
     # rounding, both as third_moment derives them
     policy = TruncationPolicy(tail_tol=tail_tol)
     res = third_moment(ThermalScenario(nb=nb, eta=1.0, ns=x), policy)
-    wide = _skellam_window(nb, x, TruncationPolicy(tail_tol=4e-16))
-    t_ref, m_ref = recompute_t_skellam(nb, x, wide.lo, wide.hi)
+    lo, hi = _skellam_masses(nb, x, TruncationPolicy(tail_tol=4e-16))[0][[0, -1]].tolist()
+    t_ref, m_ref = recompute_t_skellam(nb, x, lo, hi)
     ref = t_ref / m_ref
 
     d, mass, rounding = _skellam_masses(nb, x, policy)
@@ -135,13 +134,13 @@ def test_window_certificate_covers_dropped_tails(nb, frac, tail_tol):
     x = 10.0 ** (-4.0 + frac * (12.0 - math.log10(2.0 * nb + 1.0)))
     m1, m2 = x * nb, x * (nb + 1.0)
     try:
-        win = _skellam_window(nb, x, TruncationPolicy(tail_tol=tail_tol))
+        lo, hi = _skellam_masses(nb, x, TruncationPolicy(tail_tol=tail_tol))[0][[0, -1]].tolist()
     except CapExceeded:      # its chain would pass K_MAX_CAP: no window, no T
         assert x + 20.0 * math.sqrt(m1 + m2) > K_MAX_CAP
         return
     ln_tol = math.log(tail_tol / 4.0)
     steps = np.arange(_TAIL_TERMS)
-    for d in (win.hi + 1 + steps, win.lo - 1 - steps):
+    for d in (hi + 1 + steps, lo - 1 - steps):
         ln_p = skellam.logpmf(d, m1, m2)
         for ln_w, ln_bound in ((ln_p, ln_tol),
                                (ln_p + 3.0 * np.log(np.abs(d + x)), ln_tol + 1.5 * math.log(m1 + m2))):
