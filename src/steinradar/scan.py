@@ -4,8 +4,9 @@ For each SNR on a dB grid: closed-form D and V, the third moment T from the
 Skellam law of the Fock-index difference, the finite-size brackets, their
 per-copy error exponents, and the classical heterodyne benchmark.  Rows are
 emitted as CSV or JSON; two runs with the same configuration produce
-byte-identical output at any worker count, since every row is computed in
-isolation and assembled in grid order.
+byte-identical output at any worker count, since each share of the grid
+runs stage by stage with every row getting the calls it would get alone,
+and the rows are assembled in grid order.
 """
 
 from __future__ import annotations
@@ -118,41 +119,43 @@ def _can_fork() -> bool:
             and threading.active_count() == 1)
 
 
-def _row_or_failure(config: ScanConfig, snr_db: float):
-    """The ScanRow at snr_db, or the SteinRadarError that stopped it."""
+def _share(config: ScanConfig, snr_dbs: list[float]) -> list:
+    """The ScanRow at each snr_db, or the SteinRadarError that stopped it,
+    computed stage by stage: each stage is one loop over the rows not yet
+    failed, and each row gets the calls it would get alone, in the same
+    order.  Any other exception propagates at once."""
+    failed: dict[int, SteinRadarError] = {}
+
+    def stage(step, *columns):
+        out = [None] * len(snr_dbs)
+        for i, args in enumerate(zip(*columns)):
+            if i not in failed:
+                try:
+                    out[i] = step(*args)
+                except SteinRadarError as err:
+                    failed[i] = err
+        return out
+
     def eps(log_pmd):                          # a blank bracket side stays None
         return None if log_pmd is None else error_exponent(log_pmd, config.m)
 
-    try:
-        gamma = 10.0 ** (snr_db / 10.0)
-        scenario = ThermalScenario(nb=config.nb, eta=1.0, ns=gamma * config.nb)
-        stats = thermal_closed_forms(scenario)
-        tm = third_moment(scenario, config._policy)
-        bounds = refined_bracket(stats.with_t(tm.t), config._params)
-        # The per-copy benchmark is the total-M one at a single copy.
-        copies = config.m if config.benchmark_m_convention == TOTAL else 1
-        return ScanRow(
-            snr_db=snr_db,
-            gamma=gamma,
-            d=stats.d,
-            v=stats.v,
-            t=tm.t,
-            captured_mass=tm.captured_mass,
-            eps_first_order=stats.d,
-            eps_refined_upper=eps(bounds.log_refined_upper),
-            eps_refined_lower=eps(bounds.log_refined_lower),
-            upper_valid=bounds.refined_upper_valid,
-            lower_valid=bounds.refined_lower_valid,
-            eps_lambda_upper=eps(bounds.log_lambda_upper),
-            eps_lambda_lower=eps(bounds.log_lambda_lower),
-            eps_marcum=error_exponent(heterodyne_log_pmd(copies * gamma, config.p_fa), copies),
-        )
-    except SteinRadarError as err:
-        return err
-
-
-def _share(config: ScanConfig, snr_dbs: list[float]) -> list:
-    return [_row_or_failure(config, snr_db) for snr_db in snr_dbs]
+    # The per-copy benchmark is the total-M one at a single copy.
+    copies = config.m if config.benchmark_m_convention == TOTAL else 1
+    gammas = [10.0 ** (snr_db / 10.0) for snr_db in snr_dbs]
+    scenarios = [ThermalScenario(nb=config.nb, eta=1.0, ns=gamma * config.nb) for gamma in gammas]
+    stats = stage(thermal_closed_forms, scenarios)
+    tms = stage(lambda scenario: third_moment(scenario, config._policy), scenarios)
+    bounds = stage(lambda s, tm: refined_bracket(s.with_t(tm.t), config._params), stats, tms)
+    log_pmds = stage(lambda gamma: heterodyne_log_pmd(copies * gamma, config.p_fa), gammas)
+    rows = stage(lambda snr_db, gamma, s, tm, b, log_pmd: ScanRow(
+        snr_db=snr_db, gamma=gamma, d=s.d, v=s.v, t=tm.t, captured_mass=tm.captured_mass,
+        eps_first_order=s.d,
+        eps_refined_upper=eps(b.log_refined_upper), eps_refined_lower=eps(b.log_refined_lower),
+        upper_valid=b.refined_upper_valid, lower_valid=b.refined_lower_valid,
+        eps_lambda_upper=eps(b.log_lambda_upper), eps_lambda_lower=eps(b.log_lambda_lower),
+        eps_marcum=error_exponent(log_pmd, copies),
+    ), snr_dbs, gammas, stats, tms, bounds, log_pmds)
+    return [failed.get(i, row) for i, row in enumerate(rows)]
 
 
 def _child_share(config: ScanConfig, snr_dbs: list[float], write_fd: int) -> NoReturn:
@@ -174,7 +177,7 @@ def _child_share(config: ScanConfig, snr_dbs: list[float], write_fd: int) -> NoR
 
 
 def _results(config: ScanConfig, grid: list[float], workers: int) -> list:
-    """_row_or_failure at every grid point, in grid order, computed in
+    """_share's result at every grid point, in grid order, computed in
     round-robin shares grid[i::workers] so that each mixes cheap and dear
     rows: the process forks a child for each share but the first, computes
     that one itself, then collects the others (at workers = 1 it forks

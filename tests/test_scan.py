@@ -14,7 +14,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steinradar import CapExceeded, ScanConfig, ScanRow, SteinRadarError, emit, run_scan
+from steinradar import (
+    CapExceeded,
+    DegenerateVariance,
+    DetectionParams,
+    ScanConfig,
+    ScanRow,
+    SteinRadarError,
+    ThermalScenario,
+    TruncationPolicy,
+    emit,
+    error_exponent,
+    heterodyne_log_pmd,
+    refined_bracket,
+    run_scan,
+    thermal_closed_forms,
+    third_moment,
+)
 from steinradar import scan as scan_mod
 from steinradar.scan import main
 
@@ -200,6 +216,79 @@ class TestPartialFailure:
                                r"snr_db=55 \(CapExceeded\), snr_db=60 \(CapExceeded\)$"):
                 run_scan(cfg)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stagewise_rows_match_rowwise_reference(self, workers):
+        # each row built alone from the public calls, a failed row skipped
+        cfg = ScanConfig(**self.FAILING, keep_partial=True, workers=workers)
+        params = DetectionParams(p_fa=cfg.p_fa, m=cfg.m, c=cfg.c)
+        policy = TruncationPolicy(tail_tol=cfg.tail_tol)
+
+        def eps(log_pmd):
+            return None if log_pmd is None else error_exponent(log_pmd, cfg.m)
+
+        reference = []
+        for snr_db in np.linspace(cfg.snr_db_min, cfg.snr_db_max, cfg.points):
+            gamma = 10.0 ** (float(snr_db) / 10.0)
+            scenario = ThermalScenario(nb=cfg.nb, eta=1.0, ns=gamma * cfg.nb)
+            try:
+                stats = thermal_closed_forms(scenario)
+                tm = third_moment(scenario, policy)
+                b = refined_bracket(stats.with_t(tm.t), params)
+                eps_marcum = error_exponent(heterodyne_log_pmd(gamma, cfg.p_fa), 1)
+            except SteinRadarError:
+                continue
+            reference.append(ScanRow(
+                float(snr_db), gamma, stats.d, stats.v, tm.t, tm.captured_mass, stats.d,
+                eps(b.log_refined_upper), eps(b.log_refined_lower),
+                b.refined_upper_valid, b.refined_lower_valid,
+                eps(b.log_lambda_upper), eps(b.log_lambda_lower), eps_marcum))
+        with pytest.warns(UserWarning):
+            rows = run_scan(cfg)
+        assert len(reference) == 3
+        assert rows == reference
+
+    def test_failed_t_skips_later_stages(self, monkeypatch):
+        # T raises at 40 and 50 dB; neither row reaches the bracket or the benchmark
+        calls = {"refined_bracket": 0, "heterodyne_log_pmd": 0}
+
+        def counting(name):
+            real = getattr(scan_mod, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(scan_mod, name, counting(name))
+        with pytest.warns(UserWarning):
+            rows = run_scan(ScanConfig(**self.FAILING, keep_partial=True, workers=1))
+        assert [r.snr_db for r in rows] == [10.0, 20.0, 30.0]
+        assert calls == {"refined_bracket": 3, "heterodyne_log_pmd": 3}
+
+    def test_first_failing_stage_is_reported(self, monkeypatch):
+        # the -5 dB row fails in both the bracket and the benchmark, which
+        # come in that order; its error is the bracket's
+        cfg = ScanConfig(**SMALL, workers=1)
+        x = 10.0 ** (-5.0 / 10.0)
+        d = thermal_closed_forms(ThermalScenario(nb=cfg.nb, eta=1.0, ns=x * cfg.nb)).d
+        real_bracket, real_pmd = scan_mod.refined_bracket, scan_mod.heterodyne_log_pmd
+
+        def bracket(stats, params):
+            if stats.d == d:
+                raise DegenerateVariance("the bracket's error")
+            return real_bracket(stats, params)
+
+        def benchmark(gamma, p_fa):
+            if gamma == x:
+                raise CapExceeded("the benchmark's error")
+            return real_pmd(gamma, p_fa)
+
+        monkeypatch.setattr(scan_mod, "refined_bracket", bracket)
+        monkeypatch.setattr(scan_mod, "heterodyne_log_pmd", benchmark)
+        with pytest.raises(DegenerateVariance, match="snr_db=-5 failed: the bracket's error$"):
+            run_scan(cfg)
+
 
 class TestEmit:
     def test_single_row_csv(self, rows):
@@ -332,14 +421,14 @@ class TestDeterminism:
     def test_bug_in_a_share_reaches_caller(self, monkeypatch, index):
         config = ScanConfig(**SMALL, workers=2)
         bad = float(np.linspace(config.snr_db_min, config.snr_db_max, config.points)[index])
-        real = scan_mod._row_or_failure
+        real = scan_mod.heterodyne_log_pmd
 
-        def buggy(config, snr_db):
-            if snr_db == bad:
+        def buggy(x, p_fa):                    # the per-copy benchmark's x is gamma
+            if x == 10.0 ** (bad / 10.0):
                 raise ZeroDivisionError("a bug, not a numerical failure")
-            return real(config, snr_db)
+            return real(x, p_fa)
 
-        monkeypatch.setattr(scan_mod, "_row_or_failure", buggy)
+        monkeypatch.setattr(scan_mod, "heterodyne_log_pmd", buggy)
         with pytest.raises(ZeroDivisionError, match="a bug"):
             run_scan(config)
         with pytest.raises(ChildProcessError):     # every child was reaped
@@ -349,14 +438,14 @@ class TestDeterminism:
         if (os.cpu_count() or 1) < 2 or not scan_mod._can_fork():
             pytest.skip("rows run serially here")
         parent = os.getpid()
-        real = scan_mod._row_or_failure
+        real = scan_mod.third_moment
 
-        def dying(config, snr_db):
+        def dying(scenario, policy):
             if os.getpid() != parent:
                 os._exit(1)
-            return real(config, snr_db)
+            return real(scenario, policy)
 
-        monkeypatch.setattr(scan_mod, "_row_or_failure", dying)
+        monkeypatch.setattr(scan_mod, "third_moment", dying)
         with pytest.raises(ChildProcessError, match="without a result"):
             run_scan(ScanConfig(**SMALL, workers=2))
         with pytest.raises(ChildProcessError):
@@ -366,14 +455,14 @@ class TestDeterminism:
         # failures in both shares of two workers: -7.5 and -2.5 are the
         # child's, -5 and 0 the parent's
         config = ScanConfig(**SMALL, workers=2, keep_partial=True)
-        real = scan_mod._row_or_failure
+        real = scan_mod.third_moment
 
-        def failing(config, snr_db):
-            if snr_db > -10.0:
-                return CapExceeded("window too wide")
-            return real(config, snr_db)
+        def failing(scenario, policy):
+            if scenario.ns > 0.5:                  # above -10 dB at nb = 5
+                raise CapExceeded("window too wide")
+            return real(scenario, policy)
 
-        monkeypatch.setattr(scan_mod, "_row_or_failure", failing)
+        monkeypatch.setattr(scan_mod, "third_moment", failing)
         with pytest.warns(UserWarning) as record:
             rows = run_scan(config)
         assert [r.snr_db for r in rows] == [-10.0]
@@ -386,11 +475,12 @@ class TestDeterminism:
         assert main(["--meta"]) == 0
         assert capsysbinary.readouterr().out == (DATA / "default_scan_meta.csv").read_bytes()
 
-    def test_low_background_table_pinned(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_low_background_table_pinned(self, workers):
         # the benchmark's low-background table (1,000 total-M rows at nb = 0.1)
         # by its sha256 as committed; any changed byte is a changed result
         cfg = ScanConfig(nb=0.1, benchmark_m_convention="total", snr_db_min=-10.0,
-                         snr_db_max=20.0, points=1000)
+                         snr_db_max=20.0, points=1000, workers=workers)
         digest = hashlib.sha256(emit(run_scan(cfg), cfg)).hexdigest()
         assert digest == "3cb26955b683eaef8cbfdeee28a9524414f42bc6d632ccb8109a11c9b3d5adb2"
 
