@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -478,11 +478,17 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_low_background_table_pinned(self, workers):
         # the benchmark's low-background table (1,000 total-M rows at nb = 0.1)
-        # by its sha256 as committed; any changed byte is a changed result
+        # by its sha256 as committed; any changed byte is a changed result.
+        # CSV prints 12 digits; JSON prints every float at repr precision, so
+        # its digest pins every bit of all 14 columns.
         cfg = ScanConfig(nb=0.1, benchmark_m_convention="total", snr_db_min=-10.0,
                          snr_db_max=20.0, points=1000, workers=workers)
-        digest = hashlib.sha256(emit(run_scan(cfg), cfg)).hexdigest()
+        rows = run_scan(cfg)
+        digest = hashlib.sha256(emit(rows, cfg)).hexdigest()
         assert digest == "3cb26955b683eaef8cbfdeee28a9524414f42bc6d632ccb8109a11c9b3d5adb2"
+        json_cfg = replace(cfg, output_format="json")
+        digest = hashlib.sha256(emit(rows, json_cfg)).hexdigest()
+        assert digest == "14f800900e6fd4a776d98874bfce922389818c95206c8cb2faca6f413a4741f6"
 
 
 def run_cli(*args):
