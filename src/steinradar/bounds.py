@@ -18,6 +18,7 @@ import numbers
 from dataclasses import dataclass
 from math import log, sqrt
 from statistics import NormalDist
+from typing import NamedTuple
 
 from .errors import DegenerateVariance
 from .gaussian import RelEntStats
@@ -43,10 +44,13 @@ class DetectionParams:
             raise ValueError("m must be an integer in [1, 2^53]")
         if not (0.0 < self.c <= BERRY_ESSEEN_C):
             raise ValueError(f"c must lie in (0, {BERRY_ESSEEN_C}]")
+        # Phi^-1(p_fa) and 2 ln M, which every bracket needs: kept as
+        # attributes outside the fields, so equality, hashing and repr ignore them
+        object.__setattr__(self, "_inv_p_fa", inv_std_normal_cdf(self.p_fa))
+        object.__setattr__(self, "_two_ln_m", 2.0 * log(self.m))
 
 
-@dataclass(frozen=True)
-class MDBounds:
+class MDBounds(NamedTuple):
     """Log-domain bounds on p_MD at each expansion order.
 
     Sides of the refined bracket that fall outside their validity domain
@@ -114,8 +118,8 @@ def refined_bracket(stats: RelEntStats, params: DetectionParams) -> MDBounds:
     if not (math.isfinite(log_first) and math.isfinite(ratio)):
         raise ValueError("M d or C T / V^(3/2) is beyond the float range")
     sqrt_mv = sqrt(m * stats.v)
-    log_lambda_upper = log_first - sqrt_mv * inv_std_normal_cdf(params.p_fa)
-    log_lambda_lower = log_lambda_upper - 2.0 * log(m)
+    log_lambda_upper = log_first - sqrt_mv * params._inv_p_fa
+    log_lambda_lower = log_lambda_upper - params._two_ln_m
 
     upper_valid = 0.0 < theta_u < 1.0
     lower_valid = 0.0 < theta_l < 1.0
@@ -123,21 +127,12 @@ def refined_bracket(stats: RelEntStats, params: DetectionParams) -> MDBounds:
         log_first - sqrt_mv * inv_std_normal_cdf(theta_u) if upper_valid else None
     )
     log_refined_lower = (
-        -9.0 * _LN2 - 2.0 * log(m) + log_first - sqrt_mv * inv_std_normal_cdf(theta_l)
+        -9.0 * _LN2 - params._two_ln_m + log_first - sqrt_mv * inv_std_normal_cdf(theta_l)
         if lower_valid
         else None
     )
-    return MDBounds(
-        log_first_order=log_first,
-        log_lambda_upper=log_lambda_upper,
-        log_lambda_lower=log_lambda_lower,
-        theta_l=theta_l,
-        theta_u=theta_u,
-        refined_upper_valid=upper_valid,
-        refined_lower_valid=lower_valid,
-        log_refined_upper=log_refined_upper,
-        log_refined_lower=log_refined_lower,
-    )
+    return MDBounds(log_first, log_lambda_upper, log_lambda_lower, theta_l, theta_u,
+                    upper_valid, lower_valid, log_refined_upper, log_refined_lower)
 
 
 def error_exponent(log_pmd: float, m: int) -> float:

@@ -73,14 +73,22 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (2.0**-52 <= self.tail_tol < 1.0):   # 2^-52 resolves unit mass
             raise ValueError("tail_tol must lie in [2^-52, 1)")
+        # _edge_start's Gaussian fixed point v(t), t = -ln(tail_tol/4), which
+        # every window needs: kept as an attribute outside the fields, so
+        # equality, hashing and repr ignore it
+        t = -log(self.tail_tol / 4.0)
+        v = sqrt(2.0 * t)
+        for _ in range(3):
+            v = sqrt(2.0 * t + 6.0 * log(v))
+        object.__setattr__(self, "_edge_v", v)
 
 
 def _sum(x: np.ndarray) -> float:
     """Sum of a 1-D float64 array, as accurate as summing in twice the
     working precision, by two passes of Rump, Ogita & Oishi's error-free
     extraction (ExtractVector, SIAM J. Sci. Comput. 31:189, 2008).
-    Precondition: every element is finite, as the masses and weighted
-    masses of this module are by construction.
+    Precondition: every element is finite and nonnegative, as the masses
+    and tail terms of this module are by construction.
 
     With u = 2^-53, 2^M > n + 2 and max|x| < 2^e, sigma = 2^(M + e) splits
     each x_i exactly into q_i = (sigma + x_i) - sigma, a multiple of
@@ -94,7 +102,7 @@ def _sum(x: np.ndarray) -> float:
 
         |result - sum(x)| <= u |sum(x)| + g_(n-1)^2 sum(|x|),
 
-    so for nonnegative terms the result is within one ulp of math.fsum.
+    so the result is within one ulp of math.fsum.
     Arrays shorter than _FSUM_BELOW go to math.fsum over a list instead,
     which is correctly rounded and at that size cheaper than the kernel, as
     do arrays whose sigma would overflow.
@@ -103,7 +111,7 @@ def _sum(x: np.ndarray) -> float:
     if n < _FSUM_BELOW:
         return math.fsum(x.tolist())
     m = (n + 2).bit_length()
-    k = m + math.frexp(max(x.max(), -x.min()))[1]
+    k = m + math.frexp(x.max())[1]
     if k > 1023:                               # sigma would overflow
         return math.fsum(x.tolist())
     q, r = np.empty(n), np.empty(n)            # not one (2, n) block, which malloc maps afresh
@@ -322,15 +330,16 @@ def _captured_mass(captured: float, nb: float, x: float, tail_tol: float,
     return captured
 
 
-def _edge_start(m1: float, m2: float, t: float) -> float:
+def _edge_start(m1: float, m2: float, t: float, v: float) -> float:
     """Where one side of _skellam_masses' window starts, for
-    d ~ Skellam(m1, m2) and t = -ln(tail_tol/4) > ln 4: an estimate of the
+    d ~ Skellam(m1, m2), t = -ln(tail_tol/4) > ln 4 and v = v(t) as
+    TruncationPolicy keeps it: an estimate of the
     u = a - mean at which the Chernoff bound C(a) on the mass of d >= a,
     times (u/sigma)^3 for the cubic weight, sigma^2 = m1 + m2, falls to e^-t.
 
     Near the mean the tail is near Gaussian, -ln C ~ u^2 / (2 sigma^2), and
     v = u / sigma solves v^2 = 2t + 6 ln v; three fixed-point steps from
-    sqrt(2t) leave v within 1.1e-4 of it at tail_tol = 1e-10 (0.04 at
+    sqrt(2t) leave v(t) within 1.1e-4 of it at tail_tol = 1e-10 (0.04 at
     0.49).  Where the optimal s ~ u / sigma^2 passes 1, the tail is the m1
     Poisson's, -ln C ~ a ln(a / m1) - a + m1 + m2, and with the cubic term
     held at 3 ln v, r = t + 3 ln v - m1 - m2 gives a = r / W(r / (e m1)),
@@ -343,9 +352,6 @@ def _edge_start(m1: float, m2: float, t: float) -> float:
     default grid (nb = 600); on the crosscheck grid (nb = 10) 10 of 200
     windows start one or two terms short on a side.
     """
-    v = sqrt(2.0 * t)
-    for _ in range(3):
-        v = sqrt(2.0 * t + 6.0 * log(v))
     u, var = sqrt(m1 + m2) * v, m1 + m2
     r = t + 3.0 * log(v) - var
     if u <= var or not r > 0.0:
@@ -464,7 +470,7 @@ def _bessel_ln_ratios(z: float, n_hi: int) -> np.ndarray:
         for n in range(n_hi, 0, -1):
             r = z / (2.0 * n + z * r)
             rho[n] = r
-        return np.cumsum(np.log(rho))
+        return np.log(rho).cumsum()
 
     tops = float(nblk * ell) - ell * np.arange(nblk, dtype=np.float64)
     coef = (2.0 / z) * (tops - np.arange(ell, dtype=np.float64)[:, None])
@@ -487,14 +493,15 @@ def _bessel_ln_ratios(z: float, n_hi: int) -> np.ndarray:
     ln_g = np.log(g)
     below = np.zeros(nblk)            # sum of ln g over the blocks below
     below[:-1] = np.cumsum(ln_g[:0:-1])[::-1]
-    y = np.multiply(w[1 : ell + 1, 1, b0:], q[b0:])
-    y += w[1 : ell + 1, 0, b0:]
-    y /= g[b0:]
+    y = np.empty((nblk - b0, ell))    # y[b, j] at n = T_b - j
+    np.multiply(w[1 : ell + 1, 1, b0:].T, q[b0:, None], out=y)
+    y += w[1 : ell + 1, 0, b0:].T
+    y /= g[b0:, None]
     np.log(y, out=y)
-    y -= below[b0:]
+    y -= below[b0:, None]
     out = np.empty(n_hi + 1)
     out[0] = 0.0
-    out[1:] = y.ravel(order="F")[: -n_hi - 1 : -1]   # n = T_b - j runs down the columns
+    out[1:] = y.ravel()[: -n_hi - 1 : -1]
     return out
 
 
@@ -621,7 +628,7 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
         ln_t += ln_rho * np.arange(first, n_hi + 1)
         if ln_rho <= 0.0 or ln_t.max() < _LN_SUMMABLE:
             ln_s = log(_sum(np.exp(ln_t)))
-            if _ln_geometric_tail(ln_t[-1], ln_t[-2]) < ln_s + _LN_TAIL_TOL:
+            if _ln_geometric_tail(ln_t.item(-1), ln_t.item(-2)) < ln_s + _LN_TAIL_TOL:
                 return ln_p0 + ln_s
         n_hi *= 2
     raise CapExceeded(f"Skellam tail past K_MAX_CAP={K_MAX_CAP} terms (m1={m1}, m2={m2})")
@@ -685,8 +692,9 @@ def _skellam_masses(
     z, h, sigma = 2.0 * math.sqrt(m1 * m2), 0.5 * log1p(1.0 / nb), sqrt(m1 + m2)
     ln_p0 = log(_bessel_i0_scaled(z)) - x * x / (math.sqrt(m1) + math.sqrt(m2)) ** 2
     ln_tol, mean = log(policy.tail_tol / 4.0), m1 - m2
-    hi = max(math.ceil(mean + _edge_start(m1, m2, -ln_tol) + 0.75) - 1, 2 - math.ceil(x))
-    lo = min(1 - math.ceil(_edge_start(m2, m1, -ln_tol) - mean + 0.75), -math.ceil(x))
+    v = policy._edge_v
+    hi = max(math.ceil(mean + _edge_start(m1, m2, -ln_tol, v) + 0.75) - 1, 2 - math.ceil(x))
+    lo = min(1 - math.ceil(_edge_start(m2, m1, -ln_tol, v) - mean + 0.75), -math.ceil(x))
     while True:
         n_hi = max(-lo, hi)
         if n_hi > K_MAX_CAP or hi - lo >= K_MAX_CAP:
@@ -695,14 +703,17 @@ def _skellam_masses(
         ln_ratio = _bessel_ln_ratios(z, n_hi)
         d = np.arange(lo, hi + 1)
         # ln_p0 + L_|d| - h d; L_|d| is read by two slices, the one below
-        # d = 0 reversed (lo < 0 always, hi may be too)
-        mass = np.concatenate((ln_ratio[-lo : max(-hi, 1) - 1 : -1], ln_ratio[: max(hi + 1, 0)]))
-        mass += ln_p0
+        # d = 0 reversed (lo < 0 always, hi may be too), mass[split:] from d = 0
+        mass, split = np.empty(hi - lo + 1), min(hi, -1) + 1 - lo
+        np.add(ln_ratio[-lo : max(-hi, 1) - 1 : -1], ln_p0, out=mass[:split])
+        np.add(ln_ratio[: max(hi + 1, 0)], ln_p0, out=mass[split:])
         mass -= h * d
-        ends = (hi, hi - 1, lo, lo + 1)
-        ell = _miller_block(z, n_hi + 1)       # rounding()'s bound at its largest over the ends
-        size = abs(ln_p0) + max(abs(ln_ratio.item(abs(e))) for e in ends) + h * n_hi
-        damped = 2.0 / -math.expm1(-2.0 * math.asinh(max(1, min(map(abs, ends))) / z)) + 6.5
+        ell = _miller_block(z, n_hi + 1)       # rounding()'s bound at its largest over the
+        at = ln_ratio.item                     # ends hi, hi - 1, lo + 1 and lo
+        size = abs(ln_p0) + max(abs(at(abs(hi))), abs(at(abs(hi - 1))), abs(at(-lo - 1)),
+                                abs(at(-lo))) + h * n_hi
+        near = max(1, min(abs(hi), abs(hi - 1), -lo - 1))
+        damped = 2.0 / -math.expm1(-2.0 * math.asinh(near / z)) + 6.5
         slack = 2.0**-52 * ((-(-n_hi // ell) + 3.0) * size + 4.0 * (n_hi + ell + 2.0) + damped)
         hi_steps = _edge_steps(mass.item(-1) + slack, mass.item(-2) - slack, hi + x, sigma, ln_tol)
         lo_steps = _edge_steps(mass.item(0) + slack, mass.item(1) - slack, -x - lo, sigma, ln_tol)

@@ -147,13 +147,12 @@ def _share(config: ScanConfig, snr_dbs: list[float]) -> list:
     tms = stage(lambda scenario: third_moment(scenario, config._policy), scenarios)
     bounds = stage(lambda s, tm: refined_bracket(s.with_t(tm.t), config._params), stats, tms)
     log_pmds = stage(lambda gamma: heterodyne_log_pmd(copies * gamma, config.p_fa), gammas)
-    rows = stage(lambda snr_db, gamma, s, tm, b, log_pmd: ScanRow(
-        snr_db=snr_db, gamma=gamma, d=s.d, v=s.v, t=tm.t, captured_mass=tm.captured_mass,
-        eps_first_order=s.d,
-        eps_refined_upper=eps(b.log_refined_upper), eps_refined_lower=eps(b.log_refined_lower),
-        upper_valid=b.refined_upper_valid, lower_valid=b.refined_lower_valid,
-        eps_lambda_upper=eps(b.log_lambda_upper), eps_lambda_lower=eps(b.log_lambda_lower),
-        eps_marcum=error_exponent(log_pmd, copies),
+    rows = stage(lambda snr_db, gamma, s, tm, b, log_pmd: ScanRow(   # in field order
+        snr_db, gamma, s.d, s.v, tm.t, tm.captured_mass, s.d,
+        eps(b.log_refined_upper), eps(b.log_refined_lower),
+        b.refined_upper_valid, b.refined_lower_valid,
+        eps(b.log_lambda_upper), eps(b.log_lambda_lower),
+        error_exponent(log_pmd, copies),
     ), snr_dbs, gammas, stats, tms, bounds, log_pmds)
     return [failed.get(i, row) for i, row in enumerate(rows)]
 

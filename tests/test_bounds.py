@@ -1,6 +1,7 @@
 """Normal CDF pair, finite-size brackets, and exponent behavior."""
 
 import math
+import pickle
 from math import exp, log, sqrt
 
 import numpy as np
@@ -10,6 +11,7 @@ from steinradar import (
     BERRY_ESSEEN_C,
     DegenerateVariance,
     DetectionParams,
+    MDBounds,
     RelEntStats,
     ThermalScenario,
     error_exponent,
@@ -338,6 +340,48 @@ class TestDetectionParams:
         with pytest.raises(ValueError):
             DetectionParams(p_fa=0.5, m=10**400)   # not representable as a float
         assert DetectionParams(p_fa=0.5, m=np.int64(100)).m == 100
+
+    def test_kept_constants(self):
+        # Phi^-1(p_fa) and 2 ln M, bit for bit the calls refined_bracket made
+        # on every row, over random p_fa and m and their ends
+        rng = np.random.default_rng(34)
+        p_fas = [5e-324, 1e-3, 0.5, math.nextafter(1.0, 0.0)]
+        p_fas += (10.0 ** rng.uniform(-300.0, 0.0, 2000)).tolist() + rng.uniform(0.01, 0.99, 500).tolist()
+        ms = [1, 2, 5000, 2**53] + (2.0 ** rng.uniform(0.0, 53.0, 2500)).astype(int).tolist()
+        for p_fa, m in zip(p_fas, ms):
+            params = DetectionParams(p_fa=p_fa, m=m)
+            assert params._inv_p_fa == inv_std_normal_cdf(p_fa)
+            assert params._two_ln_m == 2.0 * log(m)
+
+    def test_kept_constants_outside_the_fields(self):
+        # ==, hash and repr read the three fields alone, and a pickle round
+        # trip keeps the constants with them
+        params, other = DetectionParams(p_fa=1e-3, m=5000), DetectionParams(p_fa=1e-3, m=5000)
+        object.__setattr__(other, "_inv_p_fa", 0.0)
+        object.__setattr__(other, "_two_ln_m", 0.0)
+        assert params == other and hash(params) == hash(other)
+        assert repr(params) == repr(other) == "DetectionParams(p_fa=0.001, m=5000, c=0.4748)"
+        back = pickle.loads(pickle.dumps(params))
+        assert back == params
+        assert (back._inv_p_fa, back._two_ln_m) == (params._inv_p_fa, params._two_ln_m)
+
+
+class TestMDBounds:
+    def test_fields_and_defaults(self):
+        assert MDBounds._fields == (
+            "log_first_order", "log_lambda_upper", "log_lambda_lower", "theta_l", "theta_u",
+            "refined_upper_valid", "refined_lower_valid", "log_refined_upper",
+            "log_refined_lower")
+        assert MDBounds._field_defaults == {"log_refined_upper": None,
+                                            "log_refined_lower": None}
+        b = MDBounds(-1.0, -2.0, -3.0, 0.5, 0.25, True, False)
+        assert (b.log_refined_upper, b.log_refined_lower) == (None, None)
+
+    def test_immutable(self):
+        b = bracket(0.01)
+        for name in MDBounds._fields:
+            with pytest.raises(AttributeError):
+                setattr(b, name, 0.0)
 
 
 class TestBerryEsseenStep:

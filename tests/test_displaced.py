@@ -3,6 +3,7 @@ Laguerre-sum spectral oracle it is checked against."""
 
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -52,6 +53,29 @@ class TestTruncationPolicy:
             TruncationPolicy(tail_tol=1.5)
         with pytest.raises(ValueError):
             TruncationPolicy(tail_tol=5e-324)   # tail_tol / 4 underflows to 0
+
+    def test_kept_edge_fixed_point(self):
+        # v(t), t = -ln(tail_tol/4), bit for bit the three fixed-point steps
+        # of _edge_start's Gaussian estimate, over random tail_tol and both ends
+        rng = np.random.default_rng(34)
+        tols = [2.0**-52, 1e-10, 0.49, math.nextafter(1.0, 0.0)]
+        tols += (2.0 ** rng.uniform(-52.0, 0.0, 2000)).tolist()
+        for tail_tol in tols:
+            t = -log(tail_tol / 4.0)
+            v = sqrt(2.0 * t)
+            for _ in range(3):
+                v = sqrt(2.0 * t + 6.0 * log(v))
+            assert TruncationPolicy(tail_tol=tail_tol)._edge_v == v
+
+    def test_kept_constant_outside_the_fields(self):
+        # ==, hash and repr read tail_tol alone, and a pickle round trip
+        # keeps v(t) with it
+        policy, other = TruncationPolicy(tail_tol=1e-8), TruncationPolicy(tail_tol=1e-8)
+        object.__setattr__(other, "_edge_v", 0.0)
+        assert policy == other and hash(policy) == hash(other)
+        assert repr(policy) == repr(other) == "TruncationPolicy(tail_tol=1e-08)"
+        back = pickle.loads(pickle.dumps(policy))
+        assert back == policy and back._edge_v == policy._edge_v
 
 
 class TestTransitionProb:
