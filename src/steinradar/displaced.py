@@ -90,7 +90,7 @@ def _sum(x: np.ndarray) -> float:
     Precondition: every element is finite and nonnegative, as the masses
     and tail terms of this module are by construction.
 
-    With u = 2^-53, 2^M > n + 2 and max|x| < 2^e, sigma = 2^(M + e) splits
+    With u = 2^-53, 2^M > n + 2 and max x = max|x| < 2^e, sigma = 2^(M + e) splits
     each x_i exactly into q_i = (sigma + x_i) - sigma, a multiple of
     u sigma, and r_i = x_i - q_i, |r_i| <= u sigma (their Lemma 3.3); as
     sum(|q|) < sigma, sum(q) is exact in any order.  The second pass splits
