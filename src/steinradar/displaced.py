@@ -19,10 +19,11 @@ law's log-concavity certifies from the two log-masses at each edge of that
 exponent, so the cost is linear in its width.  T comes from a Poisson Stein
 identity, which needs the cdf at the mean and three masses next to it: so
 third_moment sums the masses alone, in two parts either side of the mean,
-and never forms cubic weights.  The window's certificate still covers the
-cubic-weighted tail, because spectral_oracle sums cubic weights over the
-same window.  Both routes' mass sums go through _sum, a vectorised
-summation by error-free extraction, within an ulp of math.fsum.
+and never forms cubic weights.  One inequality per edge bounds the dropped
+mass, keeping T within about 1e-13 of exact, and the dropped cubic weight,
+which spectral_oracle sums over the same window.  Both routes' mass sums go
+through _sum, a vectorised summation by error-free extraction, within an
+ulp of math.fsum.
 
 spectral_oracle is the independent cross-check: it sums D, V and T from the
 transition probabilities themselves, and adds them with math.fsum rather
@@ -335,7 +336,8 @@ def _edge_start(m1: float, m2: float, t: float, v: float) -> float:
     d ~ Skellam(m1, m2), t = -ln(tail_tol/4) > ln 4 and v = v(t) as
     TruncationPolicy keeps it: an estimate of the
     u = a - mean at which the Chernoff bound C(a) on the mass of d >= a,
-    times (u/sigma)^3 for the cubic weight, sigma^2 = m1 + m2, falls to e^-t.
+    times (u/sigma)^3, sigma^2 = m1 + m2, falls to e^-t: _edge_steps' one
+    inequality, which bounds both the mass past the edge and its cubic weight.
 
     Near the mean the tail is near Gaussian, -ln C ~ u^2 / (2 sigma^2), and
     v = u / sigma solves v^2 = 2t + 6 ln v; three fixed-point steps from
@@ -373,22 +375,20 @@ def _ln_geometric_tail(ln_last: float, ln_prev: float) -> float:
 
 
 def _edge_steps(ln_last: float, ln_prev: float, u: float, sigma: float, ln_tol: float) -> int:
-    """Steps by which an edge of _skellam_masses' window moves out: 0 when
-    the tail past it has mass <= e^ln_tol and cubic weight sum
-    P(d) |d - mean|^3 <= e^ln_tol sigma^3, from the last two kept masses,
-    e^ln_last at distance u > 0 from the mean and e^ln_prev next to it.
-    Past the edge each mass is at most the last times q^j (log-concavity),
-    and (u + j)^3 <= u^3 e^(3j/u), so _ln_geometric_tail bounds the mass at
-    ratio q and the cubic weight, over u^3, at q' = q e^(3/u).  j steps out
-    scale either by at most q^j or q'^j: a miss moves the edge by the j its
-    ratio certifies, or by u where that ratio is >= 1."""
-    steps = 0
-    for shift, weight in ((0.0, 0.0), (3.0 / u, 3.0 * log(u / sigma))):
-        miss = _ln_geometric_tail(ln_last, ln_prev - shift) + weight - ln_tol
-        if miss > 0.0:
-            ln_q = ln_last - ln_prev + shift
-            steps = max(steps, math.ceil(miss / -ln_q) if ln_q < 0.0 else math.ceil(u))
-    return steps
+    """Steps by which an edge of _skellam_masses' window moves out, from the
+    last two kept masses, e^ln_last at distance u > 0 from the mean and
+    e^ln_prev next to it: 0 where P(edge) max(u/sigma, 1)^3 q'/(1 - q') <=
+    e^ln_tol, q' = q e^(3/u), q = e^(ln_last - ln_prev).  Past the edge each
+    mass is at most the last times q^j (log-concavity) and (u + j)^3 <=
+    u^3 e^(3j/u), so that holds the dropped mass to e^ln_tol min(1, (sigma/u)^3)
+    and its cubic weight P(d) |d - mean|^3 to e^ln_tol sigma^3.  j steps out
+    scale the bound by at most q'^j: a miss moves the edge by the j that q'
+    certifies, or by u where q' >= 1."""
+    ln_q = ln_last - ln_prev + 3.0 / u
+    miss = _ln_geometric_tail(ln_last, ln_prev - 3.0 / u) + 3.0 * max(log(u / sigma), 0.0) - ln_tol
+    if not miss > 0.0:
+        return 0
+    return math.ceil(miss / -ln_q) if ln_q < 0.0 else math.ceil(u)
 
 
 _BLOCKED_FROM = 512          # _bessel_ln_ratios: recurrences this long run in blocks
@@ -650,24 +650,26 @@ def _skellam_masses(
     cancellation.  The masses are not renormalised, so their sum is a real
     diagnostic.  Returns (d, mass, rounding) for d in [lo, hi].
 
-    Each side of the window drops at most tail_tol/4 of the mass and
-    tail_tol/4 sigma^3 of the cubic weight, sigma^2 = x (2 nb + 1): since
-    E|d - mean|^3 >= sigma^3 (Lyapunov), a T summed by cubic weights over
-    it, as spectral_oracle's, is low by at most tail_tol/2 relative;
-    third_moment's identity needs the mass bound alone.  The Skellam pmf is
-    log-concave, as a convolution of two Poisson pmfs (Keilson & Gerber,
-    JASA 66:386, 1971), so _edge_steps certifies each side from the two
-    log-masses at its edge, read off the exponent before it is exponentiated
-    and moved by the rounding bound below, at its largest over the four, the
-    way that enlarges the tail.  Each side starts one integer past
-    _edge_start, the window widened to hold d = -ceil(x) .. 2 - ceil(x), the
-    three masses next to the mean -x that third_moment reads.  A side that
-    misses moves out by _edge_steps and the chain and exponent are built
-    again: on the low-background and default scan grids never, and at the
-    windows kept the bound lies at least e^0.23 and e^2.93 below its target
-    there.  CapExceeded if the variance reaches K_MAX_CAP^2, or once
-    [lo, hi] reaches past K_MAX_CAP or is K_MAX_CAP wide, which bounds the
-    chain; ConsistencyError if mu1 mu2 underflows (no Bessel argument).
+    Each side of the window, its edge at distance u from the mean, drops at
+    most tail_tol/4 min(1, (sigma/u)^3) of the mass, which bounds
+    third_moment's truncation, and tail_tol/4 sigma^3 of the cubic weight,
+    sigma^2 = x (2 nb + 1), so (Lyapunov: E|d - mean|^3 >= sigma^3) a T
+    summed by cubic weights over it, as spectral_oracle's, is low by at most
+    tail_tol/2 relative.  The Skellam pmf is log-concave, as a convolution
+    of two Poisson pmfs (Keilson & Gerber, JASA 66:386, 1971), so the one
+    inequality of _edge_steps certifies both from the two log-masses at each
+    edge, read off the exponent before it is exponentiated and moved by the
+    rounding bound below, at its largest over the four (at n_hi: |L| rises
+    along the chain), the way that enlarges the tail.  Each side starts one
+    integer past _edge_start, the window widened to hold d = -ceil(x) ..
+    2 - ceil(x), the three masses next to the mean -x that third_moment
+    reads.  A side that misses moves out by _edge_steps and the chain and
+    exponent are built again: on the low-background and default scan grids
+    never, and at the windows kept the bound lies at least e^0.23 and e^2.93
+    below its target there.  CapExceeded if the variance reaches
+    K_MAX_CAP^2, or once [lo, hi] reaches past K_MAX_CAP or is K_MAX_CAP
+    wide, which bounds the chain; ConsistencyError if mu1 mu2 underflows
+    (no Bessel argument).
 
     rounding() bounds the rounding error of the sum of the masses.  With l
     the recurrence's block length, L_n is within eps (k_n |L_n| + 4 (n + l)
@@ -708,10 +710,9 @@ def _skellam_masses(
         np.add(ln_ratio[-lo : max(-hi, 1) - 1 : -1], ln_p0, out=mass[:split])
         np.add(ln_ratio[: max(hi + 1, 0)], ln_p0, out=mass[split:])
         mass -= h * d
-        ell = _miller_block(z, n_hi + 1)       # rounding()'s bound at its largest over the
-        at = ln_ratio.item                     # ends hi, hi - 1, lo + 1 and lo
-        size = abs(ln_p0) + max(abs(at(abs(hi))), abs(at(abs(hi - 1))), abs(at(-lo - 1)),
-                                abs(at(-lo))) + h * n_hi
+        # rounding()'s bound at its largest over the edges: |L| peaks at n_hi
+        ell = _miller_block(z, n_hi + 1)
+        size = abs(ln_p0) + abs(ln_ratio.item(-1)) + h * n_hi
         near = max(1, min(abs(hi), abs(hi - 1), -lo - 1))
         damped = 2.0 / -math.expm1(-2.0 * math.asinh(near / z)) + 6.5
         slack = 2.0**-52 * ((-(-n_hi // ell) + 3.0) * size + 4.0 * (n_hi + ell + 2.0) + damped)
@@ -759,10 +760,13 @@ def third_moment(
     two parts give F(c) and 1 - F(c).
 
     Truncation: the window drops mass dl below it and dh above it, each at
-    most tail_tol/4 by its certificate.  With exact masses the identity
-    then returns T (1 + (dl (1 - r) + dh (1 + r)) / (1 - dl - dh)),
-    r = x / E|W|^3 in (0, 1], so T is never low, and high by at most
-    tail_tol / (2 - tail_tol) relative.  Rounding, eps = 2^-52: with a the
+    most delta = tail_tol/4 min(1, (sigma/u)^3) by its certificate, u that
+    edge's distance from the mean -x, sigma^2 = x (2 nb + 1).  With exact
+    masses the identity then returns T (1 + (dl (1 - r) + dh (1 + r)) /
+    (1 - dl - dh)), r = x / E|W|^3 in (0, 1], so T is never low, and high
+    by at most max(delta_l + delta_h, 2 delta_h) / (1 - delta_l - delta_h)
+    relative, below tail_tol / (2 - tail_tol) and, at the default, at most
+    1.8e-13 on the scan grids.  Rounding, eps = 2^-52: with a the
     largest relative error bound of the three masses and R = rounding() /
     captured, their mass-weighted mean (both as _skellam_masses derives
     them), T is within 2 (a + R) + 16 eps of that, relative.  An error up

@@ -38,13 +38,13 @@ class _Spectrum:
     """What a covariance matrix V alone fixes, shared by every state with it.
 
     Omega, the eigendecomposition (vals, vecs) of 2i*V*Omega (eigenvalues
-    +/-2 nu) and the least symplectic eigenvalue nu_min, the arrays
-    read-only; the Gibbs matrix (gibbs_matrix) and ln det(V + i*Omega/2)
-    (ln_det) are built on first use and kept, and a failed build keeps
-    nothing.
+    +/-2 nu), the least symplectic eigenvalue nu_min and
+    ln_det = ln det(V + i*Omega/2) = sum ln(|1 + lambda|/2) over the
+    spectrum, the arrays read-only; the Gibbs matrix (gibbs_matrix) is built
+    on first use and kept, and a failed build keeps nothing.
     """
 
-    __slots__ = ("omega", "vals", "vecs", "nu_min", "gibbs", "_ln_det")
+    __slots__ = ("omega", "vals", "vecs", "nu_min", "ln_det", "gibbs")
 
     def __init__(self, cm: np.ndarray):
         self.omega = symplectic_form(len(cm) // 2)
@@ -52,14 +52,9 @@ class _Spectrum:
         for arr in (self.omega, self.vals, self.vecs):
             arr.flags.writeable = False
         self.nu_min = 0.5 * float(np.abs(self.vals).min())
+        with np.errstate(divide="ignore"):     # -inf on a pure mode, which gibbs_matrix refuses
+            self.ln_det = float(np.log(np.abs(1.0 + self.vals) / 2.0).sum())
         self.gibbs = None
-        self._ln_det = None
-
-    def ln_det(self) -> float:
-        """ln det(V + i*Omega/2) = sum ln(|1 + lambda|/2) over the spectrum."""
-        if self._ln_det is None:
-            self._ln_det = float(np.log(np.abs(1.0 + self.vals) / 2.0).sum())
-        return self._ln_det
 
 
 @functools.lru_cache(maxsize=_SPECTRUM_MEMO)
@@ -265,7 +260,7 @@ def rel_entropy(rho0: GaussianState, rho1: GaussianState) -> float:
     more raises ConsistencyError; ValueError where D (or V) leaves the float range.
     """
     g0, g1, delta = _gibbs_pair(rho0, rho1)
-    ln_det0, ln_det1 = rho0._spec.ln_det(), rho1._spec.ln_det()
+    ln_det0, ln_det1 = rho0._spec.ln_det, rho1._spec.ln_det
     with np.errstate(over="ignore", invalid="ignore"):
         d = 0.5 * (ln_det1 - ln_det0 + float(np.trace(rho0.cm @ (g1 - g0)))
                    + float(delta @ g1 @ delta))
