@@ -1,6 +1,8 @@
 """Scan driver, emission formats, CLI contract, and determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -489,6 +491,43 @@ class TestDeterminism:
         json_cfg = replace(cfg, output_format="json")
         digest = hashlib.sha256(emit(rows, json_cfg)).hexdigest()
         assert digest == "14f800900e6fd4a776d98874bfce922389818c95206c8cb2faca6f413a4741f6"
+
+    def test_cli_invocations_pinned(self):
+        # each CLI invocation of tests/data/cli_sha256.csv by its exit code and
+        # the sha256 of its CSV stdout and its stderr, as committed; any
+        # changed byte is a changed result, to be made on purpose with the file
+        moved = [row for row in _read_cli_pins() if cli_digests(row[0]) != row]
+        assert moved == []
+
+
+CLI_PINS = DATA / "cli_sha256.csv"
+
+
+def cli_digests(args: str) -> tuple[str, str, str, str]:
+    """(args, exit code, sha256 of stdout, sha256 of stderr) of
+    `steinradar-scan ARGS`, run in-process through `main`."""
+    out, err = io.BytesIO(), io.StringIO()
+    stdout = io.TextIOWrapper(out)             # main writes to sys.stdout.buffer
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(args.split())
+    stdout.detach()
+    return (args, str(code), hashlib.sha256(out.getvalue()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest())
+
+
+def _read_cli_pins() -> list[tuple[str, ...]]:
+    lines = [ln for ln in CLI_PINS.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == "args,exit_code,stdout_sha256,stderr_sha256"
+    return [tuple(ln.split(",")) for ln in lines[1:]]
+
+
+def write_cli_pins() -> None:
+    """Record every invocation of tests/data/cli_sha256.csv again, keeping
+    its header comments: `PYTHONPATH=src:tests python -c "import test_scan;
+    test_scan.write_cli_pins()"`."""
+    head = [ln for ln in CLI_PINS.read_text().splitlines() if ln.startswith("#")]
+    rows = [",".join(cli_digests(row[0])) for row in _read_cli_pins()]
+    CLI_PINS.write_text("\n".join([*head, "args,exit_code,stdout_sha256,stderr_sha256", *rows]) + "\n")
 
 
 def run_cli(*args):
