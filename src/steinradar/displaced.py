@@ -22,8 +22,9 @@ third_moment sums the masses alone, in two parts either side of the mean,
 and never forms cubic weights.  One inequality per edge bounds the dropped
 mass, keeping T within about 1e-13 of exact, and the dropped cubic weight,
 which spectral_oracle sums over the same window.  Both routes' mass sums go
-through _sum, a vectorised summation by error-free extraction, within an
-ulp of math.fsum.
+through _sum, math.fsum of numpy's sums of 128-term blocks, within about
+64 eps of the sum: sized to the masses, whose own rounding on wide windows
+is ten times that or more, and which T's error budget carries anyway.
 
 spectral_oracle is the independent cross-check: it sums D, V and T from the
 transition probabilities themselves, and adds them with math.fsum rather
@@ -62,6 +63,8 @@ _BLOCK_ROWS = 16             # _amplitude_rows: rows per block, and the rescale 
 _TABLE_ENTRIES = 2**13       # _amplitude_rows: entries per coefficient table and chunk
 K_MAX_CAP = 200_000          # hard cap on every summation index and window width
 _FSUM_BELOW = 512            # _sum: shorter arrays go to math.fsum over a list
+_SUM_BLOCK = 128             # _sum: terms per block numpy sums
+_SUM_REL = 2.0**-53 * (1.0 + (_SUM_BLOCK - 1) / (1.0 - (_SUM_BLOCK - 1) * 2.0**-53))   # u + g_127
 _I0_CROSSOVER = 19.0         # _bessel_i0_scaled: power series below, asymptotic beyond
 
 
@@ -85,45 +88,33 @@ class TruncationPolicy:
 
 
 def _sum(x: np.ndarray) -> float:
-    """Sum of a 1-D float64 array, as accurate as summing in twice the
-    working precision, by two passes of Rump, Ogita & Oishi's error-free
-    extraction (ExtractVector, SIAM J. Sci. Comput. 31:189, 2008).
-    Precondition: every element is finite and nonnegative, as the masses
-    and tail terms of this module are by construction.
+    """Sum of a 1-D float64 array whose elements are finite and nonnegative,
+    as the masses and tail terms of this module are by construction, within
 
-    With u = 2^-53, 2^M > n + 2 and max x = max|x| < 2^e, sigma = 2^(M + e) splits
-    each x_i exactly into q_i = (sigma + x_i) - sigma, a multiple of
-    u sigma, and r_i = x_i - q_i, |r_i| <= u sigma (their Lemma 3.3); as
-    sum(|q|) < sigma, sum(q) is exact in any order.  The second pass splits
-    the r_i at 2^M u sigma, and the result is math.fsum of the two exact
-    sums and the plain sum of the second rests, which errs by at most
-    g_(n-1) 8 n (n+2)^2 u^2 max|x|, g_k = k u / (1 - k u).  For n <= 2^22
-    that keeps the bound of Ogita, Rump & Oishi's Sum2 (SIAM J. Sci.
-    Comput. 26:1955, 2005, Prop. 4.5),
+        |result - sum(x)| <= u sum(x) + g_127 sum(x),   g_k = k u / (1 - k u),
 
-        |result - sum(x)| <= u |sum(x)| + g_(n-1)^2 sum(|x|),
-
-    so the result is within one ulp of math.fsum.
-    Arrays shorter than _FSUM_BELOW go to math.fsum over a list instead,
-    which is correctly rounded and at that size cheaper than the kernel, as
-    do arrays whose sigma would overflow.
+    u = 2^-53, that is _SUM_REL sum(x); within u sum(x) below _FSUM_BELOW
+    terms, which go to math.fsum over a list, correctly rounded.  Longer
+    arrays are cut into blocks of _SUM_BLOCK terms, which numpy sums in any
+    order it likes: n - 1 additions of nonnegative terms, in any order, err
+    by at most (n - 1) u of their sum (Jeannerod & Rump, SIAM J. Matrix
+    Anal. Appl. 34:338, 2013).  math.fsum of the block sums and the leftover
+    terms rounds once more, by u (1 + 127 u) sum(x), and 127 u (1 + u) <=
+    g_127.  Where a block sum or their total overflows, math.fsum over the
+    list decides.
     """
     n = len(x)
-    if n < _FSUM_BELOW:
-        return math.fsum(x.tolist())
-    m = (n + 2).bit_length()
-    k = m + math.frexp(x.max())[1]
-    if k > 1023:                               # sigma would overflow
-        return math.fsum(x.tolist())
-    q, r = np.empty(n), np.empty(n)            # not one (2, n) block, which malloc maps afresh
-    parts, rest = [], x
-    for sigma in (math.ldexp(1.0, k), math.ldexp(1.0, k + m - 53)):
-        np.add(rest, sigma, out=q)
-        q -= sigma
-        np.subtract(rest, q, out=r)
-        parts.append(float(q.sum()))
-        rest = r
-    return math.fsum(parts + [float(r.sum())])
+    if n >= _FSUM_BELOW:
+        k = n - n % _SUM_BLOCK
+        with np.errstate(over="ignore"):
+            blocks = x[:k].reshape(-1, _SUM_BLOCK).sum(axis=1)
+        try:
+            total = math.fsum(blocks.tolist() + x[k:].tolist())
+        except OverflowError:                  # the block sums' total overflows
+            total = math.inf
+        if total < math.inf:                   # an overflowed block sum is inf here
+            return total
+    return math.fsum(x.tolist())
 
 
 def _amplitude_rows(x: float, m_lo: int, m_hi: int,
@@ -310,14 +301,15 @@ class ThirdMomentResult(NamedTuple):
 
 
 def _captured_mass(captured: float, nb: float, x: float, tail_tol: float,
-                   rounding: Callable[[], float]) -> float:
+                   rounding: Callable[[], float], terms: int) -> float:
     """`captured`, the sum of the masses, once checked: ConsistencyError if
     it falls below 1 - 10*tail_tol or passes 1.
 
-    The callers sum by _sum, each part within one ulp of the correctly
-    rounded one.
     `rounding`, called only when the sum falls short or passes 1, bounds the
-    error the masses carry from their own evaluation.  A shortfall within it
+    error the masses carry from their own evaluation.  The callers add the
+    `terms` masses by _sum, in at most two parts and one addition, so the
+    allowance adds _sum's bound and 2 eps for the addition (with room for
+    second-order terms).  A shortfall within it
     is not a deficit; truncation only ever drops mass, so an excess beyond
     it is a bug, such as masses counted twice.  Both routes' allowances are
     at least 8 eps of the mass, so a smaller excess never calls `rounding`.
@@ -325,7 +317,8 @@ def _captured_mass(captured: float, nb: float, x: float, tail_tol: float,
     floor = 1.0 - 10.0 * tail_tol
     if captured < floor or captured - 1.0 > 8.0 * 2.0**-52:
         bound = floor if captured < floor else 1.0
-        if abs(captured - bound) > rounding():
+        adder = (_SUM_REL if terms >= _FSUM_BELOW else 2.0**-53) + 2.0**-52
+        if abs(captured - bound) > rounding() + adder * captured:
             raise ConsistencyError(f"captured mass {captured} misses its bound {bound} "
                                    f"past rounding (nb={nb}, x={x})")
     return captured
@@ -767,12 +760,14 @@ def third_moment(
     by at most max(delta_l + delta_h, 2 delta_h) / (1 - delta_l - delta_h)
     relative, below tail_tol / (2 - tail_tol) and, at the default, at most
     1.8e-13 on the scan grids.  Rounding, eps = 2^-52: with a the
-    largest relative error bound of the three masses and R = rounding() /
+    largest relative error bound of the three masses, R = rounding() /
     captured, their mass-weighted mean (both as _skellam_masses derives
-    them), T is within 2 (a + R) + 16 eps of that, relative.  An error up
-    to a moves the bracket, one up to R the captured mass, and one up to
-    R x <= R E|W|^3 the difference; the sums, which are within an ulp,
-    the products of positive terms and ln(1 + 1/nb)^3 add a few eps.  The
+    them), and b = _SUM_REL = 64 eps the bound of _sum, T is within
+    2 (a + R + b) + 16 eps of that, relative (b <= R/10 on the default
+    grid).  An error up to a moves the bracket, one up to R + b the
+    captured mass, and one up to (R + b) x <= (R + b) E|W|^3 the
+    difference; the addition of the two parts, the products of positive
+    terms and ln(1 + 1/nb)^3 add a few eps.  The
     captured probability mass (unnormalised) is returned alongside; below
     1 - 10*tail_tol, or above 1, by more than the rounding the masses carry,
     the sum is considered buggy and ConsistencyError is raised.
@@ -785,7 +780,7 @@ def third_moment(
     c = math.ceil(x) - 1
     i = -c - int(d[0])                         # mass[i] is at d = -c, that is e = c
     above, upto = _sum(mass[:i]), _sum(mass[i:])   # 1 - F(c) and F(c), times the mass
-    captured = _captured_mass(above + upto, nb, x, policy.tail_tol, rounding)
+    captured = _captured_mass(above + upto, nb, x, policy.tail_tol, rounding, len(mass))
     p_up, p_c, p_down = mass[i - 1 : i + 2].tolist()   # p(c+1), p(c), p(c-1), times the mass
     mu_a, mu_b, w = x * (nb + 1.0), x * nb, (c - x) ** 2
     bracket = (2.0 * mu_a * mu_a * p_down + mu_a * p_c * (4.0 * mu_b + w + 1.0)
@@ -809,7 +804,7 @@ def spectral_oracle(
     if x == 0.0:
         return RelEntStats(d=0.0, v=0.0, t=0.0)
     d, mass, rounding = _difference_masses(s.nb, x, policy)
-    _captured_mass(_sum(mass), s.nb, x, policy.tail_tol, rounding)
+    _captured_mass(_sum(mass), s.nb, x, policy.tail_tol, rounding, len(mass))
     llr = -d * log1p(1.0 / s.nb)
     d1 = math.fsum((mass * llr).tolist())
     centered = llr - d1

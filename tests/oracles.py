@@ -24,6 +24,7 @@ double-precision references.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from math import exp, factorial, log, log1p
 
 # --- frozen extended-precision references (mpmath, dps=50) ---------------
@@ -177,6 +178,15 @@ V_600_G1 = 1.998335644681233223212
 
 
 # --- independent oracle implementations -----------------------------------
+
+def exact_sum(values) -> Fraction:
+    """Exact sum of finite floats: each is an integer multiple of 2^-1074."""
+    total = 0
+    for v in values:
+        num, den = v.as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+    return Fraction(total, 1 << 1074)
+
 
 def laguerre_binomial(n: int, m: int, x: float) -> float:
     """Associated Laguerre polynomial by the alternating binomial sum.

@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from math import exp, factorial, log, sqrt
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from steinradar.displaced import (
     K_MAX_CAP,
     _difference_masses,
     _skellam_masses,
+    _SUM_REL,
     _sum,
     _thermal_cutoff,
 )
@@ -38,6 +40,7 @@ from oracles import (
     T_ORACLE_NB1P7E3_80DB,
     TP_FROZEN,
     difference_masses_rowwise,
+    exact_sum,
     laguerre_binomial,
     skellam_log_pmf,
 )
@@ -485,25 +488,41 @@ class TestSkellamRoute:
         third_moment(ThermalScenario(nb=10.0, eta=1.0, ns=1.39))
         assert len(calls) == 2 and calls[1] > calls[0]
 
-    def test_sum_equals_fsum_on_default_grid(self):
+    def test_sum_within_stated_bound_on_default_grid(self):
         # every window the default scan sums (2,363 to 23,613 wide, all past
         # the fsum switch): the masses whole and in the two parts T sums
-        # either side of d = -c, and the cubic weights spectral_oracle sums
+        # either side of d = -c, each within _sum's stated bound of its
+        # exact sum
         nb = 600.0
-        lt = math.log1p(1.0 / nb)
         for snr_db in np.linspace(-15.0, 5.0, 200):
             x = 10.0 ** (snr_db / 10.0) * nb
             d, mass, _ = _skellam_masses(nb, x, TruncationPolicy())
             assert len(mass) >= displaced_mod._FSUM_BELOW
             i = -(math.ceil(x) - 1) - int(d[0])
-            cubic = mass * np.abs((d + x) * lt) ** 3
-            for part in (mass, mass[:i], mass[i:], cubic):
-                assert _sum(part) == math.fsum(part)
+            parts = [exact_sum(part.tolist()) for part in (mass[:i], mass[i:])]
+            for part, exact in zip((mass, mass[:i], mass[i:]), (sum(parts), *parts)):
+                assert len(part) >= displaced_mod._FSUM_BELOW
+                assert abs(Fraction(_sum(part)) - exact) <= Fraction(_SUM_REL) * exact
+
+    def test_adder_bound_within_a_tenth_of_mass_rounding(self):
+        # the adder's stated bound on the two parts T sums, against the
+        # masses' own rounding bound, on every window of _FSUM_BELOW terms or
+        # more at nb = 600: the default grid (-15..5 dB; at least 20 times
+        # below it) and on up to 20 dB.  Wider blocks, or a looser adder,
+        # would eat into T's budget 2 (a + R + b) here first
+        nb = 600.0
+        for snr_db in [*np.linspace(-15.0, 5.0, 200), *np.linspace(5.0, 20.0, 16)]:
+            x = 10.0 ** (snr_db / 10.0) * nb
+            d, mass, rounding = _skellam_masses(nb, x, TruncationPolicy())
+            assert len(mass) >= displaced_mod._FSUM_BELOW
+            i = -(math.ceil(x) - 1) - int(d[0])
+            adder = _SUM_REL * (_sum(mass[:i]) + _sum(mass[i:]))
+            assert adder <= rounding() / 10.0, snr_db
 
     def test_bits_frozen_on_scan_grids(self):
         # the default scan's grid, nb=600, and every 20th point of nb=0.1,
-        # -10..20 dB, 1000 points: wide windows on the summation kernel,
-        # narrow ones on math.fsum
+        # -10..20 dB, 1000 points: wide windows on _sum's block sums, narrow
+        # ones on math.fsum
         lines = [ln for ln in (DATA / "third_moment_hex.csv").read_text().splitlines()
                  if not ln.startswith("#")]
         assert lines[0] == "nb,snr_db,t,captured_mass"

@@ -1,7 +1,7 @@
 """Hypothesis properties: the Skellam law against the closed forms, the
 Lyapunov bound on T, T by the Stein identity against mpmath, the window
 certificate against the dropped tails, the blocked Bessel-ratio recurrence
-against the scalar loop, the window summation against math.fsum, the
+against the scalar loop, the window summation against its stated bound, the
 monotonicity in SNR of the bound exponents and of the heterodyne exponent,
 the heterodyne exponent's sign, the general N-mode D and V against the
 thermal closed forms, and the CLI exit-code contract on arbitrary input."""
@@ -45,12 +45,13 @@ from steinradar.displaced import (
     _miller_block,
     _perron_bracket,
     _skellam_masses,
+    _SUM_REL,
     _sum,
 )
 from steinradar.marcum import _cdf
 from steinradar.scan import PER_COPY, TOTAL, main
 
-from oracles import bessel_ratio_mp, recompute_t_skellam
+from oracles import bessel_ratio_mp, exact_sum, recompute_t_skellam
 
 # Skellam windows stay far inside K_MAX_CAP here, so an example costs ms.
 nbs = st.floats(1e-2, 1e3)
@@ -289,17 +290,21 @@ def test_perron_bracket_contains_the_bessel_ratio(nu, z):
     assert e < 8.0 * 2.0**-53                  # S < 1
 
 
-def _exact_sum(values) -> Fraction:
-    """Exact sum of finite floats: each is an integer multiple of 2^-1074."""
-    total = 0
-    for v in values:
-        num, den = v.as_integer_ratio()
-        total += num << (1075 - den.bit_length())
-    return Fraction(total, 1 << 1074)
+def _sum_bound(n: int, exact: Fraction) -> Fraction:
+    """_sum's stated bound on n nonnegative terms summing to `exact`:
+    u + g_127 relative from _FSUM_BELOW terms, u below, in exact arithmetic."""
+    u = Fraction(1, 2**53)
+    if n < _FSUM_BELOW:
+        return u * exact
+    return (u + 127 * u / (1 - 127 * u)) * exact
 
 
 # Lengths on both sides of the fsum switch, magnitudes 10^lo..10^(lo+span)
-# within [1e-300, 1e3], nonnegative as _sum's precondition asks.
+# within [1e-300, 1e3], nonnegative as _sum's precondition asks.  The bound
+# is what T's budget needs, not an ulp: the masses carry 1,300 to 14,000 eps
+# of their own rounding on the default grid, and
+# test_adder_bound_within_a_tenth_of_mass_rounding holds the adder under a
+# tenth of that.
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(0, 4096) | st.integers(0, 20_000), seed=st.integers(0, 2**32 - 1),
        lo=st.floats(-300.0, 3.0), span=st.floats(0.0, 303.0))
@@ -310,28 +315,33 @@ def test_sum_within_stated_bound_of_exact(n, seed, lo, span):
     rng = np.random.default_rng(seed)
     x = 10.0 ** rng.uniform(lo, min(lo + span, 3.0), n)
     got = _sum(x)
-    want = math.fsum(x.tolist())
-    exact = _exact_sum(x.tolist())
-    u = Fraction(1, 2**53)
-    g = (n - 1) * u / (1 - (n - 1) * u)
-    assert abs(Fraction(got) - exact) <= u * abs(exact) + g * g * _exact_sum(np.abs(x).tolist())
+    exact = exact_sum(x.tolist())
+    assert abs(Fraction(got) - exact) <= _sum_bound(n, exact)
     if n < _FSUM_BELOW:
-        assert got == want
-    else:
-        assert abs(got - want) <= math.ulp(want)
+        assert got == math.fsum(x.tolist())
 
 
 def _edge_sum_inputs():
     # nonnegative, as _sum's precondition asks
     rng = np.random.default_rng(20)
     huge = rng.uniform(0.0, 1e304, 600)
-    huge[17] = 1.5e308                                  # sigma would pass 2^1023: fsum
+    huge[17] = 1.5e308
+    big, ulp = 1.7976931348623157e308, math.ulp(1.7976931348623157e308)
+    top = np.zeros(_FSUM_BELOW)
+    top[0], top[8:33:8] = big - 3.0 * ulp, 0.75 * ulp   # the sum is the largest float
+    past = top.copy()
+    past[0], past[128] = big - 4.0 * ulp, 0.75 * ulp   # it rounds to the largest float
     return {
         "zeros": np.zeros(4096),
         "subnormal": rng.integers(1, 2**40, 4096) * 5e-324,
         "near-1e308": huge,
-        # sigma = 2^1023, the kernel's largest
-        "largest-sigma": 2.0 ** rng.uniform(1012.0, 1013.0, 600),
+        "near-2^1022": 2.0 ** rng.uniform(1012.0, 1013.0, 600),
+        # in numpy's order the first block sum rounds past the largest
+        # float to inf, which math.fsum of the block sums would return
+        "block-overflow": top,
+        # the block sums, in numpy's order the largest float and 0.75 of its
+        # ulp, add up past it, where math.fsum raises
+        "block-total-overflow": past,
         "fsum-switch": 10.0 ** rng.uniform(-3.0, 0.0, _FSUM_BELOW),
     }
 
@@ -339,16 +349,29 @@ def _edge_sum_inputs():
 @pytest.mark.parametrize("name", list(_edge_sum_inputs()))
 def test_sum_edge_cases_within_stated_bound_of_exact(name):
     x = _edge_sum_inputs()[name]
-    n = len(x)
     got = _sum(x)
-    exact = _exact_sum(x.tolist())
-    u = Fraction(1, 2**53)
-    g = (n - 1) * u / (1 - (n - 1) * u)
+    exact = exact_sum(x.tolist())
     assert math.isfinite(got)
-    assert abs(Fraction(got) - exact) <= u * abs(exact) + g * g * _exact_sum(np.abs(x).tolist())
-    if name in ("zeros", "subnormal", "near-1e308"):
-        # exact sums, and the fsum fallback, leave nothing to round
+    assert abs(Fraction(got) - exact) <= _sum_bound(len(x), exact)
+    if name in ("zeros", "subnormal"):
+        # exact sums leave nothing to round
         assert got == math.fsum(x.tolist())
+
+
+def test_stated_sum_bound_is_u_plus_gamma_127():
+    # the constant the mass check and T's budget use, against the exact bound
+    assert _SUM_REL == pytest.approx(float(_sum_bound(_FSUM_BELOW, Fraction(1))), rel=1e-15)
+
+
+def test_sum_overflow_raises_as_fsum_does():
+    # two terms near 1e308 overflow every order of their block's sum, and the
+    # exact sum too: _sum raises as math.fsum over the list does, not inf
+    x = np.zeros(_FSUM_BELOW)
+    x[[0, 1]] = 1e308
+    with pytest.raises(OverflowError):
+        math.fsum(x.tolist())
+    with pytest.raises(OverflowError):
+        _sum(x)
 
 
 # Nonnegative arrays of 1 to 5,000 terms, magnitudes 10^lo..10^(lo+span)
