@@ -27,9 +27,9 @@ from steinradar import (
 from steinradar import displaced as displaced_mod
 from steinradar.displaced import (
     K_MAX_CAP,
+    _SUM_REL,
     _difference_masses,
     _skellam_masses,
-    _SUM_REL,
     _sum,
     _thermal_cutoff,
 )

@@ -40,12 +40,12 @@ from steinradar.displaced import (
     _BLOCKED_FROM,
     _FSUM_BELOW,
     K_MAX_CAP,
+    _SUM_REL,
     _bessel_ln_ratios,
     _edge_steps,
     _miller_block,
     _perron_bracket,
     _skellam_masses,
-    _SUM_REL,
     _sum,
 )
 from steinradar.marcum import _cdf
