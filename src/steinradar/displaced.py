@@ -385,6 +385,7 @@ def _edge_steps(ln_last: float, ln_prev: float, u: float, sigma: float, ln_tol: 
 
 
 _BLOCKED_FROM = 512          # _bessel_ln_ratios: recurrences this long run in blocks
+_SEED_ERR = 6.5              # _bessel_ln_ratios: its seed's relative error c, in eps
 
 
 def _asinh_edge(z: float, lo: float, c: float, goal: float) -> int:
@@ -627,6 +628,25 @@ def _skellam_ln_tail(m1: float, m2: float, first: int) -> float:
     raise CapExceeded(f"Skellam tail past K_MAX_CAP={K_MAX_CAP} terms (m1={m1}, m2={m2})")
 
 
+def _mass_rounding(n, ln_ratio, ln_p0, h, ell, damped):
+    """The rounding of _skellam_masses' mass at |d| = n, in eps = 2^-52
+    relative, on floats or arrays alike.  L_n = ln_ratio is within
+    eps (k_n |L_n| + 4 (n + l) + D_n) of exact, l = ell, k_n = ceil(n / l) + 1
+    and D_n = damped its damped rounding and seed error, the budget
+    _bessel_ln_ratios states (c = _SEED_ERR there).  Every partial sum formed
+    on the way is at most S_d = |ln P(0)| + |L_n| + h n in size (the
+    log-ratios share a sign), so the two additions and the product that
+    assemble the exponent round by at most eps S_d each, and its exponential
+    and h add a few eps more: mass_d is off by a relative
+    eps ((k_n + 2) S_d + 4 (n + l + 2) + D_n) at most, and the sum of the
+    masses by that weighted by mass.  For the scalar loop (l = 1), k_n = n + 1
+    counts its cumulative sum of log-ratios; in blocks, the ceil(n / l)
+    block scales summed take their place.  Over random nb in [1e-8, 1e7] and
+    x in [1e-3, 1e6] the observed |1 - sum| stayed below 1/8 of that.
+    """
+    return (-(-n // ell) + 3.0) * (abs(ln_p0) + abs(ln_ratio) + h * n) + 4.0 * (n + ell + 2.0) + damped
+
+
 def _skellam_masses(
     nb: float, x: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], float]]:
@@ -641,7 +661,8 @@ def _skellam_masses(
     of _bessel_ln_ratios(z, max(-lo, hi)), h = ln(1 + 1/nb) / 2 and
     ln P(0) = ln(e^-z I_0(z)) - x^2 / (sqrt(mu1) + sqrt(mu2))^2, free of
     cancellation.  The masses are not renormalised, so their sum is a real
-    diagnostic.  Returns (d, mass, rounding) for d in [lo, hi].
+    diagnostic.  Returns (d, mass, rounding) for d in [lo, hi], rounding()
+    the bound _mass_rounding puts on the rounding of the masses' sum.
 
     Each side of the window, its edge at distance u from the mean, drops at
     most tail_tol/4 min(1, (sigma/u)^3) of the mass, which bounds
@@ -651,8 +672,8 @@ def _skellam_masses(
     tail_tol/2 relative.  The Skellam pmf is log-concave, as a convolution
     of two Poisson pmfs (Keilson & Gerber, JASA 66:386, 1971), so the one
     inequality of _edge_steps certifies both from the two log-masses at each
-    edge, read off the exponent before it is exponentiated and moved by the
-    rounding bound below, at its largest over the four (at n_hi: |L| rises
+    edge, read off the exponent before it is exponentiated and moved by
+    _mass_rounding's bound at its largest over the four (at n_hi: |L| rises
     along the chain), the way that enlarges the tail.  Each side starts one
     integer past _edge_start, the window widened to hold d = -ceil(x) ..
     2 - ceil(x), the three masses next to the mean -x that third_moment
@@ -663,21 +684,6 @@ def _skellam_masses(
     K_MAX_CAP^2, or once [lo, hi] reaches past K_MAX_CAP or is K_MAX_CAP
     wide, which bounds the chain; ConsistencyError if mu1 mu2 underflows
     (no Bessel argument).
-
-    rounding() bounds the rounding error of the sum of the masses.  With l
-    the recurrence's block length, L_n is within eps (k_n |L_n| + 4 (n + l)
-    + D_n) of exact, k_n = ceil(n / l) + 1 and D_n its damped rounding and
-    seed error from above, the budget _bessel_ln_ratios states (c = 6.5
-    there).  Every partial sum formed on the way is at most
-    S_d = |ln P(0)| + |L_|d|| + h |d| in size (the log-ratios share a sign),
-    so the two additions and the product that assemble the exponent round
-    by at most eps S_d each, and its exponential and h add a few eps more.
-    mass_d is thus off by a relative eps ((k_|d| + 2) S_d + 4 (|d| + l + 2)
-    + D_|d|) at most, and the sum by that weighted by mass.  For the scalar
-    loop (l = 1), k_|d| = |d| + 1 counts its cumulative sum of log-ratios;
-    in blocks, the ceil(|d| / l) block scales summed take their place.
-    Over random nb in [1e-8, 1e7] and x in [1e-3, 1e6] the observed
-    |1 - sum| stayed below 1/8 of this bound.
     """
     m1, m2 = x * nb, x * (nb + 1.0)
     if not m1 + m2 < float(K_MAX_CAP) ** 2:
@@ -705,10 +711,9 @@ def _skellam_masses(
         mass -= h * d
         # rounding()'s bound at its largest over the edges: |L| peaks at n_hi
         ell = _miller_block(z, n_hi + 1)
-        size = abs(ln_p0) + abs(ln_ratio.item(-1)) + h * n_hi
         near = max(1, min(abs(hi), abs(hi - 1), -lo - 1))
-        damped = 2.0 / -math.expm1(-2.0 * math.asinh(near / z)) + 6.5
-        slack = 2.0**-52 * ((-(-n_hi // ell) + 3.0) * size + 4.0 * (n_hi + ell + 2.0) + damped)
+        damped = 2.0 / -math.expm1(-2.0 * math.asinh(near / z)) + _SEED_ERR
+        slack = 2.0**-52 * _mass_rounding(n_hi, ln_ratio.item(-1), ln_p0, h, ell, damped)
         hi_steps = _edge_steps(mass.item(-1) + slack, mass.item(-2) - slack, hi + x, sigma, ln_tol)
         lo_steps = _edge_steps(mass.item(0) + slack, mass.item(1) - slack, -x - lo, sigma, ln_tol)
         if hi_steps == lo_steps == 0:
@@ -719,11 +724,9 @@ def _skellam_masses(
     def rounding() -> float:
         n = np.abs(d)
         seed_at = -(-n_hi // ell) * ell + 1    # N + 1
-        size = abs(ln_p0) + np.abs(ln_ratio[n]) + h * n
         ash = 2.0 * np.arcsinh(np.maximum(n, 1) / z)
-        damped = np.where(n > 0, 2.0 / -np.expm1(-ash) + 6.5 * np.exp((n - seed_at) * ash), 0.0)
-        per_mass = (-(-n // ell) + 3.0) * size + 4.0 * (n + ell + 2.0) + damped
-        return 2.0**-52 * float(np.sum(mass * per_mass))
+        damped = np.where(n > 0, 2.0 / -np.expm1(-ash) + _SEED_ERR * np.exp((n - seed_at) * ash), 0.0)
+        return 2.0**-52 * float(np.sum(mass * _mass_rounding(n, ln_ratio[n], ln_p0, h, ell, damped)))
 
     return d, mass, rounding
 
@@ -759,12 +762,11 @@ def third_moment(
     (1 - dl - dh)), r = x / E|W|^3 in (0, 1], so T is never low, and high
     by at most max(delta_l + delta_h, 2 delta_h) / (1 - delta_l - delta_h)
     relative, below tail_tol / (2 - tail_tol) and, at the default, at most
-    1.8e-13 on the scan grids.  Rounding, eps = 2^-52: with a the
-    largest relative error bound of the three masses, R = rounding() /
-    captured, their mass-weighted mean (both as _skellam_masses derives
-    them), and b = _SUM_REL = 64 eps the bound of _sum, T is within
-    2 (a + R + b) + 16 eps of that, relative (b <= R/10 on the default
-    grid).  An error up to a moves the bracket, one up to R + b the
+    1.8e-13 on the scan grids.  Rounding, eps = 2^-52: with a the largest
+    relative error bound of the three masses, R = rounding() / captured,
+    their mass-weighted mean (both by _mass_rounding), and b = _SUM_REL =
+    64 eps the bound of _sum, T is within 2 (a + R + b) + 16 eps of that,
+    relative (b <= R/10 on the default grid).  An error up to a moves the bracket, one up to R + b the
     captured mass, and one up to (R + b) x <= (R + b) E|W|^3 the
     difference; the addition of the two parts, the products of positive
     terms and ln(1 + 1/nb)^3 add a few eps.  The

@@ -29,6 +29,8 @@ from steinradar.displaced import (
     K_MAX_CAP,
     _SUM_REL,
     _difference_masses,
+    _edge_steps,
+    _ln_geometric_tail,
     _skellam_masses,
     _sum,
     _thermal_cutoff,
@@ -395,6 +397,33 @@ class TestDifferenceLaw:
             got = mass[idx[dd]]
             want = exp(skellam_log_pmf(dd, x * nb, x * (nb + 1.0)))
             assert got == pytest.approx(want, rel=1e-9)
+
+
+class TestEdgeSteps:
+    # an edge of T's window whose last two masses fall by q = e^-1, at u = 3
+    # from the mean, so q' = q e^(3/u) = 1 exactly
+    LN_LAST, LN_PREV, U, SIGMA, LN_TOL = -10.0, -9.0, 3.0, 1.0, math.log(2.5e-11)
+
+    def test_geometric_tail_infinite_where_terms_do_not_fall(self):
+        assert _ln_geometric_tail(-1.0, -2.0) == math.inf
+        assert _ln_geometric_tail(-5.0, -5.0) == math.inf
+
+    def test_moves_by_u_where_q_prime_reaches_one(self):
+        # no geometric tail past the edge: it moves out by ceil(u)
+        assert _edge_steps(self.LN_LAST, self.LN_PREV, self.U, self.SIGMA, self.LN_TOL) == 3
+        assert _edge_steps(self.LN_LAST, self.LN_PREV, 2.5, self.SIGMA, self.LN_TOL) == 3
+
+    @pytest.mark.parametrize("ln_prev", [-9.0 + 1e-3, -9.0 + 1e-9], ids=["1e-3", "1e-9"])
+    def test_moves_by_certified_steps_just_below(self, ln_prev):
+        # q' just below 1: the fewest j steps for which q'^j scales the missed
+        # bound down to the target
+        ln_q = self.LN_LAST - ln_prev + 3.0 / self.U
+        assert ln_q < 0.0
+        miss = (_ln_geometric_tail(self.LN_LAST, ln_prev - 3.0 / self.U)
+                + 3.0 * math.log(self.U / self.SIGMA) - self.LN_TOL)
+        j = _edge_steps(self.LN_LAST, ln_prev, self.U, self.SIGMA, self.LN_TOL)
+        assert isinstance(j, int) and j > 3
+        assert miss + j * ln_q <= 0.0 < miss + (j - 1) * ln_q
 
 
 class TestSkellamRoute:

@@ -180,6 +180,23 @@ class TestGibbsMatrix:
                 gibbs_matrix(state)
         assert states[0]._spec.gibbs is None
 
+    def test_imaginary_residue_refused_and_not_kept(self, monkeypatch):
+        # an inverse off by 1e-6 i leaves an imaginary residue past
+        # RESIDUE_TOL, which is refused, and the failed build keeps nothing:
+        # with the inverse restored, the next call builds the matrix.  The cm
+        # is one no other test uses, so the spectrum memo holds no matrix yet.
+        state = GaussianState(mean=np.zeros(4), cm=np.diag([1.3, 1.3, 2.1, 2.1]))
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) + 1e-6j)
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            gibbs_matrix(state)
+        assert state._spec.gibbs is None
+        monkeypatch.undo()
+        g = gibbs_matrix(state)
+        assert state._spec.gibbs is g
+        want = np.diag([log(1.8 / 0.8)] * 2 + [log(2.6 / 1.6)] * 2)
+        assert np.abs(g - want).max() < 1e-12
+
     def test_thermal_identity_on_grid(self):
         for nbar in (0.1, 0.7, 1.0, 5.0, 42.0, 1e4):
             g = gibbs_matrix(thermal_state(nbar))

@@ -483,6 +483,11 @@ class TestDeterminism:
         # by its sha256 as committed; any changed byte is a changed result.
         # CSV prints 12 digits; JSON prints every float at repr precision, so
         # its digest pins every bit of all 14 columns.
+        # The JSON digest was recorded in e5c5ba8, with numpy 2.4.6 on an
+        # x86-64 host with __cpu_baseline__ X86_V2 and dispatch targets X86_V3,
+        # X86_V4, AVX512_ICL, AVX512_SPR found; with the AVX-512 targets
+        # disabled (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+        # numpy's AVX2 kernels move last bits and it reads 046b5092... instead.
         cfg = ScanConfig(nb=0.1, benchmark_m_convention="total", snr_db_min=-10.0,
                          snr_db_max=20.0, points=1000, workers=workers)
         rows = run_scan(cfg)
