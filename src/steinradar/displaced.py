@@ -257,7 +257,9 @@ def _difference_masses(
     an exact identity of the geometric weights.  The amplitudes come from one
     _amplitude_rows sweep over the diagonals m = |d| of the window, and each
     block of rows joins the sum in one step, as the product of its thermal
-    weights with its squared amplitudes.
+    weights with its squared amplitudes: a vector-matrix @ that numpy hands
+    to OpenBLAS's dgemv, so the masses' last bits follow OpenBLAS's kernel
+    as well as numpy's SIMD dispatch.
 
     rounding() bounds the rounding error of the sum of the masses: the seed
     ln A(0, m) = -x/2 + (m/2) ln x - ln(m!)/2 is built from parts of size at
@@ -376,12 +378,12 @@ def _edge_steps(ln_last: float, ln_prev: float, u: float, sigma: float, ln_tol: 
     u^3 e^(3j/u), so that holds the dropped mass to e^ln_tol min(1, (sigma/u)^3)
     and its cubic weight P(d) |d - mean|^3 to e^ln_tol sigma^3.  j steps out
     scale the bound by at most q'^j: a miss moves the edge by the j that q'
-    certifies, or by u where q' >= 1."""
+    certifies, at most ceil(u), and by ceil(u) where q' >= 1."""
     ln_q = ln_last - ln_prev + 3.0 / u
     miss = _ln_geometric_tail(ln_last, ln_prev - 3.0 / u) + 3.0 * max(log(u / sigma), 0.0) - ln_tol
     if not miss > 0.0:
         return 0
-    return math.ceil(miss / -ln_q) if ln_q < 0.0 else math.ceil(u)
+    return math.ceil(min(miss / -ln_q, u)) if ln_q < 0.0 else math.ceil(u)
 
 
 _BLOCKED_FROM = 512          # _bessel_ln_ratios: recurrences this long run in blocks
@@ -800,7 +802,8 @@ def spectral_oracle(
     distribution as third_moment, summed from the Laguerre transition
     probabilities instead of the Skellam law, so it cross-checks the
     Gaussian closed forms (first and second moments) and third_moment
-    along a fully independent route.
+    along a fully independent route.  Its last bits depend on OpenBLAS's
+    dgemv kernel (see _difference_masses) as well as on numpy's dispatch.
     """
     x = s.eta * s.ns
     if x == 0.0:

@@ -46,7 +46,7 @@ class ScanConfig:
     snr_db_min: float = -15.0
     snr_db_max: float = 5.0
     points: int = 200
-    tail_tol: float = 1e-10
+    tail_tol: float = TruncationPolicy.tail_tol
     c: float = BERRY_ESSEEN_C
     benchmark_m_convention: str = PER_COPY
     output_format: str = "csv"

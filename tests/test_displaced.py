@@ -9,7 +9,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import exp, factorial, log, sqrt
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,8 +45,7 @@ from oracles import (
     laguerre_binomial,
     skellam_log_pmf,
 )
-
-DATA = Path(__file__).parent / "data"
+from pins import SWEEPS
 
 
 class TestTruncationPolicy:
@@ -315,8 +313,7 @@ class TestSpectralOracle:
         # hundreds of times; nb <= 1 at x = 1e4 to 1e5 runs few, wide rows
         policy = TruncationPolicy()
         rescaled = floored = 0
-        for nb, x in ((600.0, 60.0), (600.0, 600.0), (600.0, 6e3), (1.0, 1e4),
-                      (1.0, 1e5), (0.1, 1e5), (1e-3, 1e4), (10.0, 3.0)):
+        for nb, x in SWEEPS:
             d_ref, want, rescales, floors = difference_masses_rowwise(nb, x, policy.tail_tol)
             d, mass, rounding = _difference_masses(nb, x, policy)
             assert np.array_equal(d, d_ref)
@@ -340,24 +337,6 @@ class TestSpectralOracle:
             widened += len(calls) > 1
             assert np.array_equal(_difference_masses(10.0, x, policy)[0], d), x
         assert widened == 11
-
-    def test_bits_frozen(self):
-        # the crosscheck grid's every 10th point, the eight sweeps above and
-        # three transition_prob calls, as float.hex: any moved bit fails
-        lines = [ln for ln in (DATA / "spectral_oracle_hex.csv").read_text().splitlines()
-                 if not ln.startswith("#")]
-        assert lines[0] == "call,args,hex"
-        rows = [ln.split(",") for ln in lines[1:]]
-        assert [call for call, _, _ in rows] == ["spectral_oracle"] * 28 + ["transition_prob"] * 3
-        for call, args, want in rows:
-            if call == "spectral_oracle":
-                nb, ns = map(float, args.split())
-                r = spectral_oracle(ThermalScenario(nb=nb, eta=1.0, ns=ns))
-                got = f"{r.d.hex()} {r.v.hex()} {r.t.hex()}"
-            else:
-                k, l, x = args.split()
-                got = transition_prob(int(k), int(l), float(x)).hex()
-            assert got == want, (call, args)
 
     def test_bright_displacement_matches_closed_forms(self):
         # x = 1e5: the certified window spans diagonals ~9e4 to ~1.1e5
@@ -413,17 +392,28 @@ class TestEdgeSteps:
         assert _edge_steps(self.LN_LAST, self.LN_PREV, self.U, self.SIGMA, self.LN_TOL) == 3
         assert _edge_steps(self.LN_LAST, self.LN_PREV, 2.5, self.SIGMA, self.LN_TOL) == 3
 
-    @pytest.mark.parametrize("ln_prev", [-9.0 + 1e-3, -9.0 + 1e-9], ids=["1e-3", "1e-9"])
-    def test_moves_by_certified_steps_just_below(self, ln_prev):
-        # q' just below 1: the fewest j steps for which q'^j scales the missed
-        # bound down to the target
-        ln_q = self.LN_LAST - ln_prev + 3.0 / self.U
-        assert ln_q < 0.0
-        miss = (_ln_geometric_tail(self.LN_LAST, ln_prev - 3.0 / self.U)
+    def miss(self, ln_prev):
+        return (_ln_geometric_tail(self.LN_LAST, ln_prev - 3.0 / self.U)
                 + 3.0 * math.log(self.U / self.SIGMA) - self.LN_TOL)
+
+    def test_moves_by_certified_steps_below_u(self):
+        # q' = e^-7: the fewest j steps for which q'^j scales the missed bound
+        # down to the target
+        ln_q = self.LN_LAST - (-2.0) + 3.0 / self.U
+        j = _edge_steps(self.LN_LAST, -2.0, self.U, self.SIGMA, self.LN_TOL)
+        assert isinstance(j, int) and j == 2
+        assert self.miss(-2.0) + j * ln_q <= 0.0 < self.miss(-2.0) + (j - 1) * ln_q
+
+    @pytest.mark.parametrize("ln_prev", [-9.0 + 1e-3, -9.0 + 1e-9, math.nextafter(-9.0, 0.0)],
+                             ids=["1e-3", "1e-9", "ulp"])
+    def test_moves_by_certified_steps_just_below(self, ln_prev):
+        # q' just below 1: q' certifies no fewer than 24,616 steps at 1e-3
+        # below and about 2.9e16 one ulp below, so the edge moves by ceil(u),
+        # as at q' = 1, and is checked again
+        ln_q = self.LN_LAST - ln_prev + 3.0 / self.U
+        assert ln_q < 0.0 and self.miss(ln_prev) + 3 * ln_q > 0.0
         j = _edge_steps(self.LN_LAST, ln_prev, self.U, self.SIGMA, self.LN_TOL)
-        assert isinstance(j, int) and j > 3
-        assert miss + j * ln_q <= 0.0 < miss + (j - 1) * ln_q
+        assert isinstance(j, int) and j == 3
 
 
 class TestSkellamRoute:
@@ -547,22 +537,6 @@ class TestSkellamRoute:
             i = -(math.ceil(x) - 1) - int(d[0])
             adder = _SUM_REL * (_sum(mass[:i]) + _sum(mass[i:]))
             assert adder <= rounding() / 10.0, snr_db
-
-    def test_bits_frozen_on_scan_grids(self):
-        # the default scan's grid, nb=600, and every 20th point of nb=0.1,
-        # -10..20 dB, 1000 points: wide windows on _sum's block sums, narrow
-        # ones on math.fsum
-        lines = [ln for ln in (DATA / "third_moment_hex.csv").read_text().splitlines()
-                 if not ln.startswith("#")]
-        assert lines[0] == "nb,snr_db,t,captured_mass"
-        rows = [ln.split(",") for ln in lines[1:]]
-        grids = [(600.0, s) for s in np.linspace(-15.0, 5.0, 200).tolist()]
-        grids += [(0.1, s) for s in np.linspace(-10.0, 20.0, 1000).tolist()[::20]]
-        assert [(float(nb), float(snr_db)) for nb, snr_db, _, _ in rows] == grids
-        for nb, snr_db, t, captured in rows:
-            gamma = 10.0 ** (float(snr_db) / 10.0)
-            got = third_moment(ThermalScenario(nb=float(nb), eta=1.0, ns=gamma * float(nb)))
-            assert (got.t.hex(), got.captured_mass.hex()) == (t, captured), (nb, snr_db)
 
     def test_width_cap(self):
         # window [-5175749, -4824251]: past K_MAX_CAP, refused before any sum

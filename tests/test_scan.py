@@ -1,8 +1,5 @@
 """Scan driver, emission formats, CLI contract, and determinism."""
 
-import contextlib
-import hashlib
-import io
 import json
 import math
 import os
@@ -10,7 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -473,66 +470,9 @@ class TestDeterminism:
 
     def test_default_table_pinned(self, capsysbinary):
         # the default `steinradar-scan --meta` table as committed; any changed
-        # byte is a changed result, to be made on purpose with this file
+        # byte is a changed result, to be made on purpose with `python -m pins`
         assert main(["--meta"]) == 0
         assert capsysbinary.readouterr().out == (DATA / "default_scan_meta.csv").read_bytes()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_low_background_table_pinned(self, workers):
-        # the benchmark's low-background table (1,000 total-M rows at nb = 0.1)
-        # by its sha256 as committed; any changed byte is a changed result.
-        # CSV prints 12 digits; JSON prints every float at repr precision, so
-        # its digest pins every bit of all 14 columns.
-        # The JSON digest was recorded in e5c5ba8, with numpy 2.4.6 on an
-        # x86-64 host with __cpu_baseline__ X86_V2 and dispatch targets X86_V3,
-        # X86_V4, AVX512_ICL, AVX512_SPR found; with the AVX-512 targets
-        # disabled (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
-        # numpy's AVX2 kernels move last bits and it reads 046b5092... instead.
-        cfg = ScanConfig(nb=0.1, benchmark_m_convention="total", snr_db_min=-10.0,
-                         snr_db_max=20.0, points=1000, workers=workers)
-        rows = run_scan(cfg)
-        digest = hashlib.sha256(emit(rows, cfg)).hexdigest()
-        assert digest == "3cb26955b683eaef8cbfdeee28a9524414f42bc6d632ccb8109a11c9b3d5adb2"
-        json_cfg = replace(cfg, output_format="json")
-        digest = hashlib.sha256(emit(rows, json_cfg)).hexdigest()
-        assert digest == "14f800900e6fd4a776d98874bfce922389818c95206c8cb2faca6f413a4741f6"
-
-    def test_cli_invocations_pinned(self):
-        # each CLI invocation of tests/data/cli_sha256.csv by its exit code and
-        # the sha256 of its CSV stdout and its stderr, as committed; any
-        # changed byte is a changed result, to be made on purpose with the file
-        moved = [row for row in _read_cli_pins() if cli_digests(row[0]) != row]
-        assert moved == []
-
-
-CLI_PINS = DATA / "cli_sha256.csv"
-
-
-def cli_digests(args: str) -> tuple[str, str, str, str]:
-    """(args, exit code, sha256 of stdout, sha256 of stderr) of
-    `steinradar-scan ARGS`, run in-process through `main`."""
-    out, err = io.BytesIO(), io.StringIO()
-    stdout = io.TextIOWrapper(out)             # main writes to sys.stdout.buffer
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
-        code = main(args.split())
-    stdout.detach()
-    return (args, str(code), hashlib.sha256(out.getvalue()).hexdigest(),
-            hashlib.sha256(err.getvalue().encode()).hexdigest())
-
-
-def _read_cli_pins() -> list[tuple[str, ...]]:
-    lines = [ln for ln in CLI_PINS.read_text().splitlines() if not ln.startswith("#")]
-    assert lines[0] == "args,exit_code,stdout_sha256,stderr_sha256"
-    return [tuple(ln.split(",")) for ln in lines[1:]]
-
-
-def write_cli_pins() -> None:
-    """Record every invocation of tests/data/cli_sha256.csv again, keeping
-    its header comments: `PYTHONPATH=src:tests python -c "import test_scan;
-    test_scan.write_cli_pins()"`."""
-    head = [ln for ln in CLI_PINS.read_text().splitlines() if ln.startswith("#")]
-    rows = [",".join(cli_digests(row[0])) for row in _read_cli_pins()]
-    CLI_PINS.write_text("\n".join([*head, "args,exit_code,stdout_sha256,stderr_sha256", *rows]) + "\n")
 
 
 def run_cli(*args):
