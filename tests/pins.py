@@ -95,7 +95,7 @@ SETS = (
     # the low-background table as JSON, which prints every bit of every column
     PinSet("cli_json_sha256.csv", CLI, [f"{LOWBG} --format json", f"{LOWBG} --format json --workers 2"],
            _cli, True),
-    # CSV output, whose 12 digits held on every kernel set tried, and stderr
+    # CSV stdout and stderr: the CSV's 12 digits held on every kernel set tried
     PinSet("cli_sha256.csv", CLI, ["", "--points 60 --workers 2", LOWBG, f"{LOWBG} --workers 2",
                                    "--nb 10 --points 200", "--nb 1e-3 --snr-db-max 60",
                                    "--nb 0.001953125 --snr-db-min 0 --snr-db-max 1 --points 2 --tail-tol 0.49",
