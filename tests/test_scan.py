@@ -1,5 +1,6 @@
 """Scan driver, emission formats, CLI contract, and determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,12 +8,13 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pins
 from steinradar import (
     CapExceeded,
     DegenerateVariance,
@@ -473,6 +475,27 @@ class TestDeterminism:
         # byte is a changed result, to be made on purpose with `python -m pins`
         assert main(["--meta"]) == 0
         assert capsysbinary.readouterr().out == (DATA / "default_scan_meta.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_low_background_table_pinned(self, workers):
+        # the benchmark's low-background table (1,000 total-M rows at nb = 0.1)
+        # by its sha256 as committed; any changed byte is a changed result.
+        # CSV prints 12 digits, which hold on every kernel set tried; JSON
+        # prints every float at repr precision, so its digest pins every bit
+        # of all 14 columns and is read from the cli_json_sha256.csv recorded
+        # for this host's kernel fingerprint (test_pin_set names a host
+        # without one)
+        cfg = ScanConfig(nb=0.1, benchmark_m_convention="total", snr_db_min=-10.0,
+                         snr_db_max=20.0, points=1000, workers=workers)
+        rows = run_scan(cfg)
+        digest = hashlib.sha256(emit(rows, cfg)).hexdigest()
+        assert digest == "3cb26955b683eaef8cbfdeee28a9524414f42bc6d632ccb8109a11c9b3d5adb2"
+        json_pins = next(pin for pin in pins.SETS if pin.name == "cli_json_sha256.csv")
+        if json_pins.path().exists():
+            recorded = dict(ln.split(",")[:3:2] for ln in json_pins.path().read_text().splitlines()
+                            if not ln.startswith("#"))
+            digest = hashlib.sha256(emit(rows, replace(cfg, output_format="json"))).hexdigest()
+            assert digest == recorded[f"{pins.LOWBG} --format json"]
 
 
 def run_cli(*args):
